@@ -193,34 +193,20 @@ fn sample_assembly(filter: Option<&str>) {
         }
     });
     g.bench_function("extract_streaming", || {
+        let mut stream = FeatureStream::new(problem, th);
         for truth in fleet.platform_dimms(Platform::IntelPurley) {
             let Some(events) = by_dimm.get(&truth.id) else {
                 continue;
             };
             let history = DimmHistory::new(events);
             let times = problem.sample_times(&history, fleet.config.horizon);
-            let mut stream = FeatureStream::new(history, &truth.spec, &problem, &th);
+            stream.reset(truth.spec);
+            for e in events {
+                stream.push(**e);
+            }
             for t in times {
                 black_box(stream.features_at(t));
             }
-        }
-    });
-    // Same pass with per-DIMM buffers recycled through a StreamArena
-    // instead of reallocated (the dataset-assembly configuration).
-    g.bench_function("extract_streaming_arena", || {
-        let mut arena = StreamArena::default();
-        for truth in fleet.platform_dimms(Platform::IntelPurley) {
-            let Some(events) = by_dimm.get(&truth.id) else {
-                continue;
-            };
-            let history = DimmHistory::new(events);
-            let times = problem.sample_times(&history, fleet.config.horizon);
-            let mut stream =
-                FeatureStream::with_arena(history, &truth.spec, &problem, &th, &mut arena);
-            for t in times {
-                black_box(stream.features_at(t));
-            }
-            stream.recycle(&mut arena);
         }
     });
 

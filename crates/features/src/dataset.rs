@@ -9,7 +9,7 @@
 use crate::fault_analysis::FaultThresholds;
 use crate::history::DimmHistory;
 use crate::labeling::ProblemConfig;
-use crate::stream::{FeatureStream, StreamArena};
+use crate::stream::FeatureStream;
 use mfp_dram::address::DimmId;
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
@@ -162,8 +162,9 @@ impl SampleSet {
     }
 }
 
-/// Streams one DIMM's history into samples appended onto `set`.
-#[allow(clippy::too_many_arguments)]
+/// Streams one DIMM's history into samples appended onto `set`: pushes
+/// its events into `stream` (reset for this DIMM), then queries its
+/// sample times.
 fn stream_dimm_samples(
     set: &mut SampleSet,
     id: DimmId,
@@ -171,8 +172,7 @@ fn stream_dimm_samples(
     events: &[&MemEvent],
     horizon: SimDuration,
     cfg: &ProblemConfig,
-    thresholds: &FaultThresholds,
-    arena: &mut StreamArena,
+    stream: &mut FeatureStream,
 ) {
     let history = DimmHistory::new(events);
     let times = cfg.sample_times(&history, horizon);
@@ -180,7 +180,10 @@ fn stream_dimm_samples(
         return;
     }
     let first_ue = history.first_ue();
-    let mut stream = FeatureStream::with_arena(history, spec, cfg, thresholds, arena);
+    stream.reset(*spec);
+    for e in events {
+        stream.push(**e);
+    }
     set.reserve(times.len());
     for t in times {
         let Some(label) = cfg.label_at(t, first_ue) else {
@@ -189,7 +192,6 @@ fn stream_dimm_samples(
         let row = stream.features_at(t);
         set.push(row, label, id, t);
     }
-    stream.recycle(arena);
 }
 
 /// Builds the labelled sample set for one platform from a simulated fleet.
@@ -243,9 +245,9 @@ pub fn build_samples_with_workers(
             handles.push(s.spawn(move || {
                 let _span = worker_seconds.time();
                 let mut part = SampleSet::new();
-                // One arena per worker: per-DIMM prefix/profile buffers are
-                // recycled across the chunk instead of reallocated.
-                let mut arena = StreamArena::default();
+                // One stream per worker, reset per DIMM: its event buffer
+                // keeps its capacity across the chunk.
+                let mut stream = FeatureStream::new(*cfg, *thresholds);
                 for (truth, events) in slice {
                     stream_dimm_samples(
                         &mut part,
@@ -254,8 +256,7 @@ pub fn build_samples_with_workers(
                         events.as_slice(),
                         horizon,
                         cfg,
-                        thresholds,
-                        &mut arena,
+                        &mut stream,
                     );
                 }
                 part

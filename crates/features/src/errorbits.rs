@@ -152,8 +152,10 @@ impl CeBitProfile {
     pub fn of(transfer: &mfp_dram::bus::ErrorTransfer, width: mfp_dram::geometry::DataWidth) -> Self {
         let w = width.dq_per_device() as usize;
         let n_dev = width.devices_per_rank() as usize;
-        let mut dev_dq = vec![0u8; n_dev];
-        let mut dev_beats = vec![0u8; n_dev];
+        // Stack scratch (a device mask has 32 bits): this runs once per
+        // CE a feature stream holds, so it stays off the allocator.
+        let mut dev_dq = [0u8; 32];
+        let mut dev_beats = [0u8; 32];
         for (beat, dq) in transfer.iter_bits() {
             let dev = (dq as usize / w).min(n_dev - 1);
             dev_dq[dev] |= 1 << (dq as usize - dev * w);

@@ -104,8 +104,8 @@ impl<'a> DimmHistory<'a> {
     }
 }
 
-/// A two-pointer cursor over a time-sorted event slice, tracking the index
-/// range `[lo, hi)` of a sliding half-open time window `[from, to)`.
+/// A two-pointer cursor over a time-sorted event sequence, tracking the
+/// index range `[lo, hi)` of a sliding half-open time window `[from, to)`.
 ///
 /// As long as successive windows are non-decreasing in both bounds (the
 /// case for a fixed-length window sliding forward in time), every event
@@ -125,28 +125,39 @@ impl WindowCursor {
         WindowCursor::default()
     }
 
-    /// Slides the window to `[from, to)` and reports the index ranges of
-    /// events that *entered* and *left* the window, in that order.
+    /// Slides the window to `[from, to)` over a sequence of `len` events
+    /// whose `i`-th is stamped `time_at(i)`, and reports the index ranges
+    /// of events that *entered* and *left* the window, in that order.
     ///
     /// Bounds must be non-decreasing across successive calls (the caller
     /// rewinds by recreating the cursor); `from <= to` is required.
     pub fn advance(
         &mut self,
-        events: &[&MemEvent],
+        len: usize,
+        time_at: impl Fn(usize) -> SimTime,
         from: SimTime,
         to: SimTime,
     ) -> (Range<usize>, Range<usize>) {
         debug_assert!(from <= to, "window bounds inverted");
         let old_hi = self.hi;
-        while self.hi < events.len() && events[self.hi].time() < to {
+        while self.hi < len && time_at(self.hi) < to {
             self.hi += 1;
         }
         let entered = old_hi..self.hi;
         let old_lo = self.lo;
-        while self.lo < self.hi && events[self.lo].time() < from {
+        while self.lo < self.hi && time_at(self.lo) < from {
             self.lo += 1;
         }
         (entered, old_lo..self.lo)
+    }
+
+    /// Shifts the range down by one for an event removed from the front of
+    /// the sequence; returns whether that event was inside the range.
+    pub fn pop_front(&mut self) -> bool {
+        let inside = self.lo == 0 && self.hi > 0;
+        self.lo = self.lo.saturating_sub(1);
+        self.hi = self.hi.saturating_sub(1);
+        inside
     }
 
     /// The current `[lo, hi)` index range.
@@ -248,7 +259,7 @@ mod tests {
         for t in [5u64, 20, 55, 70, 110, 160, 300] {
             let to = SimTime::from_secs(t);
             let from = to.saturating_sub(SimDuration::secs(60));
-            let (entered, left) = cur.advance(&refs, from, to);
+            let (entered, left) = cur.advance(refs.len(), |i| refs[i].time(), from, to);
             // Every index enters and leaves at most once, in order.
             assert!(entered.end >= entered.start && left.end >= left.start);
             // The range always equals the binary-search answer.
@@ -266,13 +277,36 @@ mod tests {
         for t in (0..40).map(|k| k * 10) {
             let to = SimTime::from_secs(t);
             let from = to.saturating_sub(SimDuration::secs(30));
-            let (entered, left) = cur.advance(&refs, from, to);
+            let (entered, left) = cur.advance(refs.len(), |i| refs[i].time(), from, to);
             entered_total += entered.len();
             left_total += left.len();
         }
         assert_eq!(entered_total, 4, "each event enters exactly once");
         assert_eq!(left_total, 4, "each event leaves exactly once");
         assert!(cur.range().is_empty());
+    }
+
+    #[test]
+    fn window_cursor_pop_front_shifts_the_range() {
+        let events = [ce(10), ce(50), ce(100), ce(150)];
+        let refs: Vec<&MemEvent> = events.iter().collect();
+        let time_at = |i: usize| refs[i].time();
+        // Window [40, 120) holds indices 1..3; index 0 is outside it.
+        let mut cur = WindowCursor::new();
+        cur.advance(
+            refs.len(),
+            time_at,
+            SimTime::from_secs(40),
+            SimTime::from_secs(120),
+        );
+        assert_eq!(cur.range(), 1..3);
+        assert!(!cur.pop_front(), "index 0 was before the window");
+        assert_eq!(cur.range(), 0..2);
+        assert!(cur.pop_front(), "index 0 is now the window's first event");
+        assert_eq!(cur.range(), 0..1);
+        assert!(cur.pop_front());
+        assert!(cur.range().is_empty());
+        assert!(!cur.pop_front(), "an empty range holds nothing");
     }
 
     #[test]

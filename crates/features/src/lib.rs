@@ -36,5 +36,5 @@ pub mod prelude {
     pub use crate::fault_analysis::{classify_ces, FaultThresholds, ObservedFaults};
     pub use crate::history::{DimmHistory, WindowCursor};
     pub use crate::labeling::ProblemConfig;
-    pub use crate::stream::{FeatureStream, StreamArena};
+    pub use crate::stream::FeatureStream;
 }

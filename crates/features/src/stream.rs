@@ -4,24 +4,44 @@
 //! [`extract_features`](crate::extract::extract_features) re-reads every
 //! overlapping 15m/1h/6h/1d/observation window from scratch at each
 //! evaluation time, making dataset assembly O(samples x window events).
-//! [`FeatureStream`] instead advances two-pointer [`WindowCursor`]s through
-//! the DIMM's time-sorted events exactly once, maintaining rolling state per
-//! window — CE/storm prefix counts, an incremental spatial-dispersion
-//! multiset, an incremental fault-mode classifier, and incremental
-//! error-bit accumulators with per-device union masks — so each successive
-//! evaluation time costs O(events entering or leaving windows).
+//! [`FeatureStream`] instead owns the DIMM's time-sorted events in a
+//! `VecDeque` and advances two-pointer [`WindowCursor`]s through them,
+//! maintaining rolling state per window — CE/storm counts, an incremental
+//! spatial-dispersion multiset, an incremental fault-mode classifier, and
+//! incremental error-bit accumulators with per-device union masks — so
+//! each successive evaluation time costs O(events entering or leaving
+//! windows).
+//!
+//! Because the stream owns its window, one instance serves both callers:
+//! dataset assembly pushes a DIMM's whole history and then queries its
+//! sample times, and the online feature store keeps one stream per DIMM
+//! alive between prediction ticks, pushing events as they arrive and
+//! evicting them past its retention.
 //!
 //! # Invariants
 //!
 //! * **Oracle equivalence.** For any evaluation time, [`FeatureStream::
-//!   features_at`] returns a vector bit-identical to the batch extractor:
-//!   both paths reduce to the same integer aggregates and share
+//!   features_at`] returns a vector bit-identical to the batch extractor
+//!   over the events the stream holds at that moment: both paths reduce
+//!   to the same integer aggregates and share
 //!   [`assemble_features`](crate::extract::assemble_features) for all f32
-//!   arithmetic. `tests/prop_features.rs` asserts this on random histories.
-//! * **Monotonic queries are O(events) total.** Evaluation times should be
-//!   non-decreasing; a query earlier than its predecessor transparently
-//!   rewinds (rebuilds rolling state from the window start), which is
-//!   correct but costs a fresh pass.
+//!   arithmetic. `tests/prop_features.rs` asserts this on random
+//!   histories and on random feature-store traffic.
+//! * **Push.** [`FeatureStream::push`] is a sorted insert placed after
+//!   equal timestamps. Every window ends at the last evaluation time, so
+//!   an event stamped at or after it lands beyond every cursor and costs
+//!   O(1) when it arrives in order. An event stamped before it falls
+//!   inside windows already entered and rewinds the stream.
+//! * **Evict.** [`FeatureStream::evict_before`] pops events older than a
+//!   cutoff off the front. An evicted event still inside a window at the
+//!   last evaluation time (the 30-day fault window, or any window when
+//!   queries lag far behind pushes) first leaves that window's rolling
+//!   state; then every cursor shifts down by one.
+//! * **Rewind.** A query earlier than its predecessor, an out-of-order
+//!   push before the last query, or a change of device width drops the
+//!   rolling state, and the next query replays from the front: correct,
+//!   but not incremental. Each rewind increments the
+//!   `features_stream_rewinds` counter.
 //! * **Determinism.** The stream holds no RNG and no ambient state; output
 //!   depends only on `(events, spec, cfg, thresholds, t)`. This is what
 //!   lets [`build_samples`](crate::dataset::build_samples) fan DIMMs out
@@ -30,12 +50,15 @@
 use crate::errorbits::{CeBitProfile, RollingErrorBitStats, RollingMax};
 use crate::extract::{assemble_features, FeatureInputs};
 use crate::fault_analysis::{FaultThresholds, RollingFaultClassifier};
-use crate::history::{DimmHistory, WindowCursor};
+use crate::history::WindowCursor;
 use crate::labeling::ProblemConfig;
 use mfp_dram::address::CellAddr;
+use mfp_dram::event::MemEvent;
+use mfp_dram::geometry::DataWidth;
 use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// Incremental spatial-dispersion state over the observation window:
 /// multiset counts per bank / row / column / cell with eviction, plus a
@@ -54,7 +77,10 @@ impl SpatialWindow {
         *self.banks.entry((a.rank, a.bank)).or_insert(0) += 1;
         *self.rows.entry((a.rank, a.bank, a.row)).or_insert(0) += 1;
         *self.cols.entry((a.rank, a.bank, a.col)).or_insert(0) += 1;
-        let c = self.cells.entry((a.rank, a.bank, a.row, a.col)).or_insert(0);
+        let c = self
+            .cells
+            .entry((a.rank, a.bank, a.row, a.col))
+            .or_insert(0);
         if *c > 0 {
             self.repeat.remove(*c);
         }
@@ -87,30 +113,221 @@ fn decrement<K: std::hash::Hash + Eq>(map: &mut HashMap<K, u32>, key: K) {
     }
 }
 
-/// Reusable allocation pool for [`FeatureStream`] construction.
-///
-/// Building a stream allocates three per-DIMM vectors (CE/storm prefix
-/// counts and per-event bit profiles). Dataset assembly constructs one
-/// stream per DIMM, so a worker that processes thousands of DIMMs pays
-/// thousands of allocate/free cycles for buffers of similar size. An
-/// arena lets the caller recycle those buffers across DIMMs:
-/// [`FeatureStream::with_arena`] steals the arena's vectors (cleared, with
-/// capacity retained) and [`FeatureStream::recycle`] hands them back.
-///
-/// Reuse is a pure allocation optimisation: the vectors are cleared and
-/// rebuilt from scratch per DIMM, so the features are bit-identical to
-/// streams built with [`FeatureStream::new`] (asserted in the unit tests).
-#[derive(Debug, Default)]
-pub struct StreamArena {
-    ce_prefix: Vec<u32>,
-    storm_prefix: Vec<u32>,
-    profiles: Vec<Option<CeBitProfile>>,
+/// One held event and, for a CE once the DIMM's width is known, its bit
+/// profile — derived once so windows can insert and evict the event
+/// without re-walking its bitmap.
+#[derive(Debug, Clone)]
+struct Entry {
+    event: MemEvent,
+    profile: Option<CeBitProfile>,
 }
 
-/// A streaming feature extractor for one DIMM.
+impl Entry {
+    fn time(&self) -> SimTime {
+        self.event.time()
+    }
+
+    /// The CE's address and bit profile; `None` for storms and UEs. Only
+    /// called on entries inside a window, which exist once the spec is
+    /// known, when every CE has its profile.
+    fn ce(&self) -> Option<(CellAddr, &CeBitProfile)> {
+        let ce = self.event.as_ce()?;
+        Some((ce.addr, self.profile.as_ref().expect("CE profile")))
+    }
+}
+
+/// A window's cursor plus the CEs and storms inside it.
+#[derive(Debug, Clone, Default)]
+struct Counted {
+    cur: WindowCursor,
+    ces: u32,
+    storms: u32,
+}
+
+impl Counted {
+    /// Slides the window to `[from, to)`, updating its counts; returns the
+    /// index ranges that entered and left.
+    fn advance(
+        &mut self,
+        events: &[Entry],
+        from: SimTime,
+        to: SimTime,
+    ) -> (Range<usize>, Range<usize>) {
+        let (entered, left) = self
+            .cur
+            .advance(events.len(), |i| events[i].time(), from, to);
+        for i in entered.clone() {
+            let e = &events[i].event;
+            self.ces += u32::from(e.as_ce().is_some());
+            self.storms += u32::from(e.as_storm().is_some());
+        }
+        for i in left.clone() {
+            self.remove(&events[i].event);
+        }
+        (entered, left)
+    }
+
+    fn remove(&mut self, e: &MemEvent) {
+        self.ces -= u32::from(e.as_ce().is_some());
+        self.storms -= u32::from(e.as_storm().is_some());
+    }
+
+    /// Accounts for `e` leaving the front of the sequence; returns whether
+    /// it was inside the window.
+    fn pop_front(&mut self, e: &MemEvent) -> bool {
+        let inside = self.cur.pop_front();
+        if inside {
+            self.remove(e);
+        }
+        inside
+    }
+}
+
+/// The rolling state of every window at the last evaluation time.
+#[derive(Debug, Clone)]
+struct Windows {
+    w15m: Counted,
+    w1h: Counted,
+    w6h: Counted,
+    w1d: Counted,
+    obs: Counted,
+    /// Every held event before the evaluation time (`ce_total`).
+    total: Counted,
+    /// The newest CE inside `total` (`last_ce`).
+    last_ce: Option<SimTime>,
+    /// The 30-day fault-mode lookback.
+    fault: WindowCursor,
+    spatial: SpatialWindow,
+    eb_obs: RollingErrorBitStats,
+    eb_1d: RollingErrorBitStats,
+    faults: RollingFaultClassifier,
+}
+
+impl Windows {
+    fn new(width: DataWidth, thresholds: FaultThresholds) -> Self {
+        Windows {
+            w15m: Counted::default(),
+            w1h: Counted::default(),
+            w6h: Counted::default(),
+            w1d: Counted::default(),
+            obs: Counted::default(),
+            total: Counted::default(),
+            last_ce: None,
+            fault: WindowCursor::new(),
+            spatial: SpatialWindow::default(),
+            eb_obs: RollingErrorBitStats::new(width),
+            eb_1d: RollingErrorBitStats::new(width),
+            faults: RollingFaultClassifier::new(thresholds),
+        }
+    }
+
+    /// Slides every window to end at `t`.
+    fn advance(&mut self, events: &[Entry], t: SimTime, observation: SimDuration) {
+        // Count-only windows.
+        self.w15m
+            .advance(events, t.saturating_sub(SimDuration::minutes(15)), t);
+        self.w1h
+            .advance(events, t.saturating_sub(SimDuration::hours(1)), t);
+        self.w6h
+            .advance(events, t.saturating_sub(SimDuration::hours(6)), t);
+        let (entered, _) = self.total.advance(events, SimTime::ZERO, t);
+        if let Some(e) = events[entered]
+            .iter()
+            .rev()
+            .find(|e| e.event.as_ce().is_some())
+        {
+            self.last_ce = Some(e.time());
+        }
+
+        // One-day window: counts plus rolling error-bit state.
+        let (entered, left) = self
+            .w1d
+            .advance(events, t.saturating_sub(SimDuration::days(1)), t);
+        for i in entered {
+            if let Some(p) = events[i].profile.as_ref() {
+                self.eb_1d.insert(p);
+            }
+        }
+        for i in left {
+            if let Some(p) = events[i].profile.as_ref() {
+                self.eb_1d.remove(p);
+            }
+        }
+
+        // Observation window: spatial dispersion and error-bit state.
+        let (entered, left) = self.obs.advance(events, t.saturating_sub(observation), t);
+        for i in entered {
+            if let Some((addr, p)) = events[i].ce() {
+                self.spatial.insert(addr);
+                self.eb_obs.insert(p);
+            }
+        }
+        for i in left {
+            if let Some((addr, p)) = events[i].ce() {
+                self.spatial.remove(addr);
+                self.eb_obs.remove(p);
+            }
+        }
+
+        // 30-day fault-mode lookback.
+        let (entered, left) = self.fault.advance(
+            events.len(),
+            |i| events[i].time(),
+            t.saturating_sub(SimDuration::days(30)),
+            t,
+        );
+        for i in entered {
+            if let Some((addr, p)) = events[i].ce() {
+                self.faults.insert(addr, p.device_mask);
+            }
+        }
+        for i in left {
+            if let Some((addr, p)) = events[i].ce() {
+                self.faults.remove(addr, p.device_mask);
+            }
+        }
+    }
+
+    /// Removes `e`, just popped off the front of the sequence, from every
+    /// window holding it and shifts every cursor down by one.
+    fn pop_front(&mut self, e: &Entry) {
+        for w in [
+            &mut self.w15m,
+            &mut self.w1h,
+            &mut self.w6h,
+            &mut self.total,
+        ] {
+            w.pop_front(&e.event);
+        }
+        // The newest CE leaves `total` only along with every older one.
+        if self.total.ces == 0 {
+            self.last_ce = None;
+        }
+        if self.w1d.pop_front(&e.event) {
+            if let Some(p) = e.profile.as_ref() {
+                self.eb_1d.remove(p);
+            }
+        }
+        if self.obs.pop_front(&e.event) {
+            if let Some((addr, p)) = e.ce() {
+                self.spatial.remove(addr);
+                self.eb_obs.remove(p);
+            }
+        }
+        if self.fault.pop_front() {
+            if let Some((addr, p)) = e.ce() {
+                self.faults.remove(addr, p.device_mask);
+            }
+        }
+    }
+}
+
+/// A streaming feature extractor that owns one DIMM's event window.
 ///
-/// Construct once per DIMM, then call [`Self::features_at`] at
-/// non-decreasing evaluation times. See the module docs for the invariants.
+/// Push events (in any order, cheapest in time order), then call
+/// [`Self::features_at`] at non-decreasing evaluation times; evict old
+/// events with [`Self::evict_before`]. See the module docs for the
+/// invariants.
 ///
 /// # Examples
 ///
@@ -124,272 +341,209 @@ pub struct StreamArena {
 ///     addr: CellAddr::new(0, 0, 1, 1),
 ///     transfer: ErrorTransfer::from_bits([(0, 0)]),
 /// })];
-/// let refs: Vec<&MemEvent> = events.iter().collect();
-/// let history = DimmHistory::new(&refs);
 /// let spec = DimmSpec::default();
 /// let cfg = ProblemConfig::default();
 /// let th = FaultThresholds::default();
-/// let mut stream = FeatureStream::new(history.clone(), &spec, &cfg, &th);
+/// let mut stream = FeatureStream::new(cfg, th);
+/// stream.set_spec(spec);
+/// for e in &events {
+///     stream.push(*e);
+/// }
+/// let refs: Vec<&MemEvent> = events.iter().collect();
 /// let t = SimTime::from_secs(200);
 /// assert_eq!(
 ///     stream.features_at(t),
-///     extract_features(&history, &spec, t, &cfg, &th),
+///     extract_features(&DimmHistory::new(&refs), &spec, t, &cfg, &th),
 /// );
 /// ```
 #[derive(Debug, Clone)]
-pub struct FeatureStream<'a> {
-    history: DimmHistory<'a>,
-    spec: &'a DimmSpec,
-    cfg: &'a ProblemConfig,
-    thresholds: &'a FaultThresholds,
-
-    // Precomputed once per DIMM, index-aligned with `history.events()`.
-    ce_prefix: Vec<u32>,
-    storm_prefix: Vec<u32>,
-    profiles: Vec<Option<CeBitProfile>>,
-    first_ce: Option<SimTime>,
-
-    // Rolling window state, advanced monotonically by `features_at`.
-    cur_15m: WindowCursor,
-    cur_1h: WindowCursor,
-    cur_6h: WindowCursor,
-    cur_1d: WindowCursor,
-    cur_obs: WindowCursor,
-    cur_fault: WindowCursor,
-    cur_total: WindowCursor,
-    last_ce_idx: Option<usize>,
-    spatial: SpatialWindow,
-    eb_obs: RollingErrorBitStats,
-    eb_1d: RollingErrorBitStats,
-    faults: RollingFaultClassifier,
+pub struct FeatureStream {
+    cfg: ProblemConfig,
+    thresholds: FaultThresholds,
+    /// The DIMM's configuration; `None` until the caller learns it.
+    spec: Option<DimmSpec>,
+    /// Held events in time order, equal timestamps in push order.
+    events: VecDeque<Entry>,
+    win: Windows,
+    /// The last evaluation time; `None` when `win` holds no state.
     last_t: Option<SimTime>,
 }
 
-impl<'a> FeatureStream<'a> {
-    /// Prepares the stream: one O(events) pass precomputing CE/storm prefix
-    /// counts and per-event bit profiles.
-    pub fn new(
-        history: DimmHistory<'a>,
-        spec: &'a DimmSpec,
-        cfg: &'a ProblemConfig,
-        thresholds: &'a FaultThresholds,
-    ) -> Self {
-        FeatureStream::with_arena(history, spec, cfg, thresholds, &mut StreamArena::default())
-    }
-
-    /// [`Self::new`] reusing the allocations held in `arena`.
-    ///
-    /// The arena's buffers are taken (leaving it empty but ready for the
-    /// next recycle), cleared, and rebuilt for this DIMM; capacity from
-    /// previous DIMMs is retained. Pair with [`Self::recycle`] to return
-    /// them once the stream is done.
-    pub fn with_arena(
-        history: DimmHistory<'a>,
-        spec: &'a DimmSpec,
-        cfg: &'a ProblemConfig,
-        thresholds: &'a FaultThresholds,
-        arena: &mut StreamArena,
-    ) -> Self {
-        let events = history.events();
-        let mut ce_prefix = std::mem::take(&mut arena.ce_prefix);
-        let mut storm_prefix = std::mem::take(&mut arena.storm_prefix);
-        let mut profiles = std::mem::take(&mut arena.profiles);
-        ce_prefix.clear();
-        storm_prefix.clear();
-        profiles.clear();
-        ce_prefix.reserve(events.len() + 1);
-        storm_prefix.reserve(events.len() + 1);
-        profiles.reserve(events.len());
-        ce_prefix.push(0);
-        storm_prefix.push(0);
-        for e in events {
-            let ce = e.as_ce();
-            ce_prefix.push(ce_prefix.last().unwrap() + u32::from(ce.is_some()));
-            storm_prefix.push(storm_prefix.last().unwrap() + u32::from(e.as_storm().is_some()));
-            profiles.push(ce.map(|c| CeBitProfile::of(&c.transfer, spec.width)));
-        }
-        let first_ce = history.first_ce();
+impl FeatureStream {
+    /// An empty stream whose DIMM spec is not known yet.
+    pub fn new(cfg: ProblemConfig, thresholds: FaultThresholds) -> Self {
         FeatureStream {
-            history,
-            spec,
             cfg,
             thresholds,
-            ce_prefix,
-            storm_prefix,
-            profiles,
-            first_ce,
-            cur_15m: WindowCursor::new(),
-            cur_1h: WindowCursor::new(),
-            cur_6h: WindowCursor::new(),
-            cur_1d: WindowCursor::new(),
-            cur_obs: WindowCursor::new(),
-            cur_fault: WindowCursor::new(),
-            cur_total: WindowCursor::new(),
-            last_ce_idx: None,
-            spatial: SpatialWindow::default(),
-            eb_obs: RollingErrorBitStats::new(spec.width),
-            eb_1d: RollingErrorBitStats::new(spec.width),
-            faults: RollingFaultClassifier::new(*thresholds),
+            spec: None,
+            events: VecDeque::new(),
+            win: Windows::new(DataWidth::X4, thresholds),
             last_t: None,
         }
     }
 
-    /// The wrapped history.
-    pub fn history(&self) -> &DimmHistory<'a> {
-        &self.history
+    /// Empties the stream and starts over for a DIMM of `spec`, keeping
+    /// the event buffer's capacity (dataset assembly reuses one stream
+    /// per worker across DIMMs this way).
+    pub fn reset(&mut self, spec: DimmSpec) {
+        self.events.clear();
+        self.spec = Some(spec);
+        self.win = Windows::new(spec.width, self.thresholds);
+        self.last_t = None;
     }
 
-    /// Consumes the stream, returning its per-DIMM buffers to `arena` so
-    /// the next [`Self::with_arena`] call reuses their capacity.
-    pub fn recycle(self, arena: &mut StreamArena) {
-        arena.ce_prefix = self.ce_prefix;
-        arena.storm_prefix = self.storm_prefix;
-        arena.profiles = self.profiles;
+    /// Sets the DIMM's spec. Bit profiles need its device width, so CEs
+    /// pushed before the spec was known get theirs here; a change of
+    /// width recomputes every profile and rewinds.
+    pub fn set_spec(&mut self, spec: DimmSpec) {
+        if self.spec == Some(spec) {
+            return;
+        }
+        let width_changed = self.spec.map(|s| s.width) != Some(spec.width);
+        self.spec = Some(spec);
+        if width_changed {
+            for e in &mut self.events {
+                e.profile = profile_of(&e.event, spec.width);
+            }
+            self.rewind();
+        }
+    }
+
+    /// Inserts `event` in time order, after any held events with the same
+    /// timestamp. An event stamped before the last evaluation time lands
+    /// inside windows already entered, so the stream rewinds.
+    pub fn push(&mut self, event: MemEvent) {
+        let t = event.time();
+        if self.last_t.is_some_and(|prev| t < prev) {
+            self.rewind();
+        }
+        let profile = self.spec.and_then(|s| profile_of(&event, s.width));
+        if self.events.back().is_none_or(|e| e.time() <= t) {
+            self.events.push_back(Entry { event, profile });
+        } else {
+            let pos = self.events.partition_point(|e| e.time() <= t);
+            self.events.insert(pos, Entry { event, profile });
+        }
+    }
+
+    /// Drops every event stamped before `cutoff`, oldest first. An evicted
+    /// event inside a window at the last evaluation time leaves that
+    /// window's rolling state before the cursors shift.
+    pub fn evict_before(&mut self, cutoff: SimTime) {
+        while self.events.front().is_some_and(|e| e.time() < cutoff) {
+            let e = self.events.pop_front().expect("front checked");
+            if self.last_t.is_some() {
+                self.win.pop_front(&e);
+            }
+        }
     }
 
     /// Extracts the feature vector at evaluation time `t`, bit-identical to
-    /// the batch [`extract_features`](crate::extract::extract_features).
+    /// the batch [`extract_features`](crate::extract::extract_features)
+    /// over the held events.
     ///
     /// Amortized O(events entering/leaving windows) when `t` is
-    /// non-decreasing across calls; an out-of-order `t` rewinds the rolling
+    /// non-decreasing across calls; an earlier `t` rewinds the rolling
     /// state and replays, which is correct but not incremental.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DIMM's spec was never set.
     pub fn features_at(&mut self, t: SimTime) -> Vec<f32> {
+        let spec = self
+            .spec
+            .expect("FeatureStream::features_at needs the DIMM spec");
         if self.last_t.is_some_and(|prev| t < prev) {
-            // Rare (monotone callers never rewind), so resolving the
-            // telemetry handle here keeps the hot path untouched.
-            mfp_obs::counter("features_stream_rewinds", &[]).incr();
             self.rewind();
         }
         self.last_t = Some(t);
-        let events = self.history.events();
+        // Contiguous unless pushes wrapped the ring after evictions; a
+        // slice keeps the cursor loops free of wrap-around arithmetic.
+        let events = self.events.make_contiguous();
+        self.win.advance(events, t, self.cfg.observation);
 
-        // Count-only windows: prefix sums over the cursor range.
-        self.cur_15m
-            .advance(events, t.saturating_sub(SimDuration::minutes(15)), t);
-        self.cur_1h
-            .advance(events, t.saturating_sub(SimDuration::hours(1)), t);
-        self.cur_6h
-            .advance(events, t.saturating_sub(SimDuration::hours(6)), t);
-
-        // Whole-history cursor: CE total and last-CE recency.
-        let (entered, _) = self.cur_total.advance(events, SimTime::ZERO, t);
-        for i in entered {
-            if events[i].as_ce().is_some() {
-                self.last_ce_idx = Some(i);
-            }
-        }
-
-        // One-day window: CE/storm counts plus rolling error-bit state.
-        let (entered, left) = self
-            .cur_1d
-            .advance(events, t.saturating_sub(SimDuration::days(1)), t);
-        for i in entered {
-            if let Some(p) = self.profiles[i].as_ref() {
-                self.eb_1d.insert(p);
-            }
-        }
-        for i in left {
-            if let Some(p) = self.profiles[i].as_ref() {
-                self.eb_1d.remove(p);
-            }
-        }
-
-        // Observation window: spatial dispersion and error-bit state.
-        let (entered, left) =
-            self.cur_obs
-                .advance(events, t.saturating_sub(self.cfg.observation), t);
-        for i in entered {
-            if let Some(ce) = events[i].as_ce() {
-                self.spatial.insert(ce.addr);
-                self.eb_obs.insert(self.profiles[i].as_ref().expect("CE profile"));
-            }
-        }
-        for i in left {
-            if let Some(ce) = events[i].as_ce() {
-                self.spatial.remove(ce.addr);
-                self.eb_obs.remove(self.profiles[i].as_ref().expect("CE profile"));
-            }
-        }
-
-        // 30-day fault-mode lookback.
-        let (entered, left) =
-            self.cur_fault
-                .advance(events, t.saturating_sub(SimDuration::days(30)), t);
-        for i in entered {
-            if let Some(ce) = events[i].as_ce() {
-                let mask = self.profiles[i].as_ref().expect("CE profile").device_mask;
-                self.faults.insert(ce.addr, mask);
-            }
-        }
-        for i in left {
-            if let Some(ce) = events[i].as_ce() {
-                let mask = self.profiles[i].as_ref().expect("CE profile").device_mask;
-                self.faults.remove(ce.addr, mask);
-            }
-        }
-
+        let w = &self.win;
         let inputs = FeatureInputs {
-            ce_15m: self.ces_in(&self.cur_15m),
-            ce_1h: self.ces_in(&self.cur_1h),
-            ce_6h: self.ces_in(&self.cur_6h),
-            ce_1d: self.ces_in(&self.cur_1d),
-            ce_obs: self.ces_in(&self.cur_obs),
-            storms_1d: self.storms_in(&self.cur_1d),
-            storms_obs: self.storms_in(&self.cur_obs),
-            ce_total: self.ces_in(&self.cur_total),
-            first_ce: self.first_ce,
-            last_ce: self.last_ce_idx.map(|i| events[i].time()),
-            banks: self.spatial.banks.len() as u32,
-            rows: self.spatial.rows.len() as u32,
-            cols: self.spatial.cols.len() as u32,
-            cells: self.spatial.cells.len() as u32,
-            max_cell_repeat: self.spatial.repeat.max(),
-            faults: self.faults.classify(),
-            eb: self.eb_obs.stats(),
-            eb1: self.eb_1d.stats(),
+            ce_15m: w.w15m.ces,
+            ce_1h: w.w1h.ces,
+            ce_6h: w.w6h.ces,
+            ce_1d: w.w1d.ces,
+            ce_obs: w.obs.ces,
+            storms_1d: w.w1d.storms,
+            storms_obs: w.obs.storms,
+            ce_total: w.total.ces,
+            first_ce: self
+                .events
+                .iter()
+                .find(|e| e.event.as_ce().is_some())
+                .map(Entry::time),
+            last_ce: w.last_ce,
+            banks: w.spatial.banks.len() as u32,
+            rows: w.spatial.rows.len() as u32,
+            cols: w.spatial.cols.len() as u32,
+            cells: w.spatial.cells.len() as u32,
+            max_cell_repeat: w.spatial.repeat.max(),
+            faults: w.faults.classify(),
+            eb: w.eb_obs.stats(),
+            eb1: w.eb_1d.stats(),
         };
-        assemble_features(&inputs, self.spec, t, self.cfg)
+        assemble_features(&inputs, &spec, t, &self.cfg)
     }
 
-    /// CEs inside a cursor's current range, via the prefix counts.
-    fn ces_in(&self, cur: &WindowCursor) -> u32 {
-        let r = cur.range();
-        self.ce_prefix[r.end] - self.ce_prefix[r.start]
+    /// Time of the last held CE stamped strictly before `t`, if any.
+    pub fn last_ce_before(&self, t: SimTime) -> Option<SimTime> {
+        let end = self.events.partition_point(|e| e.time() < t);
+        self.events
+            .range(..end)
+            .rev()
+            .find(|e| e.event.as_ce().is_some())
+            .map(Entry::time)
     }
 
-    /// Storm events inside a cursor's current range.
-    fn storms_in(&self, cur: &WindowCursor) -> u32 {
-        let r = cur.range();
-        self.storm_prefix[r.end] - self.storm_prefix[r.start]
+    /// The held events, in time order.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &MemEvent> {
+        self.events.iter().map(|e| &e.event)
     }
 
-    /// Drops all rolling state so an out-of-order query can replay from the
-    /// start of the history. Precomputed prefixes and profiles are kept.
+    /// True when the stream holds no events.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Time of the newest held event.
+    pub fn latest(&self) -> Option<SimTime> {
+        self.events.back().map(Entry::time)
+    }
+
+    /// Drops all rolling state so the next query replays from the front.
+    /// Held events and their profiles are kept.
     fn rewind(&mut self) {
-        self.cur_15m = WindowCursor::new();
-        self.cur_1h = WindowCursor::new();
-        self.cur_6h = WindowCursor::new();
-        self.cur_1d = WindowCursor::new();
-        self.cur_obs = WindowCursor::new();
-        self.cur_fault = WindowCursor::new();
-        self.cur_total = WindowCursor::new();
-        self.last_ce_idx = None;
-        self.spatial = SpatialWindow::default();
-        self.eb_obs = RollingErrorBitStats::new(self.spec.width);
-        self.eb_1d = RollingErrorBitStats::new(self.spec.width);
-        self.faults = RollingFaultClassifier::new(*self.thresholds);
-        self.last_t = None;
+        if self.last_t.take().is_some() {
+            // Rare (monotone callers never rewind), so resolving the
+            // telemetry handle here keeps the hot path untouched.
+            mfp_obs::counter("features_stream_rewinds", &[]).incr();
+        }
+        let width = self.spec.map_or(DataWidth::X4, |s| s.width);
+        self.win = Windows::new(width, self.thresholds);
     }
+}
+
+/// The bit profile of a CE under `width`; `None` for storms and UEs.
+fn profile_of(event: &MemEvent, width: DataWidth) -> Option<CeBitProfile> {
+    event
+        .as_ce()
+        .map(|ce| CeBitProfile::of(&ce.transfer, width))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extract::extract_features;
+    use crate::history::DimmHistory;
     use mfp_dram::address::DimmId;
     use mfp_dram::bus::ErrorTransfer;
-    use mfp_dram::event::{CeEvent, CeStormEvent, MemEvent, UeEvent};
-    use mfp_dram::geometry::{DataWidth, Platform};
+    use mfp_dram::event::{CeEvent, CeStormEvent, UeEvent};
+    use mfp_dram::geometry::Platform;
     use mfp_sim::config::FleetConfig;
     use mfp_sim::fleet::simulate_fleet;
 
@@ -426,7 +580,13 @@ mod tests {
             ce(day, 0, 5, 5, &[(1, 20), (5, 21)]),
             storm(day + 50),
             ce(day + 100, 2, 1, 1, &[(0, 63), (2, 71)]),
-            ce(2 * day, 2, 2, 2, &[(2, 8), (2, 9), (2, 10), (2, 11), (6, 8)]),
+            ce(
+                2 * day,
+                2,
+                2,
+                2,
+                &[(2, 8), (2, 9), (2, 10), (2, 11), (6, 8)],
+            ),
             ce(2 * day + 10, 2, 3, 3, &[(3, 40), (3, 41), (7, 40)]),
             storm(4 * day),
             ce(6 * day, 0, 5, 7, &[(0, 0), (1, 1), (2, 2)]),
@@ -435,17 +595,32 @@ mod tests {
         ]
     }
 
-    fn assert_stream_matches_batch(events: &[MemEvent], spec: &DimmSpec, times: &[u64]) {
-        let refs: Vec<&MemEvent> = events.iter().collect();
-        let history = DimmHistory::new(&refs);
+    /// A stream holding `events`, pushed in order.
+    fn stream_of(events: &[MemEvent], spec: DimmSpec) -> FeatureStream {
+        let mut stream = FeatureStream::new(ProblemConfig::default(), FaultThresholds::default());
+        stream.set_spec(spec);
+        for e in events {
+            stream.push(*e);
+        }
+        stream
+    }
+
+    /// The batch oracle over the events `stream` holds.
+    fn oracle(stream: &FeatureStream, spec: &DimmSpec, t: SimTime) -> Vec<f32> {
+        let held: Vec<MemEvent> = stream.events().copied().collect();
+        let refs: Vec<&MemEvent> = held.iter().collect();
         let cfg = ProblemConfig::default();
         let th = FaultThresholds::default();
-        let mut stream = FeatureStream::new(history.clone(), spec, &cfg, &th);
+        extract_features(&DimmHistory::new(&refs), spec, t, &cfg, &th)
+    }
+
+    fn assert_stream_matches_batch(events: &[MemEvent], spec: &DimmSpec, times: &[u64]) {
+        let mut stream = stream_of(events, *spec);
         for &secs in times {
             let t = SimTime::from_secs(secs);
             assert_eq!(
                 stream.features_at(t),
-                extract_features(&history, spec, t, &cfg, &th),
+                oracle(&stream, spec, t),
                 "diverged at t = {secs}s"
             );
         }
@@ -478,31 +653,80 @@ mod tests {
 
     #[test]
     fn out_of_order_query_rewinds_correctly() {
-        let events = mixed_history();
-        let refs: Vec<&MemEvent> = events.iter().collect();
-        let history = DimmHistory::new(&refs);
         let spec = DimmSpec::default();
-        let cfg = ProblemConfig::default();
-        let th = FaultThresholds::default();
-        let mut stream = FeatureStream::new(history.clone(), &spec, &cfg, &th);
+        let mut stream = stream_of(&mixed_history(), spec);
         let day = 86_400u64;
         for secs in [10 * day, 45 * day, 3 * day, 7 * day] {
             let t = SimTime::from_secs(secs);
             assert_eq!(
                 stream.features_at(t),
-                extract_features(&history, &spec, t, &cfg, &th),
+                oracle(&stream, &spec, t),
                 "diverged at t = {secs}s"
             );
         }
     }
 
     #[test]
-    fn arena_reuse_is_bit_identical_to_fresh_streams() {
+    fn interleaved_push_evict_and_query_match_batch() {
+        // The feature-store pattern: push, evict past a 30-day retention,
+        // query — evictions land inside the fault and total windows, and
+        // one push arrives before the last query (a rewind).
+        let spec = DimmSpec::default();
+        let day = 86_400u64;
+        let mut stream = stream_of(&[], spec);
+        let mut late = Vec::new();
+        for (k, e) in mixed_history().into_iter().enumerate() {
+            if k == 5 {
+                late.push(e);
+                continue;
+            }
+            stream.push(e);
+            let cutoff = SimTime::from_secs(e.time().as_secs().saturating_sub(30 * day));
+            stream.evict_before(cutoff);
+            for dt in [1, day / 2] {
+                let t = e.time() + SimDuration::secs(dt);
+                assert_eq!(
+                    stream.features_at(t),
+                    oracle(&stream, &spec, t),
+                    "after push {k}"
+                );
+            }
+        }
+        for e in late {
+            stream.push(e);
+        }
+        let t = SimTime::from_secs(41 * day);
+        assert_eq!(stream.features_at(t), oracle(&stream, &spec, t));
+    }
+
+    #[test]
+    fn spec_set_after_pushes_profiles_every_ce() {
+        let spec = DimmSpec {
+            width: DataWidth::X8,
+            ..Default::default()
+        };
+        let mut stream = FeatureStream::new(ProblemConfig::default(), FaultThresholds::default());
+        for e in mixed_history() {
+            stream.push(e);
+        }
+        stream.set_spec(spec);
+        let t = SimTime::from_secs(7 * 86_400);
+        assert_eq!(stream.features_at(t), oracle(&stream, &spec, t));
+        // A width change recomputes the profiles and replays.
+        stream.set_spec(DimmSpec::default());
+        assert_eq!(
+            stream.features_at(t),
+            oracle(&stream, &DimmSpec::default(), t)
+        );
+    }
+
+    #[test]
+    fn reset_reuse_is_bit_identical_to_fresh_streams() {
         let fleet = simulate_fleet(&FleetConfig::smoke(11));
         let cfg = ProblemConfig::default();
         let th = FaultThresholds::default();
         let by_dimm = fleet.log.by_dimm();
-        let mut arena = StreamArena::default();
+        let mut reused = FeatureStream::new(cfg, th);
         let mut dimms_checked = 0;
         for truth in fleet.platform_dimms(Platform::IntelPurley) {
             let Some(events) = by_dimm.get(&truth.id) else {
@@ -513,21 +737,24 @@ mod tests {
             if times.is_empty() {
                 continue;
             }
-            let mut fresh = FeatureStream::new(history.clone(), &truth.spec, &cfg, &th);
-            let mut reused =
-                FeatureStream::with_arena(history, &truth.spec, &cfg, &th, &mut arena);
+            let mut fresh = FeatureStream::new(cfg, th);
+            fresh.set_spec(truth.spec);
+            reused.reset(truth.spec);
+            for e in events {
+                fresh.push(**e);
+                reused.push(**e);
+            }
             for t in times {
                 assert_eq!(
                     reused.features_at(t),
                     fresh.features_at(t),
-                    "arena stream diverged on {:?} at {t}",
+                    "reset stream diverged on {:?} at {t}",
                     truth.id
                 );
             }
-            reused.recycle(&mut arena);
             dimms_checked += 1;
         }
-        assert!(dimms_checked > 1, "must exercise arena reuse across DIMMs");
+        assert!(dimms_checked > 1, "must exercise reset reuse across DIMMs");
     }
 
     #[test]
@@ -546,7 +773,11 @@ mod tests {
             if times.is_empty() {
                 continue;
             }
-            let mut stream = FeatureStream::new(history.clone(), &truth.spec, &cfg, &th);
+            let mut stream = FeatureStream::new(cfg, th);
+            stream.reset(truth.spec);
+            for e in events {
+                stream.push(**e);
+            }
             for t in times {
                 assert_eq!(
                     stream.features_at(t),

@@ -6,6 +6,12 @@
 //! `mfp-features` extraction code — and [`FeatureStore::consistency_check`]
 //! verifies it empirically, the check data scientists run before promoting
 //! a model.
+//!
+//! Online serving keeps one owned [`FeatureStream`] per DIMM alive between
+//! prediction ticks, so a tick costs O(active DIMMs + events entering or
+//! leaving windows) instead of a rebuild of every active DIMM's window.
+//! The oracle it is checked against is
+//! [`extract_features`] over [`FeatureStore::export_streams`].
 
 use crate::lake::DataLake;
 use mfp_dram::address::DimmId;
@@ -17,8 +23,9 @@ use mfp_features::extract::{extract_features, feature_names};
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::history::DimmHistory;
 use mfp_features::labeling::ProblemConfig;
+use mfp_features::stream::FeatureStream;
 use std::collections::BTreeMap;
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 
 /// Lock-poisoning panic message: a writer panicked mid-update.
 const POISONED: &str = "feature store lock poisoned by a panicked writer";
@@ -36,13 +43,6 @@ pub struct FeatureView {
     pub description: String,
 }
 
-/// Per-DIMM rolling state for the streaming path.
-#[derive(Debug, Clone, Default)]
-struct DimmStream {
-    /// Events inside the retention window, time-ordered.
-    events: Vec<MemEvent>,
-}
-
 /// The feature store.
 #[derive(Debug)]
 pub struct FeatureStore {
@@ -50,7 +50,9 @@ pub struct FeatureStore {
     thresholds: FaultThresholds,
     retention: SimDuration,
     views: RwLock<Vec<FeatureView>>,
-    streams: RwLock<BTreeMap<DimmId, DimmStream>>,
+    /// One stream per DIMM, holding the events inside the retention
+    /// window. A `Mutex`, since serving advances a stream's windows.
+    streams: Mutex<BTreeMap<DimmId, FeatureStream>>,
 }
 
 impl FeatureStore {
@@ -62,7 +64,7 @@ impl FeatureStore {
             thresholds,
             retention,
             views: RwLock::new(Vec::new()),
-            streams: RwLock::new(BTreeMap::new()),
+            streams: Mutex::new(BTreeMap::new()),
         };
         store.register_view(
             "memfail",
@@ -143,74 +145,79 @@ impl FeatureStore {
 
     /// **Stream transformation**: folds one event into the online state.
     ///
+    /// The store keeps a DIMM's accepted events stamped at or after
+    /// `latest − retention`, where `latest` is its newest accepted event.
     /// The stream stays time-ordered even when events arrive slightly out
     /// of order (a bounded-lateness ingestor may legally release equal or
     /// near-equal timestamps in arrival order): late events are inserted
     /// at their timestamp position. Events older than the retention
     /// cutoff are dropped outright — never spliced into a window that has
-    /// already been evicted around them.
+    /// already been evicted around them. Expired events are popped from
+    /// the front of the stream.
     pub fn stream_ingest(&self, event: &MemEvent) {
-        let mut streams = self.streams.write().expect(POISONED);
-        let s = streams.entry(event.dimm()).or_default();
+        let mut streams = self.streams.lock().expect(POISONED);
+        let s = streams
+            .entry(event.dimm())
+            .or_insert_with(|| FeatureStream::new(self.problem, self.thresholds));
         let t = event.time();
-        let latest = s.events.last().map_or(t, |e| e.time().max(t));
-        let cutoff = latest.saturating_sub(self.retention);
+        let newest = s.latest();
+        let cutoff = newest
+            .map_or(t, |l| l.max(t))
+            .saturating_sub(self.retention);
         if t < cutoff {
             mfp_obs::counter("feature_store_stale_dropped", &[]).incr();
             return;
         }
-        if s.events.last().is_some_and(|e| t < e.time()) {
-            // Out-of-order arrival: sorted insert, after equal timestamps.
-            let pos = s.events.partition_point(|e| e.time() <= t);
-            s.events.insert(pos, *event);
+        if newest.is_some_and(|l| t < l) {
+            // Out-of-order arrival: the stream inserts it after equal
+            // timestamps.
             mfp_obs::counter("feature_store_out_of_order", &[]).incr();
-        } else {
-            s.events.push(*event);
         }
-        // Evict events older than the retention window.
-        s.events.retain(|e| e.time() >= cutoff);
+        s.push(*event);
+        s.evict_before(cutoff);
     }
 
     /// Exports every per-DIMM stream (checkpoint support): the complete
     /// online rolling state, time-ordered within each DIMM.
     pub fn export_streams(&self) -> Vec<(DimmId, Vec<MemEvent>)> {
         self.streams
-            .read()
+            .lock()
             .expect(POISONED)
             .iter()
-            .map(|(id, s)| (*id, s.events.clone()))
+            .map(|(id, s)| (*id, s.events().copied().collect()))
             .collect()
     }
 
     /// Replaces the per-DIMM streams with previously exported state
-    /// (checkpoint restore). Streams are installed verbatim — restoring
-    /// an export into a fresh store reproduces serving bit-for-bit.
+    /// (checkpoint restore). Events are installed verbatim into fresh
+    /// streams, which replay their windows once on their first
+    /// [`Self::serve`] — restoring an export into a fresh store reproduces
+    /// serving bit-for-bit.
     pub fn import_streams(&self, streams: Vec<(DimmId, Vec<MemEvent>)>) {
-        let mut map = self.streams.write().expect(POISONED);
+        let mut map = self.streams.lock().expect(POISONED);
         map.clear();
         for (id, events) in streams {
-            map.insert(id, DimmStream { events });
+            let mut s = FeatureStream::new(self.problem, self.thresholds);
+            for e in events {
+                s.push(e);
+            }
+            map.insert(id, s);
         }
     }
 
     /// **Serving**: the current feature row of a DIMM at time `now`, or
-    /// `None` when the DIMM has no recent activity.
+    /// `None` when the DIMM has no recent activity. Advances the DIMM's
+    /// stream to `now`; its spec (and so its bit profiles' device width)
+    /// comes from the lake catalog.
     pub fn serve(&self, lake: &DataLake, dimm: DimmId, now: SimTime) -> Option<Vec<f32>> {
-        let streams = self.streams.read().expect(POISONED);
-        let s = streams.get(&dimm)?;
-        if s.events.is_empty() {
+        let mut streams = self.streams.lock().expect(POISONED);
+        let s = streams.get_mut(&dimm)?;
+        if s.is_empty() {
             return None;
         }
         let (_, spec) = lake.dimm_info(dimm)?;
-        let refs: Vec<&MemEvent> = s.events.iter().collect();
-        let history = DimmHistory::new(&refs);
-        Some(extract_features(
-            &history,
-            &spec,
-            now,
-            &self.problem,
-            &self.thresholds,
-        ))
+        s.set_spec(spec);
+        Some(s.features_at(now))
     }
 
     /// DIMMs with at least one CE in the observation window ending at
@@ -218,14 +225,10 @@ impl FeatureStore {
     pub fn active_dimms(&self, now: SimTime) -> Vec<DimmId> {
         let from = now.saturating_sub(self.problem.observation);
         self.streams
-            .read()
+            .lock()
             .expect(POISONED)
             .iter()
-            .filter(|(_, s)| {
-                s.events
-                    .iter()
-                    .any(|e| e.as_ce().is_some() && e.time() >= from && e.time() < now)
-            })
+            .filter(|(_, s)| s.last_ce_before(now).is_some_and(|t| t >= from))
             .map(|(id, _)| *id)
             .collect()
     }
@@ -320,8 +323,8 @@ mod tests {
         let id = DimmId::new(1, 0);
         s.stream_ingest(&ce(0, id));
         s.stream_ingest(&ce(40 * 86_400, id)); // 40 days later
-        let streams = s.streams.read().expect(POISONED);
-        assert_eq!(streams[&id].events.len(), 1, "old event must be evicted");
+        let streams = s.streams.lock().expect(POISONED);
+        assert_eq!(streams[&id].events().len(), 1, "old event must be evicted");
     }
 
     #[test]
@@ -331,12 +334,8 @@ mod tests {
         s.stream_ingest(&ce(1_000, id));
         s.stream_ingest(&ce(3_000, id));
         s.stream_ingest(&ce(2_000, id)); // late arrival within retention
-        let streams = s.streams.read().expect(POISONED);
-        let times: Vec<u64> = streams[&id]
-            .events
-            .iter()
-            .map(|e| e.time().as_secs())
-            .collect();
+        let streams = s.streams.lock().expect(POISONED);
+        let times: Vec<u64> = streams[&id].events().map(|e| e.time().as_secs()).collect();
         assert_eq!(times, vec![1_000, 2_000, 3_000]);
     }
 
@@ -348,9 +347,9 @@ mod tests {
         // A straggler from before the retention cutoff must not resurrect
         // evicted history.
         s.stream_ingest(&ce(100, id));
-        let streams = s.streams.read().expect(POISONED);
-        assert_eq!(streams[&id].events.len(), 1);
-        assert_eq!(streams[&id].events[0].time().as_days(), 40);
+        let streams = s.streams.lock().expect(POISONED);
+        assert_eq!(streams[&id].events().len(), 1);
+        assert_eq!(streams[&id].latest().unwrap().as_days(), 40);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use mfp_ml::model::{Algorithm, Model};
 use mfp_ml::risky_ce::{RiskyCeParams, RiskyCePattern};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
@@ -1970,6 +1970,7 @@ mod tests {
     use mfp_dram::address::CellAddr;
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::{CeEvent, MemEvent};
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Worker-mode trampoline: when spawned by [`WorkerCommand::

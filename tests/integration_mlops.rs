@@ -1,11 +1,16 @@
 //! Cross-crate integration of the MLOps layer against simulated fleet
 //! data: ingestion, materialization, deployment and online prediction.
 
+use mfp_dram::address::DimmId;
+use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::{SimDuration, SimTime};
+use mfp_features::extract::extract_features;
 use mfp_features::fault_analysis::FaultThresholds;
+use mfp_features::history::DimmHistory;
 use mfp_features::labeling::ProblemConfig;
-use mfp_ml::model::Algorithm;
+use mfp_ml::metrics::{Confusion, Evaluation};
+use mfp_ml::model::{Algorithm, Model};
 use mfp_mlops::prelude::*;
 use mfp_sim::config::FleetConfig;
 use mfp_sim::fleet::simulate_fleet;
@@ -151,4 +156,174 @@ fn drift_between_disjoint_periods_is_finite() {
     assert!(report.max_psi().is_finite());
     // A stationary simulator should not show catastrophic drift.
     assert!(report.mean_psi() < 1.0, "mean PSI {}", report.mean_psi());
+}
+
+/// The online predictor as it ran before the feature store kept streams:
+/// at every tick it rebuilds each active DIMM's window and re-extracts its
+/// features from scratch. Only tests keep this path, as the oracle.
+struct RebuildOracle<'a> {
+    lake: &'a DataLake,
+    model: &'a Model,
+    threshold: f32,
+    cfg: OnlineConfig,
+    problem: ProblemConfig,
+    /// Per-DIMM retained events, maintained with the retain logic the
+    /// feature store used to run on every event.
+    streams: BTreeMap<DimmId, Vec<MemEvent>>,
+    next_tick: SimTime,
+    streaks: BTreeMap<DimmId, u32>,
+    last_alarm: BTreeMap<DimmId, SimTime>,
+    trace: Vec<ScoreRecord>,
+    alarms: Vec<Alarm>,
+}
+
+impl RebuildOracle<'_> {
+    fn observe(&mut self, e: &MemEvent) {
+        while e.time() >= self.next_tick {
+            self.tick(self.next_tick);
+            self.next_tick += self.cfg.prediction_interval;
+        }
+        let retention = SimDuration::days(30).max(self.problem.observation);
+        let s = self.streams.entry(e.dimm()).or_default();
+        let t = e.time();
+        let latest = s.last().map_or(t, |last| last.time().max(t));
+        let cutoff = latest.saturating_sub(retention);
+        if t < cutoff {
+            return;
+        }
+        let pos = s.partition_point(|x| x.time() <= t);
+        s.insert(pos, *e);
+        s.retain(|x| x.time() >= cutoff);
+    }
+
+    fn finish(&mut self, until: SimTime) {
+        while self.next_tick <= until {
+            self.tick(self.next_tick);
+            self.next_tick += self.cfg.prediction_interval;
+        }
+    }
+
+    fn tick(&mut self, now: SimTime) {
+        let from = now.saturating_sub(self.problem.observation);
+        let active: Vec<DimmId> = self
+            .streams
+            .iter()
+            .filter(|(_, s)| {
+                s.iter()
+                    .any(|e| e.as_ce().is_some() && e.time() >= from && e.time() < now)
+            })
+            .map(|(d, _)| *d)
+            .collect();
+        self.streaks.retain(|d, _| active.binary_search(d).is_ok());
+        let cooldown = self.cfg.alarm_cooldown;
+        self.last_alarm.retain(|_, t| now < *t + cooldown);
+        for dimm in active {
+            let (_, spec) = self.lake.dimm_info(dimm).expect("catalogued DIMM");
+            let refs: Vec<&MemEvent> = self.streams[&dimm].iter().collect();
+            let th = FaultThresholds::default();
+            let row = extract_features(&DimmHistory::new(&refs), &spec, now, &self.problem, &th);
+            let score = self.model.predict_proba(&row);
+            self.trace.push(ScoreRecord {
+                time: now,
+                dimm,
+                score,
+            });
+            let streak = self.streaks.entry(dimm).or_insert(0);
+            if score >= self.threshold {
+                *streak += 1;
+            } else {
+                *streak = 0;
+            }
+            let cooling = self
+                .last_alarm
+                .get(&dimm)
+                .is_some_and(|&t| now < t + cooldown);
+            if *streak as usize >= self.cfg.votes && !cooling {
+                self.alarms.push(Alarm {
+                    dimm,
+                    time: now,
+                    score,
+                });
+                self.last_alarm.insert(dimm, now);
+            }
+        }
+    }
+}
+
+/// Every score the online predictor emits over a smoke fleet's Purley
+/// stream, with a LightGBM production model, is bit-identical to the
+/// per-tick rebuild oracle's; so are the scored count and the alarms.
+#[test]
+fn online_scores_match_the_rebuild_oracle() {
+    let (fleet, lake) = setup();
+    let problem = ProblemConfig::default();
+    let th = FaultThresholds::default();
+    let samples =
+        mfp_features::dataset::build_samples(&fleet, Platform::IntelPurley, &problem, &th);
+    let model = Model::train_seeded(Algorithm::LightGbm, &samples.downsample_negatives(6), 7);
+    // A threshold at the 90th-percentile sample score, so the stream
+    // raises alarms.
+    let mut scores = model.predict_set(&samples);
+    scores.sort_by(f32::total_cmp);
+    let threshold = scores[scores.len() * 9 / 10];
+    let registry = ModelRegistry::new();
+    let unit = Confusion {
+        tp: 1,
+        fp: 0,
+        fn_: 0,
+        tn: 1,
+    };
+    let id = registry.register(
+        Algorithm::LightGbm,
+        Platform::IntelPurley,
+        SimTime::ZERO,
+        Evaluation::from_confusion(unit, threshold),
+        threshold,
+        model.clone(),
+    );
+    registry.promote(id);
+
+    let cfg = OnlineConfig::default();
+    let store = FeatureStore::new(problem, th);
+    let mut online = OnlinePredictor::new(&lake, &store, &registry, Platform::IntelPurley, cfg);
+    online.set_score_trace(true);
+    let mut oracle = RebuildOracle {
+        lake: &lake,
+        model: &model,
+        threshold,
+        cfg,
+        problem,
+        streams: BTreeMap::new(),
+        next_tick: SimTime::ZERO + cfg.prediction_interval,
+        streaks: BTreeMap::new(),
+        last_alarm: BTreeMap::new(),
+        trace: Vec::new(),
+        alarms: Vec::new(),
+    };
+    let purley =
+        |e: &&MemEvent| lake.dimm_info(e.dimm()).map(|(p, _)| p) == Some(Platform::IntelPurley);
+    for e in fleet.log.events().iter().filter(purley) {
+        assert!(online.observe(e), "the fleet log is time-ordered");
+        oracle.observe(e);
+    }
+    let end = SimTime::ZERO + fleet.config.horizon + SimDuration::days(2);
+    online.finish(end);
+    oracle.finish(end);
+
+    let trace = online.score_trace();
+    assert!(trace.len() > 1_000, "only {} scores", trace.len());
+    assert_eq!(trace.len(), oracle.trace.len(), "scored (time, DIMM) pairs");
+    for (got, want) in trace.iter().zip(&oracle.trace) {
+        assert_eq!((got.time, got.dimm), (want.time, want.dimm));
+        assert_eq!(
+            got.score.to_bits(),
+            want.score.to_bits(),
+            "{:?} at {}",
+            got.dimm,
+            got.time
+        );
+    }
+    assert_eq!(online.scored(), oracle.trace.len() as u64);
+    assert!(!oracle.alarms.is_empty(), "the threshold must raise alarms");
+    assert_eq!(online.alarms(), oracle.alarms.as_slice());
 }

@@ -1,14 +1,18 @@
 //! Property-based tests of the feature layer: bus-statistics invariants,
-//! labeling-window laws, and no-future-leakage of feature extraction.
+//! labeling-window laws, no-future-leakage of feature extraction, and the
+//! streaming extractor and the online feature store against the batch
+//! oracle.
 
 use mfp_dram::address::{CellAddr, DimmId};
 use mfp_dram::bus::ErrorTransfer;
-use mfp_dram::event::{CeEvent, MemEvent};
-use mfp_dram::geometry::DataWidth;
+use mfp_dram::event::{CeEvent, CeStormEvent, MemEvent, UeEvent};
+use mfp_dram::geometry::{DataWidth, Platform};
 use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::{SimDuration, SimTime};
 use mfp_features::prelude::*;
+use mfp_mlops::prelude::{DataLake, FeatureStore};
 use mfp_rng::StdRng;
+use std::collections::BTreeMap;
 
 mod common;
 use common::{assume, check, coin, vec_of, CASES};
@@ -57,6 +61,16 @@ fn random_events(rng: &mut StdRng) -> Vec<MemEvent> {
             })
         })
         .collect()
+}
+
+/// A feature stream for a DIMM of `spec` holding `events`.
+fn stream_of(events: &[MemEvent], spec: DimmSpec) -> FeatureStream {
+    let mut stream = FeatureStream::new(ProblemConfig::default(), FaultThresholds::default());
+    stream.set_spec(spec);
+    for e in events {
+        stream.push(*e);
+    }
+    stream
 }
 
 /// Bus statistics are internally consistent for any pattern.
@@ -157,9 +171,9 @@ fn sample_times_are_valid() {
     });
 }
 
-/// The streaming extractor is bit-identical to the batch oracle at every
-/// point of a monotone evaluation grid, for random histories and both
-/// device widths.
+/// The streaming extractor, holding a random history, is bit-identical
+/// to the batch oracle at every point of a monotone evaluation grid, for
+/// both device widths.
 #[test]
 fn streaming_matches_batch() {
     check("streaming_matches_batch", CASES, |rng| {
@@ -178,7 +192,7 @@ fn streaming_matches_batch() {
         let th = FaultThresholds::default();
         let refs: Vec<&MemEvent> = events.iter().collect();
         let h = DimmHistory::new(&refs);
-        let mut stream = FeatureStream::new(h.clone(), &spec, &cfg, &th);
+        let mut stream = stream_of(&events, spec);
         for k in 0..12u64 {
             let t = SimTime::from_secs(start + k * step);
             assert_eq!(
@@ -204,7 +218,7 @@ fn streaming_rewind_matches_batch() {
         let th = FaultThresholds::default();
         let refs: Vec<&MemEvent> = events.iter().collect();
         let h = DimmHistory::new(&refs);
-        let mut stream = FeatureStream::new(h.clone(), &spec, &cfg, &th);
+        let mut stream = stream_of(&events, spec);
         for t in [SimTime::from_secs(t_fwd), SimTime::from_secs(t_back)] {
             assert_eq!(
                 stream.features_at(t),
@@ -266,4 +280,186 @@ fn instrumented_assembly_matches_uninstrumented_oracle() {
             }
         },
     );
+}
+
+/// One random event of `dimm` at `t`: mostly CEs on a small address
+/// space (so spatial and fault-mode flags fire), some storms and UEs.
+fn random_store_event(rng: &mut StdRng, dimm: DimmId, t: u64) -> MemEvent {
+    let time = SimTime::from_secs(t);
+    let addr = CellAddr::new(
+        0,
+        rng.random_range(0u8..3),
+        rng.random_range(0u32..6),
+        rng.random_range(0u16..6),
+    );
+    match rng.random_range(0u32..20) {
+        0 => MemEvent::Ue(UeEvent {
+            time,
+            dimm,
+            addr,
+            transfer: ErrorTransfer::from_bits(random_bits(rng)),
+        }),
+        1 | 2 => MemEvent::Storm(CeStormEvent {
+            time,
+            dimm,
+            count: 10,
+        }),
+        _ => MemEvent::Ce(CeEvent {
+            time,
+            dimm,
+            addr,
+            transfer: ErrorTransfer::from_bits(random_bits(rng)),
+        }),
+    }
+}
+
+/// Serves every DIMM in `served` at `now` and compares each row, bit for
+/// bit, with the batch extractor over that DIMM's exported events; the
+/// active set must match a scan of the same export.
+fn assert_store_serves_oracle(
+    store: &FeatureStore,
+    lake: &DataLake,
+    dimms: &[DimmId],
+    served: &[bool],
+    now: SimTime,
+) {
+    let cfg = ProblemConfig::default();
+    let th = FaultThresholds::default();
+    let exported: BTreeMap<DimmId, Vec<MemEvent>> = store.export_streams().into_iter().collect();
+    for (&dimm, _) in dimms.iter().zip(served).filter(|(_, s)| **s) {
+        let expected = match (exported.get(&dimm), lake.dimm_info(dimm)) {
+            (Some(events), Some((_, spec))) if !events.is_empty() => {
+                let refs: Vec<&MemEvent> = events.iter().collect();
+                Some(extract_features(
+                    &DimmHistory::new(&refs),
+                    &spec,
+                    now,
+                    &cfg,
+                    &th,
+                ))
+            }
+            _ => None,
+        };
+        let row = store.serve(lake, dimm, now);
+        assert_eq!(row.is_some(), expected.is_some(), "{dimm:?} at {now}");
+        if let (Some(row), Some(expected)) = (row, expected) {
+            for (i, (a, b)) in row.iter().zip(&expected).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{dimm:?} feature {i} at {now}");
+            }
+        }
+    }
+    let from = now.saturating_sub(cfg.observation);
+    let active: Vec<DimmId> = exported
+        .iter()
+        .filter(|(_, events)| {
+            events
+                .iter()
+                .any(|e| e.as_ce().is_some() && e.time() >= from && e.time() < now)
+        })
+        .map(|(id, _)| *id)
+        .collect();
+    assert_eq!(store.active_dimms(now), active, "active set at {now}");
+}
+
+/// Random multi-DIMM traffic through `FeatureStore::stream_ingest`, served
+/// at random times, is bit-identical to the batch extractor over each
+/// DIMM's exported events. The traffic spans more than 30 days (so
+/// evictions land between serves and inside the fault window, and after
+/// a jump inside every window) and mixes equal timestamps, out-of-order
+/// arrivals before and after the last served time, stragglers from
+/// before the retention cutoff, a DIMM whose spec reaches the catalog
+/// late, one export → import into a fresh store, and one serve earlier
+/// than the previous one.
+#[test]
+fn store_serving_matches_batch_oracle() {
+    // A private registry counts the store's rare paths across all cases,
+    // so the test also proves the traffic reached them.
+    let reg = mfp_obs::Registry::new();
+    mfp_obs::with_registry(&reg, store_traffic_cases);
+    for name in [
+        "feature_store_stale_dropped",
+        "feature_store_out_of_order",
+        "features_stream_rewinds",
+    ] {
+        assert!(reg.counter(name, &[]).get() > 0, "{name} never fired");
+    }
+}
+
+fn store_traffic_cases() {
+    check("store_serving_matches_batch_oracle", CASES, |rng| {
+        let day = 86_400u64;
+        let dimms: Vec<DimmId> = (0..rng.random_range(1u32..4))
+            .map(|i| DimmId::new(i, 0))
+            .collect();
+        let steps = rng.random_range(40usize..160);
+        let lake = DataLake::new();
+        let late = dimms.len() - 1;
+        let late_at = rng.random_range(0..steps);
+        let import_at = rng.random_range(0..steps);
+        let earlier_at = rng.random_range(0..steps);
+        let specs: Vec<DimmSpec> = dimms
+            .iter()
+            .map(|_| DimmSpec {
+                width: if coin(rng) {
+                    DataWidth::X8
+                } else {
+                    DataWidth::X4
+                },
+                ..Default::default()
+            })
+            .collect();
+        for (i, (&dimm, spec)) in dimms.iter().zip(&specs).enumerate() {
+            if i != late {
+                lake.register_dimm(dimm, Platform::IntelPurley, *spec);
+            }
+        }
+        let new_store = || FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
+        let mut store = new_store();
+        let mut clock = 0u64;
+        let mut last_now: Option<u64> = None;
+        for step in 0..steps {
+            let dimm = dimms[rng.random_range(0..dimms.len())];
+            let t = match rng.random_range(0u32..20) {
+                // Equal timestamp.
+                0 | 1 => clock,
+                // Out of order: before or after the last served time.
+                2..=4 => clock.saturating_sub(rng.random_range(0..2 * day)),
+                // Straggler from before the retention cutoff.
+                5 => clock.saturating_sub(rng.random_range(31 * day..60 * day)),
+                // A jump past most of the retention: evicts events still
+                // inside every window of the last serve.
+                6 => {
+                    clock += rng.random_range(20 * day..40 * day);
+                    clock
+                }
+                _ => {
+                    clock += rng.random_range(0..day);
+                    clock
+                }
+            };
+            store.stream_ingest(&random_store_event(rng, dimm, t));
+            if step == late_at {
+                lake.register_dimm(dimms[late], Platform::IntelPurley, specs[late]);
+            }
+            if step == import_at {
+                let fresh = new_store();
+                fresh.import_streams(store.export_streams());
+                store = fresh;
+            }
+            if rng.random_range(0u32..4) == 0 || step == earlier_at {
+                let now = match last_now {
+                    Some(prev) if step == earlier_at => {
+                        prev.saturating_sub(rng.random_range(1..10 * day))
+                    }
+                    _ => clock + rng.random_range(0..day / 2),
+                };
+                let served: Vec<bool> = dimms
+                    .iter()
+                    .map(|_| rng.random_range(0u32..3) > 0)
+                    .collect();
+                assert_store_serves_oracle(&store, &lake, &dimms, &served, SimTime::from_secs(now));
+                last_now = Some(now);
+            }
+        }
+    });
 }
