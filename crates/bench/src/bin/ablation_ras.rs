@@ -60,7 +60,15 @@ fn main() {
     }
     print_table(
         "RAS ablation: none -> +offline/PPR -> +ADDDC",
-        &["platform", "UE DIMMs", "logged CEs", "PPR", "pages off", "faults killed", "ADDDC"],
+        &[
+            "platform",
+            "UE DIMMs",
+            "logged CEs",
+            "PPR",
+            "pages off",
+            "faults killed",
+            "ADDDC",
+        ],
         &[14, 18, 22, 6, 10, 13, 6],
         &rows,
     );

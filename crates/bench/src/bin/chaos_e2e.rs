@@ -129,11 +129,17 @@ fn main() {
             "--rates" => {
                 rates = value(&mut args)
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--rates takes comma-separated floats"))
+                    .map(|s| {
+                        s.trim()
+                            .parse()
+                            .expect("--rates takes comma-separated floats")
+                    })
                     .collect();
             }
             "--min-recall" => {
-                min_recall = value(&mut args).parse().expect("--min-recall takes a float");
+                min_recall = value(&mut args)
+                    .parse()
+                    .expect("--min-recall takes a float");
             }
             "--seed" => {
                 seed = value(&mut args).parse().expect("--seed takes an integer");
@@ -142,7 +148,9 @@ fn main() {
                 shards = value(&mut args).parse().expect("--shards takes an integer");
             }
             "--workers" => {
-                workers = value(&mut args).parse().expect("--workers takes an integer");
+                workers = value(&mut args)
+                    .parse()
+                    .expect("--workers takes an integer");
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -173,11 +181,19 @@ fn main() {
         historical.push(*e);
     }
     let rejected = lake.ingest_encoded(&historical.encode()).expect("decode");
-    check("lake ingests encoded BMC logs", rejected == 0 && !lake.is_empty());
+    check(
+        "lake ingests encoded BMC logs",
+        rejected == 0 && !lake.is_empty(),
+    );
 
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
     let train = store
-        .materialize(&lake, platform, SimTime::ZERO, SimTime::ZERO + SimDuration::days(105))
+        .materialize(
+            &lake,
+            platform,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::days(105),
+        )
         .downsample_negatives(8);
     let bench = store.materialize(
         &lake,
@@ -207,7 +223,11 @@ fn main() {
         .filter(|e| lake.dimm_info(e.dimm()).map(|(p, _)| p) == Some(platform))
         .copied()
         .collect();
-    println!("      online stream: {} events on {}", clean.len(), platform);
+    println!(
+        "      online stream: {} events on {}",
+        clean.len(),
+        platform
+    );
 
     // Baseline: clean delivery through the same hardened path.
     let baseline = run_hardened(&lake, &registry, platform, &clean, end);

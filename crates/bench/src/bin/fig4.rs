@@ -33,7 +33,10 @@ fn main() {
             })
             .collect();
         print_table(
-            &format!("Fig. 4 — {}: relative % of UE by fault mode", platform_rates.platform),
+            &format!(
+                "Fig. 4 — {}: relative % of UE by fault mode",
+                platform_rates.platform
+            ),
             &["fault mode", "DIMMs", "UE DIMMs", "UE rate", ""],
             &[15, 7, 9, 8, 30],
             &rows,

@@ -114,13 +114,21 @@ fn main() {
             "--shards" => {
                 shard_counts = value()
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--shards takes comma-separated integers"))
+                    .map(|s| {
+                        s.trim()
+                            .parse()
+                            .expect("--shards takes comma-separated integers")
+                    })
                     .collect();
             }
             "--workers" => {
                 worker_counts = value()
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--workers takes comma-separated integers"))
+                    .map(|s| {
+                        s.trim()
+                            .parse()
+                            .expect("--workers takes comma-separated integers")
+                    })
                     .collect();
             }
             "--horizon-days" => {

@@ -137,7 +137,10 @@ fn main() {
             }
         }
         let rejected = lake.ingest_encoded(&historical.encode()).expect("decode");
-        check("lake ingests encoded BMC logs", rejected == 0 && !lake.is_empty());
+        check(
+            "lake ingests encoded BMC logs",
+            rejected == 0 && !lake.is_empty(),
+        );
         (fleet.dimms, online)
     };
     check("fleet ground truth is available", !truths.is_empty());
@@ -145,7 +148,12 @@ fn main() {
     // Feature store: batch + consistency.
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
     let train = store
-        .materialize(&lake, platform, SimTime::ZERO, SimTime::ZERO + SimDuration::days(105))
+        .materialize(
+            &lake,
+            platform,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::days(105),
+        )
         .downsample_negatives(8);
     let bench = store.materialize(
         &lake,
@@ -153,9 +161,17 @@ fn main() {
         SimTime::ZERO + SimDuration::days(105),
         SimTime::ZERO + SimDuration::days(160),
     );
-    check("feature store materializes labelled samples", train.positives() > 0);
+    check(
+        "feature store materializes labelled samples",
+        train.positives() > 0,
+    );
     let probe = train.dimms[0];
-    let skew = store.consistency_check(&lake, platform, probe, SimTime::ZERO + SimDuration::days(20));
+    let skew = store.consistency_check(
+        &lake,
+        platform,
+        probe,
+        SimTime::ZERO + SimDuration::days(20),
+    );
     check(
         "train/serve consistency check runs",
         skew.is_none_or(|d| d == 0.0),
@@ -188,7 +204,10 @@ fn main() {
         }
     }
     predictor.finish(SimTime::ZERO + SimDuration::days(270));
-    check("online predictor raises alarms", !predictor.alarms().is_empty());
+    check(
+        "online predictor raises alarms",
+        !predictor.alarms().is_empty(),
+    );
     let report = evaluate_mitigation(predictor.alarms(), &ue_times, &MitigationConfig::default());
     check(
         "mitigation engine computes VIRR",
@@ -205,8 +224,18 @@ fn main() {
     );
 
     // Monitoring.
-    let live = store.materialize(&lake, platform, SimTime::ZERO + SimDuration::days(150), split);
-    let drift = psi_report_excluding(&bench, &live, 10, &mfp_features::extract::CUMULATIVE_FEATURES);
+    let live = store.materialize(
+        &lake,
+        platform,
+        SimTime::ZERO + SimDuration::days(150),
+        split,
+    );
+    let drift = psi_report_excluding(
+        &bench,
+        &live,
+        10,
+        &mfp_features::extract::CUMULATIVE_FEATURES,
+    );
     let excluded = mfp_features::extract::CUMULATIVE_FEATURES.len();
     check(
         "drift report covers the non-excluded schema",

@@ -37,7 +37,8 @@ use std::time::Instant;
 /// The calibrated Purley sub-fleet rescaled to roughly `dimms` DIMMs.
 fn purley_fleet(dimms: usize, horizon_days: u64, seed: u64) -> FleetConfig {
     let mut cfg = FleetConfig::calibrated(1.0, seed);
-    cfg.platforms.retain(|p| p.platform == Platform::IntelPurley);
+    cfg.platforms
+        .retain(|p| p.platform == Platform::IntelPurley);
     let total: usize = cfg
         .platforms
         .iter()
@@ -157,8 +158,7 @@ fn main() {
     // Sequential baseline: one predictor behind the same hardened ingest
     // the pipeline uses.
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
-    let mut seq =
-        OnlinePredictor::new(&lake, &store, &registry, Platform::IntelPurley, online_cfg);
+    let mut seq = OnlinePredictor::new(&lake, &store, &registry, Platform::IntelPurley, online_cfg);
     let t0 = Instant::now();
     let seq_stats = ingest_bounded(
         &lake,
@@ -212,8 +212,8 @@ fn main() {
             },
         );
         let secs = t.elapsed().as_secs_f64();
-        let identical = outcome.alarms == seq_alarms
-            && outcome.ingest.released == seq_stats.released;
+        let identical =
+            outcome.alarms == seq_alarms && outcome.ingest.released == seq_stats.released;
         let cell = CellReport {
             shards,
             workers,

@@ -35,13 +35,20 @@ fn main() {
     }
     print_table(
         "Table I: description of dataset (measured / paper)",
-        &["CPU platform", "DIMMs w/ CEs", "DIMMs w/ UEs", "predictable UE", "sudden UE"],
+        &[
+            "CPU platform",
+            "DIMMs w/ CEs",
+            "DIMMs w/ UEs",
+            "predictable UE",
+            "sudden UE",
+        ],
         &[14, 13, 13, 17, 17],
         &table,
     );
 
     // Finding 1.
-    let rate = |i: usize| 100.0 * rows[i].dimms_with_ues as f64 / rows[i].dimms_with_ces.max(1) as f64;
+    let rate =
+        |i: usize| 100.0 * rows[i].dimms_with_ues as f64 / rows[i].dimms_with_ces.max(1) as f64;
     println!("\nFinding 1: UE and sudden-UE rates vary across architectures.");
     println!(
         "  per-DIMM UE rate: Purley {:.1}%  Whitley {:.1}%  K920 {:.1}%",

@@ -63,7 +63,14 @@ fn main() {
         }
         print_table(
             &format!("Table II — {platform} (measured / paper)"),
-            &["algorithm", "precision", "recall", "F1", "VIRR", "train+eval"],
+            &[
+                "algorithm",
+                "precision",
+                "recall",
+                "F1",
+                "VIRR",
+                "train+eval",
+            ],
             &[22, 13, 13, 13, 13, 10],
             &rows,
         );

@@ -7,8 +7,15 @@ use mfp_ml::prelude::*;
 use mfp_sim::prelude::*;
 
 fn main() {
-    let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20.0);
-    let cfg = if scale == 0.0 { FleetConfig::experiment(42) } else { FleetConfig::calibrated(scale, 42) };
+    let scale: f64 = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20.0);
+    let cfg = if scale == 0.0 {
+        FleetConfig::experiment(42)
+    } else {
+        FleetConfig::calibrated(scale, 42)
+    };
     let t0 = std::time::Instant::now();
     let fleet = mfp_sim::fleet::simulate_fleet(&cfg);
     eprintln!("fleet: {} events in {:?}", fleet.log.len(), t0.elapsed());
@@ -26,10 +33,17 @@ fn main() {
         let fit_ds = fit.downsample_negatives(8);
         eprintln!(
             "{p}: samples={} fit={} (pos {}) val={} test={} (pos dimm-lvl ...) built in {:?}",
-            all.len(), fit_ds.len(), fit_ds.positives(), val.len(), test.len(), t1.elapsed()
+            all.len(),
+            fit_ds.len(),
+            fit_ds.positives(),
+            val.len(),
+            test.len(),
+            t1.elapsed()
         );
         for algo in Algorithm::ALL {
-            if algo == Algorithm::FtTransformer && std::env::var("SKIP_FT").is_ok() { continue; }
+            if algo == Algorithm::FtTransformer && std::env::var("SKIP_FT").is_ok() {
+                continue;
+            }
             let tt = std::time::Instant::now();
             // FT gets a smaller training set for tractability.
             let train = if algo == Algorithm::FtTransformer {
@@ -39,7 +53,10 @@ fn main() {
             };
             let model = Model::train(algo, &train);
             let val_scores = model.predict_set(&val);
-            let votes: usize = std::env::var("VOTES").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
+            let votes: usize = std::env::var("VOTES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(2);
             let threshold = best_vote_threshold(&val, &val_scores, votes);
             let test_scores = model.predict_set(&test);
             let (y_true, y_pred) = dimm_level_vote(&test, &test_scores, threshold, votes);
@@ -59,8 +76,11 @@ fn main() {
                         if let Some(truth) = fleet.dimms.iter().find(|d| d.id == *id) {
                             let stalled = truth.category == DimmCategory::Degrading
                                 && truth.first_ue().is_none();
-                            let label = if stalled { "stalled".to_string() }
-                                else { format!("{:?}", truth.category) };
+                            let label = if stalled {
+                                "stalled".to_string()
+                            } else {
+                                format!("{:?}", truth.category)
+                            };
                             *fp_cats.entry(label).or_default() += 1;
                         }
                     }

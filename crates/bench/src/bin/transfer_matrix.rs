@@ -41,12 +41,8 @@ fn main() {
             let val_scores = model.predict_set(&test_splits.validation);
             let th = best_vote_threshold(&test_splits.validation, &val_scores, cfg.votes);
             let test_scores = model.predict_set(&test_splits.test);
-            let (y_true, y_pred) =
-                dimm_level_vote(&test_splits.test, &test_scores, th, cfg.votes);
-            let e = Evaluation::from_confusion(
-                Confusion::from_predictions(&y_true, &y_pred),
-                th,
-            );
+            let (y_true, y_pred) = dimm_level_vote(&test_splits.test, &test_scores, th, cfg.votes);
+            let e = Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), th);
             let diag = if train_p == test_p { "*" } else { "" };
             row.push(format!("{}{diag}", m2(e.f1)));
         }

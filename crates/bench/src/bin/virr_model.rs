@@ -18,7 +18,11 @@ fn synth_alarms(tp: u32, fp: u32) -> (Vec<Alarm>, BTreeMap<DimmId, SimTime>) {
     let mut ue_times = BTreeMap::new();
     for i in 0..tp {
         let d = DimmId::new(i, 0);
-        alarms.push(Alarm { dimm: d, time: SimTime::from_secs(100), score: 0.9 });
+        alarms.push(Alarm {
+            dimm: d,
+            time: SimTime::from_secs(100),
+            score: 0.9,
+        });
         ue_times.insert(d, SimTime::from_secs(10_000));
     }
     for i in 0..fp {
@@ -33,18 +37,21 @@ fn synth_alarms(tp: u32, fp: u32) -> (Vec<Alarm>, BTreeMap<DimmId, SimTime>) {
 
 fn main() {
     let cfg = MitigationConfig::default();
-    println!("VM mitigation model: V_a = {} VMs/server, y_c = {}", cfg.vms_per_server, cfg.cold_fraction);
+    println!(
+        "VM mitigation model: V_a = {} VMs/server, y_c = {}",
+        cfg.vms_per_server, cfg.cold_fraction
+    );
 
     let mut rows = Vec::new();
     // Sweep precision (via fp) and recall (via extra unalarmed failures).
     for &(tp, fp, misses) in &[
-        (90u32, 10u32, 10u32),  // P=0.90 R=0.90
-        (80, 20, 20),           // P=0.80 R=0.80
-        (60, 40, 40),           // P=0.60 R=0.60
-        (50, 50, 50),           // P=0.50 R=0.50
-        (30, 70, 70),           // P=0.30 R=0.30
-        (10, 90, 90),           // P=0.10 R=0.10 -> VIRR ~ 0
-        (5, 95, 95),            // P=0.05 < y_c   -> negative VIRR
+        (90u32, 10u32, 10u32), // P=0.90 R=0.90
+        (80, 20, 20),          // P=0.80 R=0.80
+        (60, 40, 40),          // P=0.60 R=0.60
+        (50, 50, 50),          // P=0.50 R=0.50
+        (30, 70, 70),          // P=0.30 R=0.30
+        (10, 90, 90),          // P=0.10 R=0.10 -> VIRR ~ 0
+        (5, 95, 95),           // P=0.05 < y_c   -> negative VIRR
     ] {
         let (alarms, mut ue_times) = synth_alarms(tp, fp);
         for i in 0..misses {
@@ -64,7 +71,14 @@ fn main() {
     }
     print_table(
         "VIRR: analytic formula vs measured through the mitigation engine",
-        &["precision", "recall", "VIRR (formula)", "VIRR (measured)", "V", "V'"],
+        &[
+            "precision",
+            "recall",
+            "VIRR (formula)",
+            "VIRR (measured)",
+            "V",
+            "V'",
+        ],
         &[10, 7, 15, 16, 7, 7],
         &rows,
     );

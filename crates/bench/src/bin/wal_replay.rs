@@ -28,7 +28,8 @@ use std::time::Instant;
 /// The calibrated Purley sub-fleet rescaled to roughly `dimms` DIMMs.
 fn purley_fleet(dimms: usize, horizon_days: u64, seed: u64) -> FleetConfig {
     let mut cfg = FleetConfig::calibrated(1.0, seed);
-    cfg.platforms.retain(|p| p.platform == Platform::IntelPurley);
+    cfg.platforms
+        .retain(|p| p.platform == Platform::IntelPurley);
     let total: usize = cfg
         .platforms
         .iter()

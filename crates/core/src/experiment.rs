@@ -174,9 +174,7 @@ impl FeatureFamily {
     pub fn contains(self, name: &str) -> bool {
         match self {
             FeatureFamily::Temporal => {
-                name.starts_with("ce_")
-                    || name.starts_with("storms_")
-                    || name.contains("since")
+                name.starts_with("ce_") || name.starts_with("storms_") || name.contains("since")
             }
             FeatureFamily::Spatial => {
                 name.ends_with("_5d")
@@ -349,8 +347,7 @@ mod tests {
             ..Default::default()
         };
         let splits = build_splits(&fleet, Platform::K920, &cfg);
-        let res =
-            evaluate_algorithm(Algorithm::RiskyCePattern, &splits, Platform::K920, &cfg);
+        let res = evaluate_algorithm(Algorithm::RiskyCePattern, &splits, Platform::K920, &cfg);
         assert!(!res.reported_in_paper);
     }
 }

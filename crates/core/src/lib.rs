@@ -38,12 +38,12 @@ pub mod study;
 /// Convenient glob-import of the most used types.
 pub mod prelude {
     pub use crate::experiment::{
-        ablate_family, build_splits, evaluate_algorithm, run_table2, AlgoResult,
-        ExperimentConfig, FeatureFamily, PlatformSplits,
+        ablate_family, build_splits, evaluate_algorithm, run_table2, AlgoResult, ExperimentConfig,
+        FeatureFamily, PlatformSplits,
     };
     pub use crate::pipeline::Study;
     pub use crate::study::{
-        dataset_summary, error_bit_analysis, relative_ue_by_fault_mode, DatasetRow,
-        ErrorBitPanel, FaultModeUeRates,
+        dataset_summary, error_bit_analysis, relative_ue_by_fault_mode, DatasetRow, ErrorBitPanel,
+        FaultModeUeRates,
     };
 }

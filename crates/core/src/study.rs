@@ -32,11 +32,8 @@ pub struct DatasetRow {
 /// definition of UEs that "initially appear as CEs".
 pub fn dataset_summary(fleet: &FleetResult, lead: SimDuration) -> Vec<DatasetRow> {
     let by_dimm = fleet.log.by_dimm();
-    let platform_of: BTreeMap<DimmId, Platform> = fleet
-        .dimms
-        .iter()
-        .map(|d| (d.id, d.platform))
-        .collect();
+    let platform_of: BTreeMap<DimmId, Platform> =
+        fleet.dimms.iter().map(|d| (d.id, d.platform)).collect();
 
     let mut rows: BTreeMap<Platform, (usize, usize, usize)> = Platform::ALL
         .iter()
@@ -119,9 +116,10 @@ pub fn relative_ue_by_fault_mode(
             continue;
         };
         let first_ue = events.iter().find(|e| e.is_ue()).map(|e| e.time());
-        let pre_ue_ces = events.iter().filter_map(|e| e.as_ce()).filter(|ce| {
-            first_ue.is_none_or(|ue| ce.time < ue)
-        });
+        let pre_ue_ces = events
+            .iter()
+            .filter_map(|e| e.as_ce())
+            .filter(|ce| first_ue.is_none_or(|ue| ce.time < ue));
         let faults = classify_ces(pre_ue_ces, width, thresholds);
         let flags = faults.flags();
         let has_ue = first_ue.is_some();
@@ -143,7 +141,11 @@ pub fn relative_ue_by_fault_mode(
                 .iter()
                 .zip(&counts[&platform])
                 .map(|(label, &(n, ue))| {
-                    let pct = if n > 0 { 100.0 * ue as f64 / n as f64 } else { 0.0 };
+                    let pct = if n > 0 {
+                        100.0 * ue as f64 / n as f64
+                    } else {
+                        0.0
+                    };
                     (label.to_string(), n, ue, pct)
                 })
                 .collect();
@@ -165,10 +167,7 @@ pub struct ErrorBitPanel {
 
 /// Computes the four Fig. 5 panels (DQ count / DQ interval / beat count /
 /// beat interval) for one platform's x4 DIMMs, from pre-UE CE history.
-pub fn error_bit_analysis(
-    fleet: &FleetResult,
-    platform: Platform,
-) -> Vec<ErrorBitPanel> {
+pub fn error_bit_analysis(fleet: &FleetResult, platform: Platform) -> Vec<ErrorBitPanel> {
     let by_dimm = fleet.log.by_dimm();
     let info: BTreeMap<DimmId, (Platform, DataWidth)> = fleet
         .dimms
@@ -229,7 +228,11 @@ pub fn error_bit_analysis(
             buckets: panel
                 .into_iter()
                 .map(|(k, (n, ue))| {
-                    let pct = if n > 0 { 100.0 * ue as f64 / n as f64 } else { 0.0 };
+                    let pct = if n > 0 {
+                        100.0 * ue as f64 / n as f64
+                    } else {
+                        0.0
+                    };
                     (k, n, ue, pct)
                 })
                 .collect(),
@@ -238,7 +241,9 @@ pub fn error_bit_analysis(
 }
 
 /// Returns the CE events of `events` (helper shared by analyses).
-pub fn ces_of<'a>(events: &'a [&'a MemEvent]) -> impl Iterator<Item = &'a mfp_dram::event::CeEvent> {
+pub fn ces_of<'a>(
+    events: &'a [&'a MemEvent],
+) -> impl Iterator<Item = &'a mfp_dram::event::CeEvent> {
     events.iter().filter_map(|e| e.as_ce())
 }
 

@@ -95,10 +95,7 @@ impl AddressMap {
     /// The stride in bytes between consecutive rows of the same bank — the
     /// distance a row-hammer/row-fault sweep moves through physical memory.
     pub fn row_stride_bytes(&self) -> u64 {
-        self.geometry.cols() as u64
-            * self.geometry.banks() as u64
-            * self.ranks as u64
-            * BURST_BYTES
+        self.geometry.cols() as u64 * self.geometry.banks() as u64 * self.ranks as u64 * BURST_BYTES
     }
 }
 
@@ -116,10 +113,7 @@ mod tests {
         // 2 ranks x 16 banks x 128Ki rows x 1Ki cols x 64 B = 256 GiB of
         // coordinate space (the *rank* address space; the per-DIMM capacity
         // divides by the device count sharing each burst).
-        assert_eq!(
-            m.capacity_bytes(),
-            2 * 16 * 131_072u64 * 1024 * 64
-        );
+        assert_eq!(m.capacity_bytes(), 2 * 16 * 131_072u64 * 1024 * 64);
     }
 
     #[test]
@@ -158,7 +152,10 @@ mod tests {
         let m = map();
         let a = m.decode(4096 * BURST_BYTES);
         let b = m.decode(4097 * BURST_BYTES);
-        assert_ne!((a.rank, a.bank, a.row, a.col), (b.rank, b.bank, b.row, b.col));
+        assert_ne!(
+            (a.rank, a.bank, a.row, a.col),
+            (b.rank, b.bank, b.row, b.col)
+        );
     }
 
     #[test]

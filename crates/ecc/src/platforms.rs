@@ -245,7 +245,9 @@ impl Hasher for FoldHasher {
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(FOLD_K).rotate_left(5);
+            self.state = (self.state ^ u64::from(b))
+                .wrapping_mul(FOLD_K)
+                .rotate_left(5);
         }
     }
 
@@ -568,7 +570,10 @@ mod tests {
         // Fig 5 signature: 2 DQs / 2 beats / 4-beat interval on odd beats.
         // One bit per weak beat still corrects...
         let warning = device_bits(5, &[(1, 0), (5, 1)]);
-        assert_eq!(ecc.decode(&warning, DataWidth::X4), DecodeOutcome::Corrected);
+        assert_eq!(
+            ecc.decode(&warning, DataWidth::X4),
+            DecodeOutcome::Corrected
+        );
         // ...until both DQs err within one weak beat.
         let escalated = device_bits(5, &[(1, 0), (1, 1), (5, 1)]);
         assert_eq!(ecc.decode(&escalated, DataWidth::X4), DecodeOutcome::Ue);
@@ -669,7 +674,11 @@ mod tests {
         assert!(snap.counter("ecc_cache_misses") - misses0 >= 1);
         assert!(snap.counter("ecc_decodes") - decodes0 >= 3);
         // The flush labels the series by scheme name.
-        assert!(snap.counter_labeled("ecc_cache_hits", &[("scheme", scheme)]).unwrap_or(0) >= 2);
+        assert!(
+            snap.counter_labeled("ecc_cache_hits", &[("scheme", scheme)])
+                .unwrap_or(0)
+                >= 2
+        );
     }
 
     #[test]
@@ -696,7 +705,10 @@ mod tests {
             }
             patterns.push(device_bits(5, &[(beat, 0), (beat, 1)]));
             patterns.push(device_bits(2, &[(beat, 0), ((beat + 1) % 8, 3)]));
-            patterns.push(device_bits(7, &[(beat, 0), (beat, 1), (beat, 2), (beat, 3)]));
+            patterns.push(device_bits(
+                7,
+                &[(beat, 0), (beat, 1), (beat, 2), (beat, 3)],
+            ));
             let mut t = device_bits(3, &[(beat, 0), (beat, 1)]);
             t.set(beat, 9 * 4);
             patterns.push(t);

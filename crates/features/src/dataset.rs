@@ -136,7 +136,11 @@ impl SampleSet {
         let mut train = SampleSet::with_capacity(n_train);
         let mut test = SampleSet::with_capacity(self.len() - n_train);
         for i in 0..self.len() {
-            let target = if self.times[i] < t { &mut train } else { &mut test };
+            let target = if self.times[i] < t {
+                &mut train
+            } else {
+                &mut test
+            };
             target.push_from(self, i);
         }
         (train, test)
@@ -329,7 +333,10 @@ mod tests {
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.dimms, b.dimms);
         assert_eq!(a.times, b.times);
-        assert_eq!(a.features, b.features, "feature matrices must be bit-identical");
+        assert_eq!(
+            a.features, b.features,
+            "feature matrices must be bit-identical"
+        );
     }
 
     #[test]
@@ -368,7 +375,11 @@ mod tests {
         let fleet = simulate_fleet(&FleetConfig::smoke(5));
         let cfg = ProblemConfig::default();
         let th = FaultThresholds::default();
-        for platform in [Platform::IntelPurley, Platform::IntelWhitley, Platform::K920] {
+        for platform in [
+            Platform::IntelPurley,
+            Platform::IntelWhitley,
+            Platform::K920,
+        ] {
             let streamed = build_samples_with_workers(&fleet, platform, &cfg, &th, 3);
             let batch = build_samples_batch(&fleet, platform, &cfg, &th);
             assert_sets_identical(&streamed, &batch);
@@ -395,8 +406,8 @@ mod tests {
     #[test]
     fn split_by_time_partitions() {
         let (fleet, set) = smoke_samples();
-        let mid = SimTime::ZERO
-            + mfp_dram::time::SimDuration::secs(fleet.config.horizon.as_secs() / 2);
+        let mid =
+            SimTime::ZERO + mfp_dram::time::SimDuration::secs(fleet.config.horizon.as_secs() / 2);
         let (train, test) = set.split_by_time(mid);
         assert_eq!(train.len() + test.len(), set.len());
         assert!(train.times.iter().all(|&t| t < mid));
@@ -417,10 +428,7 @@ mod tests {
         for keep_every in [1, 2, 10] {
             let down = set.downsample_negatives(keep_every);
             let negatives = set.len() - set.positives();
-            assert_eq!(
-                down.len(),
-                set.positives() + negatives.div_ceil(keep_every)
-            );
+            assert_eq!(down.len(), set.positives() + negatives.div_ceil(keep_every));
         }
     }
 

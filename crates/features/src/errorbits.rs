@@ -149,7 +149,10 @@ pub struct CeBitProfile {
 
 impl CeBitProfile {
     /// Derives the profile of one transfer under the given device width.
-    pub fn of(transfer: &mfp_dram::bus::ErrorTransfer, width: mfp_dram::geometry::DataWidth) -> Self {
+    pub fn of(
+        transfer: &mfp_dram::bus::ErrorTransfer,
+        width: mfp_dram::geometry::DataWidth,
+    ) -> Self {
         let w = width.dq_per_device() as usize;
         let n_dev = width.devices_per_rank() as usize;
         // Stack scratch (a device mask has 32 bits): this runs once per
@@ -208,7 +211,10 @@ impl RollingMax {
     /// Panics (debug builds) if `v` has no live observation.
     pub fn remove(&mut self, v: u32) {
         let v = v as usize;
-        debug_assert!(self.counts.get(v).copied().unwrap_or(0) > 0, "removing absent value");
+        debug_assert!(
+            self.counts.get(v).copied().unwrap_or(0) > 0,
+            "removing absent value"
+        );
         self.counts[v] -= 1;
         while self.max > 0 && self.counts[self.max] == 0 {
             self.max -= 1;

@@ -54,25 +54,62 @@ pub const CUMULATIVE_FEATURES: [&str; 2] = ["ce_total", "days_since_first_ce"];
 pub fn feature_names() -> Vec<String> {
     let mut names: Vec<String> = vec![
         // Temporal CE statistics.
-        "ce_15m", "ce_1h", "ce_6h", "ce_1d", "ce_5d", "storms_1d", "storms_5d", "ce_total",
+        "ce_15m",
+        "ce_1h",
+        "ce_6h",
+        "ce_1d",
+        "ce_5d",
+        "storms_1d",
+        "storms_5d",
+        "ce_total",
         "ce_accel", // Recency.
-        "days_since_first_ce", "hours_since_last_ce",
+        "days_since_first_ce",
+        "hours_since_last_ce",
         // Spatial dispersion over the observation window.
-        "banks_5d", "rows_5d", "cols_5d", "cells_5d", "max_cell_repeat_5d",
+        "banks_5d",
+        "rows_5d",
+        "cols_5d",
+        "cells_5d",
+        "max_cell_repeat_5d",
         // Fault-mode flags over the whole history.
-        "fault_cell", "fault_column", "fault_row", "fault_bank", "fault_single_device",
+        "fault_cell",
+        "fault_column",
+        "fault_row",
+        "fault_bank",
+        "fault_single_device",
         "fault_multi_device",
         // Error-bit statistics over the observation window.
-        "eb_max_dq", "eb_mean_dq", "eb_max_beat", "eb_mean_beat", "eb_max_dq_interval",
-        "eb_max_beat_interval", "eb_max_bits", "eb_complex", "eb_interval4", "eb_wide_dq",
-        "eb_many_beat", "eb_max_devices", "eb_total_devices", "eb_complex_frac",
+        "eb_max_dq",
+        "eb_mean_dq",
+        "eb_max_beat",
+        "eb_mean_beat",
+        "eb_max_dq_interval",
+        "eb_max_beat_interval",
+        "eb_max_bits",
+        "eb_complex",
+        "eb_interval4",
+        "eb_wide_dq",
+        "eb_many_beat",
+        "eb_max_devices",
+        "eb_total_devices",
+        "eb_complex_frac",
         // Degradation trend: 1-day error-bit statistics and their ratio to
         // the full observation window (severity growth shows up here).
-        "eb1_max_bits", "eb1_mean_dq", "eb1_mean_beat", "eb1_complex", "eb1_interval4",
-        "eb1_wide_dq", "trend_bits", "trend_complex",
+        "eb1_max_bits",
+        "eb1_mean_dq",
+        "eb1_mean_beat",
+        "eb1_complex",
+        "eb1_interval4",
+        "eb1_wide_dq",
+        "trend_bits",
+        "trend_complex",
         // Accumulated (window-union) per-device error-bit geometry.
-        "ebu_dev_dq", "ebu_dev_beats", "ebu_dev_beat_interval", "ebu_dev_interval4",
-        "ebu_dev_dq_interval", "ebu_complex",
+        "ebu_dev_dq",
+        "ebu_dev_beats",
+        "ebu_dev_beat_interval",
+        "ebu_dev_interval4",
+        "ebu_dev_dq_interval",
+        "ebu_complex",
     ]
     .into_iter()
     .map(String::from)

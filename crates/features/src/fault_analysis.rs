@@ -57,8 +57,14 @@ pub struct ObservedFaults {
 
 impl ObservedFaults {
     /// Label names in Fig. 4 display order.
-    pub const LABELS: [&'static str; 6] =
-        ["cell", "column", "row", "bank", "single-device", "multi-device"];
+    pub const LABELS: [&'static str; 6] = [
+        "cell",
+        "column",
+        "row",
+        "bank",
+        "single-device",
+        "multi-device",
+    ];
 
     /// The labels as booleans, in [`Self::LABELS`] order.
     pub fn flags(&self) -> [bool; 6] {
@@ -194,20 +200,29 @@ impl RollingFaultClassifier {
         let th = self.th;
         self.events += 1;
 
-        let c = self.cells.entry((addr.rank, addr.bank, addr.row, addr.col)).or_insert(0);
+        let c = self
+            .cells
+            .entry((addr.rank, addr.bank, addr.row, addr.col))
+            .or_insert(0);
         *c += 1;
         if *c == th.cell_repeats {
             self.cell_hits += 1;
         }
 
-        let cols = self.row_cols.entry((addr.rank, addr.bank, addr.row)).or_default();
+        let cols = self
+            .row_cols
+            .entry((addr.rank, addr.bank, addr.row))
+            .or_default();
         let before = cols.len() as u32;
         *cols.entry(addr.col).or_insert(0) += 1;
         if before < th.row_distinct_cols && cols.len() as u32 >= th.row_distinct_cols {
             self.row_hits += 1;
         }
 
-        let rows = self.col_rows.entry((addr.rank, addr.bank, addr.col)).or_default();
+        let rows = self
+            .col_rows
+            .entry((addr.rank, addr.bank, addr.col))
+            .or_default();
         let before = rows.len() as u32;
         *rows.entry(addr.row).or_insert(0) += 1;
         if before < th.col_distinct_rows && rows.len() as u32 >= th.col_distinct_rows {
@@ -265,7 +280,10 @@ impl RollingFaultClassifier {
         }
 
         let col_key = (addr.rank, addr.bank, addr.col);
-        let rows = self.col_rows.get_mut(&col_key).expect("column state present");
+        let rows = self
+            .col_rows
+            .get_mut(&col_key)
+            .expect("column state present");
         let before = rows.len() as u32;
         let n = rows.get_mut(&addr.row).expect("row count present");
         *n -= 1;
@@ -386,15 +404,19 @@ mod tests {
 
     #[test]
     fn bank_fault_needs_rows_and_cols() {
-        let ces = [ce_at(1, 2, 1, 1, 0),
+        let ces = [
+            ce_at(1, 2, 1, 1, 0),
             ce_at(2, 2, 2, 2, 0),
-            ce_at(3, 2, 3, 3, 0)];
+            ce_at(3, 2, 3, 3, 0),
+        ];
         let f = classify_ces(ces.iter(), DataWidth::X4, &FaultThresholds::default());
         assert!(f.bank, "3 distinct rows x 3 distinct cols in one bank");
         // Same dispersion split across two banks is not a bank fault.
-        let ces2 = [ce_at(1, 2, 1, 1, 0),
+        let ces2 = [
+            ce_at(1, 2, 1, 1, 0),
             ce_at(2, 2, 2, 2, 0),
-            ce_at(3, 3, 3, 3, 0)];
+            ce_at(3, 3, 3, 3, 0),
+        ];
         let f2 = classify_ces(ces2.iter(), DataWidth::X4, &FaultThresholds::default());
         assert!(!f2.bank);
     }

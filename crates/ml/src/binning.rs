@@ -117,7 +117,12 @@ impl BinnedData {
                 codes[f * n + i] = binner.bin_value(f, row[f]);
             }
         }
-        BinnedData { binner, codes, n, d }
+        BinnedData {
+            binner,
+            codes,
+            n,
+            d,
+        }
     }
 
     /// Bin code of sample `i`, feature `f`.
@@ -166,7 +171,10 @@ mod tests {
         let mut vals: Vec<f32> = rows.iter().map(|r| r[0]).collect();
         vals.sort_by(|a, c| a.partial_cmp(c).unwrap());
         let bins: Vec<u8> = vals.iter().map(|&v| b.bin_value(0, v)).collect();
-        assert!(bins.windows(2).all(|w| w[0] <= w[1]), "bins must be monotone");
+        assert!(
+            bins.windows(2).all(|w| w[0] <= w[1]),
+            "bins must be monotone"
+        );
         assert!(*bins.last().unwrap() as usize >= 20, "should use many bins");
     }
 

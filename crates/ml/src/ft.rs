@@ -90,9 +90,11 @@ impl Block {
 
     fn backward(&mut self, dy: &Matrix) -> Matrix {
         // out = y + FFN(LN2(y))
-        let df = self
-            .ln2
-            .backward(&self.ff1.backward(&self.act.backward(&self.ff2.backward(dy))));
+        let df = self.ln2.backward(
+            &self
+                .ff1
+                .backward(&self.act.backward(&self.ff2.backward(dy))),
+        );
         let mut d_y = dy.clone();
         d_y.add_assign(&df);
         // y = x + Attn(LN1(x))
@@ -356,7 +358,12 @@ mod tests {
             let row: Vec<f32> = (0..4)
                 .map(|_| center + (rng.random::<f32>() - 0.5))
                 .collect();
-            s.push(row, y, DimmId::new(i as u32, 0), SimTime::from_secs(i as u64));
+            s.push(
+                row,
+                y,
+                DimmId::new(i as u32, 0),
+                SimTime::from_secs(i as u64),
+            );
         }
         s
     }

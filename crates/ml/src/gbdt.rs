@@ -105,7 +105,11 @@ impl RegTree {
             match &self.nodes[id] {
                 RegNode::Leaf { value } => return *value,
                 RegNode::Split {
-                    feature, cut, left, right, ..
+                    feature,
+                    cut,
+                    left,
+                    right,
+                    ..
                 } => {
                     id = if data.code(*feature as usize, i) <= *cut {
                         *left as usize
@@ -243,7 +247,11 @@ impl Gbdt {
                     let p = sigmoid(scores[i as usize]).clamp(1e-6, 1.0 - 1e-6);
                     let y = train.labels[i as usize];
                     let w = if y { pos_weight as f64 } else { 1.0 };
-                    loss -= w * if y { (p as f64).ln() } else { (1.0 - p as f64).ln() };
+                    loss -= w * if y {
+                        (p as f64).ln()
+                    } else {
+                        (1.0 - p as f64).ln()
+                    };
                 }
                 if loss + 1e-9 < best_valid {
                     best_valid = loss;
@@ -332,9 +340,15 @@ fn grow_tree(
             if leaf.indices.len() < 2 * params.min_samples_leaf {
                 continue;
             }
-            if let Some((f, cut, gain, gl, hl)) =
-                best_gain_split(data, grad, hess, &leaf.indices, leaf.sum_g, leaf.sum_h, params)
-            {
+            if let Some((f, cut, gain, gl, hl)) = best_gain_split(
+                data,
+                grad,
+                hess,
+                &leaf.indices,
+                leaf.sum_g,
+                leaf.sum_h,
+                params,
+            ) {
                 if best.is_none_or(|(_, _, _, g, _, _)| gain > g) {
                     best = Some((li, f, cut, gain, gl, hl));
                 }
@@ -426,8 +440,7 @@ fn best_gain_split(
             hl += h_hist[cut];
             cl += c_hist[cut];
             let cr = indices.len() as u32 - cl;
-            if (cl as usize) < params.min_samples_leaf || (cr as usize) < params.min_samples_leaf
-            {
+            if (cl as usize) < params.min_samples_leaf || (cr as usize) < params.min_samples_leaf {
                 continue;
             }
             let gr = sum_g - gl;

@@ -500,8 +500,7 @@ mod tests {
         assert_eq!(y_true, vec![true, true]);
         assert_eq!(y_pred, vec![false, true], "a hole must break the run");
         // An explicitly wider contiguity bound admits the 2-day step.
-        let (_, y_pred) =
-            dimm_level_vote_with_gap(&set, &scores, 0.5, 2, SimDuration::days(2));
+        let (_, y_pred) = dimm_level_vote_with_gap(&set, &scores, 0.5, 2, SimDuration::days(2));
         assert_eq!(y_pred, vec![true, true]);
         // The tuned threshold uses the same gap rule: only DIMM b can
         // satisfy votes=2, and 0.9 separates it perfectly.

@@ -162,7 +162,9 @@ impl Model {
                 let rows: Vec<&[f32]> = (0..set.len()).map(|i| set.row(i)).collect();
                 m.predict_proba_batch(&rows)
             }
-            _ => (0..set.len()).map(|i| self.predict_proba(set.row(i))).collect(),
+            _ => (0..set.len())
+                .map(|i| self.predict_proba(set.row(i)))
+                .collect(),
         };
         span.stop();
         mfp_obs::counter("ml_rows_scored", labels).add(scores.len() as u64);
@@ -190,7 +192,12 @@ mod tests {
             }
             let y = i % 3 == 0;
             row[idx] = if y { 5.0 } else { 0.0 };
-            s.push(row, y, DimmId::new(i as u32, 0), SimTime::from_secs(i as u64));
+            s.push(
+                row,
+                y,
+                DimmId::new(i as u32, 0),
+                SimTime::from_secs(i as u64),
+            );
         }
         s
     }

@@ -9,8 +9,8 @@
 //! notes there is *no* dedicated predictor for Whitley or the K920 (the
 //! `X` entries in Table II).
 
-use mfp_features::extract::feature_names;
 use mfp_features::dataset::SampleSet;
+use mfp_features::extract::feature_names;
 
 /// Rule thresholds of the risky-pattern indicator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,7 +82,9 @@ impl RiskyCePattern {
 
     /// Scores a whole sample set.
     pub fn predict_set(&self, set: &SampleSet) -> Vec<f32> {
-        (0..set.len()).map(|i| self.predict_proba(set.row(i))).collect()
+        (0..set.len())
+            .map(|i| self.predict_proba(set.row(i)))
+            .collect()
     }
 }
 

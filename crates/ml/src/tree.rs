@@ -105,8 +105,7 @@ impl DecisionTree {
             return node_id;
         }
 
-        let Some((feature, cut, gain)) = best_gini_split(data, labels, indices, params, rng)
-        else {
+        let Some((feature, cut, gain)) = best_gini_split(data, labels, indices, params, rng) else {
             self.nodes.push(Node::Leaf { prob });
             return node_id;
         };
@@ -197,20 +196,19 @@ fn best_gini_split(
     let total_pos = indices.iter().filter(|&&i| labels[i as usize]).count() as f64;
     let parent_gini = gini(total_pos, n);
 
-    let features: Vec<usize> = if params.feature_subsample == 0
-        || params.feature_subsample >= data.d
-    {
-        (0..data.d).collect()
-    } else {
-        // Sample without replacement.
-        let mut all: Vec<usize> = (0..data.d).collect();
-        for k in 0..params.feature_subsample {
-            let j = rng.random_range(k..all.len());
-            all.swap(k, j);
-        }
-        all.truncate(params.feature_subsample);
-        all
-    };
+    let features: Vec<usize> =
+        if params.feature_subsample == 0 || params.feature_subsample >= data.d {
+            (0..data.d).collect()
+        } else {
+            // Sample without replacement.
+            let mut all: Vec<usize> = (0..data.d).collect();
+            for k in 0..params.feature_subsample {
+                let j = rng.random_range(k..all.len());
+                all.swap(k, j);
+            }
+            all.truncate(params.feature_subsample);
+            all
+        };
 
     let mut best: Option<(u16, u8, f64)> = None;
     let mut count_hist = [0u32; 256];
@@ -233,9 +231,7 @@ fn best_gini_split(
             left_n += count_hist[cut] as f64;
             left_pos += pos_hist[cut] as f64;
             let right_n = n - left_n;
-            if left_n < params.min_samples_leaf as f64
-                || right_n < params.min_samples_leaf as f64
-            {
+            if left_n < params.min_samples_leaf as f64 || right_n < params.min_samples_leaf as f64 {
                 continue;
             }
             let right_pos = total_pos - left_pos;
@@ -273,7 +269,12 @@ mod tests {
         let mut s = SampleSet::new();
         s.schema = (0..rows[0].0.len()).map(|i| format!("f{i}")).collect();
         for (i, (row, y)) in rows.into_iter().enumerate() {
-            s.push(row, y, DimmId::new(i as u32, 0), SimTime::from_secs(i as u64));
+            s.push(
+                row,
+                y,
+                DimmId::new(i as u32, 0),
+                SimTime::from_secs(i as u64),
+            );
         }
         s
     }
@@ -320,7 +321,13 @@ mod tests {
         let data = BinnedData::from_samples(&set, 8);
         let indices: Vec<u32> = (0..3).collect();
         let mut rng = StdRng::seed_from_u64(2);
-        let tree = DecisionTree::fit(&data, &set.labels, &indices, &TreeParams::default(), &mut rng);
+        let tree = DecisionTree::fit(
+            &data,
+            &set.labels,
+            &indices,
+            &TreeParams::default(),
+            &mut rng,
+        );
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.predict_proba(&[9.0, 9.0]), 0.0);
     }
@@ -371,7 +378,13 @@ mod tests {
         let data = BinnedData::from_samples(&set, 16);
         let indices: Vec<u32> = (0..set.len() as u32).collect();
         let mut rng = StdRng::seed_from_u64(5);
-        let tree = DecisionTree::fit(&data, &set.labels, &indices, &TreeParams::default(), &mut rng);
+        let tree = DecisionTree::fit(
+            &data,
+            &set.labels,
+            &indices,
+            &TreeParams::default(),
+            &mut rng,
+        );
         assert_eq!(tree.predict_proba(&[0.0, 3.0]), 0.0);
         assert_eq!(tree.predict_proba(&[1.0, 3.0]), 1.0);
     }

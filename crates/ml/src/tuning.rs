@@ -156,7 +156,11 @@ mod tests {
         for w in results.windows(2) {
             assert!(w[0].evaluation.f1 >= w[1].evaluation.f1);
         }
-        assert!(results[0].evaluation.f1 > 0.5, "{}", results[0].evaluation.f1);
+        assert!(
+            results[0].evaluation.f1 > 0.5,
+            "{}",
+            results[0].evaluation.f1
+        );
     }
 
     #[test]

@@ -56,10 +56,7 @@ fn seal(mut buf: Vec<u8>) -> Vec<u8> {
 /// between the 5-byte header and the 4-byte checksum along with the
 /// envelope's version, so decoders can accept the historical formats in
 /// `MIN_VERSION..=VERSION`.
-fn verify_envelope<'a>(
-    data: &'a [u8],
-    magic: &[u8; 4],
-) -> Result<(&'a [u8], u8), CheckpointError> {
+fn verify_envelope<'a>(data: &'a [u8], magic: &[u8; 4]) -> Result<(&'a [u8], u8), CheckpointError> {
     let mut c = Cursor { data };
     if c.bytes(4)? != magic {
         return Err(CheckpointError::BadMagic);
@@ -902,7 +899,9 @@ mod tests {
         assert_eq!(resumed.scored(), reference.scored());
 
         let s3 = store();
-        let mut traced = OnlineCheckpoint::decode(&v3).unwrap().restore(&lake, &s3, &registry);
+        let mut traced = OnlineCheckpoint::decode(&v3)
+            .unwrap()
+            .restore(&lake, &s3, &registry);
         for e in &events[cut..] {
             traced.observe(e);
         }

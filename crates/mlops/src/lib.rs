@@ -74,14 +74,14 @@ pub mod prelude {
     pub use crate::mitigation::{evaluate_mitigation, MitigationConfig, MitigationReport};
     pub use crate::monitor::{Dashboard, FeedbackLoop, MetricValue, RetrainPolicy};
     pub use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
+    pub use crate::procserve::{
+        shard_worker_main, ModelSpec, ProcConfig, ProcError, ProcOutcome, ProcReport,
+        ProcSupervisor, WorkerCommand, WorkerSpec, WORKER_ENV,
+    };
     pub use crate::registry::{ModelEntry, ModelRegistry, Stage};
     pub use crate::serve::{
         make_stores, serve_pipeline, shard_of, shard_route, ServeConfig, ServeError, ServeOutcome,
         ServeStats, ShardServeStats, ShardedOnline,
-    };
-    pub use crate::procserve::{
-        shard_worker_main, ModelSpec, ProcConfig, ProcError, ProcOutcome, ProcReport,
-        ProcSupervisor, WorkerCommand, WorkerSpec, WORKER_ENV,
     };
     pub use crate::supervise::{
         ChaosEvent, ChaosKind, ChaosPlan, SuperviseConfig, SupervisedOutcome, Supervisor,

@@ -533,7 +533,11 @@ impl WorkerSpec {
         for (id, spec) in &self.catalog {
             buf.extend_from_slice(&id.server.0.to_be_bytes());
             buf.push(id.slot);
-            buf.push(enum_idx(&Manufacturer::ALL, spec.manufacturer, "manufacturer")?);
+            buf.push(enum_idx(
+                &Manufacturer::ALL,
+                spec.manufacturer,
+                "manufacturer",
+            )?);
             buf.push(match spec.width {
                 DataWidth::X4 => 0,
                 DataWidth::X8 => 1,
@@ -1244,9 +1248,7 @@ enum PSlot {
 
 /// Drains a worker's stdout on a thread, decoding frames into messages.
 /// Channel disconnect doubles as the death signal.
-fn spawn_reader(
-    mut stdout: ChildStdout,
-) -> (Receiver<Result<Msg, ProcError>>, JoinHandle<()>) {
+fn spawn_reader(mut stdout: ChildStdout) -> (Receiver<Result<Msg, ProcError>>, JoinHandle<()>) {
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
         let mut reader = FrameReader::new();
@@ -1380,7 +1382,10 @@ impl ProcSupervisor {
 
     /// Waits for the worker's next message under the ack deadline.
     fn recv(&self, w: &WorkerHandle) -> RecvOutcome {
-        match w.rx.recv_timeout(Duration::from_millis(self.cfg.ack_timeout_ms)) {
+        match w
+            .rx
+            .recv_timeout(Duration::from_millis(self.cfg.ack_timeout_ms))
+        {
             Ok(Ok(m)) => RecvOutcome::Msg(m),
             Ok(Err(_)) => RecvOutcome::Died,
             Err(RecvTimeoutError::Disconnected) => RecvOutcome::Died,
@@ -1506,7 +1511,8 @@ impl ProcSupervisor {
             PSlot::Failed
         } else {
             PSlot::Down {
-                until: now + bounded_backoff(self.cfg.backoff_base, self.cfg.backoff_cap, ctl.restarts),
+                until: now
+                    + bounded_backoff(self.cfg.backoff_base, self.cfg.backoff_cap, ctl.restarts),
             }
         }
     }
@@ -1862,24 +1868,14 @@ impl ProcSupervisor {
                                             results[s] = None;
                                             any_crash = true;
                                             self.reap(w, &mut report);
-                                            self.schedule_restart(
-                                                s,
-                                                now,
-                                                &mut ctl[s],
-                                                &mut report,
-                                            )
+                                            self.schedule_restart(s, now, &mut ctl[s], &mut report)
                                         }
                                         RecvOutcome::TimedOut => {
                                             results[s] = None;
                                             any_crash = true;
                                             report.heartbeat_misses += 1;
                                             self.reap(w, &mut report);
-                                            self.schedule_restart(
-                                                s,
-                                                now,
-                                                &mut ctl[s],
-                                                &mut report,
-                                            )
+                                            self.schedule_restart(s, now, &mut ctl[s], &mut report)
                                         }
                                     }
                                 }
@@ -2317,7 +2313,10 @@ mod tests {
                 assert_eq!(out.scores, ref_scores, "shards={shards} seed={seed}");
                 assert_eq!(out.scored, ref_scored, "shards={shards} seed={seed}");
                 assert_eq!(out.live_shards, shards);
-                assert!(out.report.quarantined.is_empty(), "seeded plans are transient");
+                assert!(
+                    out.report.quarantined.is_empty(),
+                    "seeded plans are transient"
+                );
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
@@ -2352,7 +2351,11 @@ mod tests {
         let sup = proc_sup(&dir, 2, ProcConfig::default());
         let out = sup.run(&outs, END, &plan).unwrap();
         assert_eq!(out.report.kills_injected, 1, "{:?}", out.report);
-        assert!(out.report.sigkills >= 2, "kill + hung reap: {:?}", out.report);
+        assert!(
+            out.report.sigkills >= 2,
+            "kill + hung reap: {:?}",
+            out.report
+        );
         assert_eq!(out.report.hangs_detected, 1, "{:?}", out.report);
         assert!(out.report.heartbeat_misses >= 1, "{:?}", out.report);
         assert!(out.report.panics_caught >= 1, "{:?}", out.report);
@@ -2441,7 +2444,10 @@ mod tests {
         let out = sup.run(&outs, END, &plan).unwrap();
         assert_eq!(out.report.failed_shards, vec![poisoned_shard]);
         assert_eq!(out.live_shards, 1);
-        assert_eq!(out.alarms, ref_alarms, "degraded merge == live-shard oracle");
+        assert_eq!(
+            out.alarms, ref_alarms,
+            "degraded merge == live-shard oracle"
+        );
         assert_eq!(out.scores, ref_scores);
         assert_eq!(out.scored, ref_scored);
 

@@ -61,7 +61,10 @@ impl Registry {
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey::new(name, labels);
         let mut slots = self.slots.lock().expect("metric registry lock");
-        match slots.entry(key).or_insert_with(|| Slot::Counter(Counter::new())) {
+        match slots
+            .entry(key)
+            .or_insert_with(|| Slot::Counter(Counter::new()))
+        {
             Slot::Counter(c) => c.clone(),
             _ => panic!("metric {name:?} already registered with another type"),
         }
@@ -75,7 +78,10 @@ impl Registry {
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = MetricKey::new(name, labels);
         let mut slots = self.slots.lock().expect("metric registry lock");
-        match slots.entry(key).or_insert_with(|| Slot::Gauge(Gauge::new())) {
+        match slots
+            .entry(key)
+            .or_insert_with(|| Slot::Gauge(Gauge::new()))
+        {
             Slot::Gauge(g) => g.clone(),
             _ => panic!("metric {name:?} already registered with another type"),
         }

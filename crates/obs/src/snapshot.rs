@@ -163,10 +163,18 @@ impl Snapshot {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for c in &self.counters {
-            out.push_str(&format!("{:<56} {}\n", series_name(&c.name, &c.labels), c.value));
+            out.push_str(&format!(
+                "{:<56} {}\n",
+                series_name(&c.name, &c.labels),
+                c.value
+            ));
         }
         for g in &self.gauges {
-            out.push_str(&format!("{:<56} {:.4}\n", series_name(&g.name, &g.labels), g.value));
+            out.push_str(&format!(
+                "{:<56} {:.4}\n",
+                series_name(&g.name, &g.labels),
+                g.value
+            ));
         }
         for h in &self.histograms {
             out.push_str(&format!(

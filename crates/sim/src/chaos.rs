@@ -364,9 +364,7 @@ mod tests {
     #[test]
     fn hostile_applies_every_failure_mode() {
         // 90 days of events so burst windows (30d period) are hit.
-        let clean: Vec<MemEvent> = (0..3000)
-            .map(|k| ce(k * 2600, (k % 7) as u32))
-            .collect();
+        let clean: Vec<MemEvent> = (0..3000).map(|k| ce(k * 2600, (k % 7) as u32)).collect();
         let (out, stats) = inject_chaos(&clean, &ChaosConfig::hostile(1));
         assert!(stats.dropped > 0);
         assert!(stats.burst_dropped > 0);
@@ -422,10 +420,7 @@ mod tests {
         };
         let (out, stats) = inject_chaos(&clean, &cfg);
         assert_eq!(stats.skewed, 400);
-        let regressed = out
-            .windows(2)
-            .filter(|w| w[1].time() < w[0].time())
-            .count();
+        let regressed = out.windows(2).filter(|w| w[1].time() < w[0].time()).count();
         assert!(regressed > 0, "large skew must produce regressions");
     }
 }

@@ -140,13 +140,10 @@ pub fn simulate_dimm_ras(
                 // `checked_duration_since` would panic on a regressed
                 // clock; saturate instead so a skewed record can never
                 // abort the run.
-                while recent_ces
-                    .front()
-                    .is_some_and(|&t0| {
-                        t.checked_duration_since(t0)
-                            .is_some_and(|d| d.as_secs() > 60)
-                    })
-                {
+                while recent_ces.front().is_some_and(|&t0| {
+                    t.checked_duration_since(t0)
+                        .is_some_and(|d| d.as_secs() > 60)
+                }) {
                     recent_ces.pop_front();
                 }
                 recent_ces.push_back(t);

@@ -377,7 +377,11 @@ fn simulate_dimm_events(
 ///
 /// Returns the sorted index and the largest bucket population (queue
 /// depth telemetry).
-fn build_index(streams: &StreamTable, buf: &EventBuf, horizon_secs: u64) -> (Vec<(u32, u32, u32)>, usize) {
+fn build_index(
+    streams: &StreamTable,
+    buf: &EventBuf,
+    horizon_secs: u64,
+) -> (Vec<(u32, u32, u32)>, usize) {
     let nb = (horizon_secs / BUCKET_SECS) as usize + 2;
     let mut counts = vec![0u32; nb];
     for si in 0..streams.dimm.len() {
@@ -471,8 +475,7 @@ fn simulate_event_shard(
     let wall_secs = started.elapsed().as_secs_f64();
 
     let shard_label = shard.to_string();
-    mfp_obs::counter("sim_event_shard_events", &[("shard", &shard_label)])
-        .add(index.len() as u64);
+    mfp_obs::counter("sim_event_shard_events", &[("shard", &shard_label)]).add(index.len() as u64);
     mfp_obs::counter("sim_event_transitions", &[]).add(transitions);
     mfp_obs::counter("sim_event_skipped_post_ue", &[]).add(skipped_post_ue);
     mfp_obs::counter("sim_event_quiet_dimms", &[]).add(quiet);
@@ -561,7 +564,9 @@ impl EventFleet {
 
     /// The fleet's DIMM catalog, known before any event is simulated.
     pub fn catalog(&self) -> impl Iterator<Item = (DimmId, Platform, DimmSpec)> + '_ {
-        self.plans.iter().map(|(p, plan, _)| (plan.id, *p, plan.spec))
+        self.plans
+            .iter()
+            .map(|(p, plan, _)| (plan.id, *p, plan.spec))
     }
 
     /// Simulates the fleet event-driven on `scfg.workers` threads across
@@ -572,7 +577,11 @@ impl EventFleet {
     /// [`simulate_fleet`](crate::fleet::simulate_fleet) and to
     /// [`ShardedFleet::run_stream`](crate::sharded::ShardedFleet::run_stream)
     /// for the same `FleetConfig`, whatever the shard and worker counts.
-    pub fn run_stream<F: FnMut(MemEvent)>(&self, scfg: &ShardConfig, mut sink: F) -> ShardedOutcome {
+    pub fn run_stream<F: FnMut(MemEvent)>(
+        &self,
+        scfg: &ShardConfig,
+        mut sink: F,
+    ) -> ShardedOutcome {
         let span = mfp_obs::latency("sim_event_seconds", &[]).time();
         assert!(
             self.cfg.horizon.as_secs() <= u64::from(u32::MAX),
@@ -616,14 +625,8 @@ impl EventFleet {
                         if i >= slices.len() {
                             break;
                         }
-                        let out = simulate_event_shard(
-                            i,
-                            slices[i],
-                            cfg,
-                            storm,
-                            &mut memo,
-                            &mut scratch,
-                        );
+                        let out =
+                            simulate_event_shard(i, slices[i], cfg, storm, &mut memo, &mut scratch);
                         depth_gauge.set(queued.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
                         if tx.send(out).is_err() {
                             break;
@@ -777,9 +780,7 @@ mod tests {
         assert!(got.dimms.is_empty());
         let fleet = EventFleet::plan(&cfg);
         assert_eq!(fleet.dimm_count(), 0);
-        let outcome = fleet.run_stream(&ShardConfig::new(4, 2), |_| {
-            panic!("no events expected")
-        });
+        let outcome = fleet.run_stream(&ShardConfig::new(4, 2), |_| panic!("no events expected"));
         assert_eq!(outcome.stats.merged_events, 0);
     }
 
@@ -821,7 +822,10 @@ mod tests {
         let mut last: Option<(SimTime, DimmId)> = None;
         let outcome = fleet.run_stream(&ShardConfig::new(4, 2), |e| {
             if let Some((t, d)) = last {
-                assert!((t, d) <= (e.time(), e.dimm()), "merge key must be non-decreasing");
+                assert!(
+                    (t, d) <= (e.time(), e.dimm()),
+                    "merge key must be non-decreasing"
+                );
             }
             last = Some((e.time(), e.dimm()));
             n += 1;
@@ -829,11 +833,21 @@ mod tests {
         assert_eq!(outcome.stats.merged_events, n);
         assert_eq!(outcome.dimms.len(), catalog.len());
         assert_eq!(
-            outcome.stats.per_shard.iter().map(|s| s.events).sum::<u64>(),
+            outcome
+                .stats
+                .per_shard
+                .iter()
+                .map(|s| s.events)
+                .sum::<u64>(),
             n
         );
         assert_eq!(
-            outcome.stats.per_shard.iter().map(|s| s.dimms).sum::<usize>(),
+            outcome
+                .stats
+                .per_shard
+                .iter()
+                .map(|s| s.dimms)
+                .sum::<usize>(),
             fleet.dimm_count()
         );
     }
@@ -905,7 +919,10 @@ mod tests {
             })
             .collect();
         assert_eq!(events, log.events());
-        assert!(!events.is_empty(), "the pre-horizon second must produce events");
+        assert!(
+            !events.is_empty(),
+            "the pre-horizon second must produce events"
+        );
         let end = SimTime::ZERO + horizon;
         assert!(
             events.iter().all(|e| e.time() < end),
@@ -925,10 +942,9 @@ mod tests {
         assert!(snap.counter("sim_event_events_merged") > 0);
         assert!(snap.counter("sim_event_transitions") > 0);
         assert!(snap.counter("sim_event_quiet_dimms") > 0);
-        assert!(
-            snap.counter_labeled("sim_event_shard_events", &[("shard", "0")])
-                .is_some()
-        );
+        assert!(snap
+            .counter_labeled("sim_event_shard_events", &[("shard", "0")])
+            .is_some());
     }
 
     #[test]

@@ -258,12 +258,9 @@ impl Fault {
     pub fn sample_addr(&self, geom: &DeviceGeometry, rng: &mut StdRng) -> CellAddr {
         match self.region {
             Region::Cell { addr } => addr,
-            Region::Row { rank, bank, row } => CellAddr::new(
-                rank,
-                bank,
-                row,
-                rng.random_range(0..geom.cols() as u16),
-            ),
+            Region::Row { rank, bank, row } => {
+                CellAddr::new(rank, bank, row, rng.random_range(0..geom.cols() as u16))
+            }
             Region::Column { rank, bank, col } => {
                 CellAddr::new(rank, bank, rng.random_range(0..geom.rows()), col)
             }
@@ -408,12 +405,8 @@ mod tests {
             .sum();
         let late: u32 = (0..200)
             .map(|_| {
-                f.sample_transfer(
-                    SimTime::ZERO + SimDuration::days(35),
-                    DataWidth::X4,
-                    &mut r,
-                )
-                .bit_count()
+                f.sample_transfer(SimTime::ZERO + SimDuration::days(35), DataWidth::X4, &mut r)
+                    .bit_count()
             })
             .sum();
         assert!(
@@ -474,11 +467,7 @@ mod tests {
 
     #[test]
     fn mode_hit_rates_ordered_by_footprint() {
-        assert!(
-            FaultMode::Cell.base_hit_rate_per_day() < FaultMode::Row.base_hit_rate_per_day()
-        );
-        assert!(
-            FaultMode::Row.base_hit_rate_per_day() < FaultMode::Device.base_hit_rate_per_day()
-        );
+        assert!(FaultMode::Cell.base_hit_rate_per_day() < FaultMode::Row.base_hit_rate_per_day());
+        assert!(FaultMode::Row.base_hit_rate_per_day() < FaultMode::Device.base_hit_rate_per_day());
     }
 }

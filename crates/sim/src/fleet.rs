@@ -82,9 +82,7 @@ pub(crate) fn plan_fleet(cfg: &FleetConfig) -> Vec<PlannedDimm> {
     let mut tagged: Vec<PlannedDimm> = Vec::new();
     let mut base_server = 0u32;
     for (pi, pc) in cfg.platforms.iter().enumerate() {
-        let mut gen_rng = StdRng::seed_from_u64(splitmix64(
-            cfg.seed ^ (0xA11C_E000 + pi as u64),
-        ));
+        let mut gen_rng = StdRng::seed_from_u64(splitmix64(cfg.seed ^ (0xA11C_E000 + pi as u64)));
         let plans = generate_plans(pc, cfg.horizon, base_server, &mut gen_rng);
         base_server += plans.len() as u32 + 1000;
         for (di, plan) in plans.into_iter().enumerate() {
@@ -226,7 +224,11 @@ mod tests {
         let capped = mfp_obs::with_registry(&reg, || simulate_fleet(&cfg));
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("sim_fleet_workers"), Some(1.0));
-        if std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4) > 1 {
+        if std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            > 1
+        {
             assert!(snap.counter("sim_fleet_workers_capped") > capped_before);
         }
         // The cap is an execution detail: output is unchanged.
@@ -291,10 +293,7 @@ mod tests {
     fn all_platforms_present_in_log() {
         let r = simulate_fleet(&FleetConfig::smoke(3));
         for p in Platform::ALL {
-            assert!(
-                r.platform_dimms(p).count() > 0,
-                "{p} missing from fleet"
-            );
+            assert!(r.platform_dimms(p).count() > 0, "{p} missing from fleet");
         }
     }
 }

@@ -25,21 +25,13 @@ pub struct DimmPlan {
 
 /// Samples the static spec of a DIMM.
 pub fn sample_spec(cfg: &PlatformConfig, rng: &mut StdRng) -> DimmSpec {
-    let manufacturer = *weighted_choice(
-        &Manufacturer::ALL,
-        &[0.30, 0.25, 0.20, 0.15, 0.10],
-        rng,
-    );
+    let manufacturer = *weighted_choice(&Manufacturer::ALL, &[0.30, 0.25, 0.20, 0.15, 0.10], rng);
     let width = if rng.random::<f64>() < cfg.x8_fraction {
         DataWidth::X8
     } else {
         DataWidth::X4
     };
-    let frequency = *weighted_choice(
-        &Frequency::ALL,
-        &[0.05, 0.15, 0.35, 0.30, 0.15],
-        rng,
-    );
+    let frequency = *weighted_choice(&Frequency::ALL, &[0.05, 0.15, 0.35, 0.30, 0.15], rng);
     let process = *weighted_choice(&DieProcess::ALL, &[0.25, 0.45, 0.30], rng);
     let capacity = *weighted_choice(&[16u16, 32, 64], &[0.30, 0.50, 0.20], rng);
     DimmSpec::new(manufacturer, width, frequency, process, capacity)
@@ -306,25 +298,23 @@ pub fn sample_degrading_fault(
     }
 
     let spread = if rng.random::<f64>() < d.spread_prob {
-        profile
-            .days_to_reach(d.spread_severity)
-            .map(|days| {
-                let onset_spread = onset + SimDuration::secs((days * 86_400.0) as u64);
-                let devices = spec.width.devices_per_rank();
-                let mut other = rng.random_range(0..devices);
-                if other == device {
-                    other = (other + 1) % devices;
-                }
-                Spread {
-                    device: other,
-                    onset: onset_spread,
-                    profile: SeverityProfile::degrading(
-                        d.base_severity,
-                        (tau / 2.0).max(1.0),
-                        d.max_severity,
-                    ),
-                }
-            })
+        profile.days_to_reach(d.spread_severity).map(|days| {
+            let onset_spread = onset + SimDuration::secs((days * 86_400.0) as u64);
+            let devices = spec.width.devices_per_rank();
+            let mut other = rng.random_range(0..devices);
+            if other == device {
+                other = (other + 1) % devices;
+            }
+            Spread {
+                device: other,
+                onset: onset_spread,
+                profile: SeverityProfile::degrading(
+                    d.base_severity,
+                    (tau / 2.0).max(1.0),
+                    d.max_severity,
+                ),
+            }
+        })
     } else {
         None
     };
@@ -565,8 +555,10 @@ mod tests {
     #[test]
     fn poisson_mean_roughly_matches() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mean: f64 =
-            (0..5000).map(|_| sample_poisson(0.25, &mut rng) as f64).sum::<f64>() / 5000.0;
+        let mean: f64 = (0..5000)
+            .map(|_| sample_poisson(0.25, &mut rng) as f64)
+            .sum::<f64>()
+            / 5000.0;
         assert!((mean - 0.25).abs() < 0.05, "mean={mean}");
     }
 

@@ -52,7 +52,6 @@ pub mod prelude {
     pub use crate::gen::DimmPlan;
     pub use crate::ras::{AdddcPolicy, AdddcState, RasAction, RasPolicy, RasReport, RasState};
     pub use crate::sharded::{
-        simulate_fleet_sharded, ShardConfig, ShardStats, ShardedFleet, ShardedOutcome,
-        ShardedStats,
+        simulate_fleet_sharded, ShardConfig, ShardStats, ShardedFleet, ShardedOutcome, ShardedStats,
     };
 }

@@ -189,12 +189,19 @@ impl RasState {
     /// Whether a mitigation kills `fault` outright: only faults confined to
     /// the affected row disappear — column/bank/device faults keep erring
     /// through other rows (the paper's point about limited applicability).
-    pub fn fault_is_mitigated(&mut self, fault: &Fault, action: RasAction, addr: &CellAddr) -> bool {
+    pub fn fault_is_mitigated(
+        &mut self,
+        fault: &Fault,
+        action: RasAction,
+        addr: &CellAddr,
+    ) -> bool {
         if action == RasAction::None {
             return false;
         }
         let confined = match fault.region {
-            Region::Cell { addr: a } => a.rank == addr.rank && a.bank == addr.bank && a.row == addr.row,
+            Region::Cell { addr: a } => {
+                a.rank == addr.rank && a.bank == addr.bank && a.row == addr.row
+            }
             Region::Row { rank, bank, row } => {
                 rank == addr.rank && bank == addr.bank && row == addr.row
             }

@@ -212,7 +212,9 @@ impl ShardedFleet {
     /// The fleet's DIMM catalog, known before any event is simulated —
     /// callers use this to pre-register DIMMs with downstream stores.
     pub fn catalog(&self) -> impl Iterator<Item = (DimmId, Platform, DimmSpec)> + '_ {
-        self.plans.iter().map(|(p, plan, _)| (plan.id, *p, plan.spec))
+        self.plans
+            .iter()
+            .map(|(p, plan, _)| (plan.id, *p, plan.spec))
     }
 
     /// Simulates the fleet on `scfg.workers` threads across `scfg.shards`
@@ -222,7 +224,11 @@ impl ShardedFleet {
     /// The stream is bit-identical to
     /// [`simulate_fleet`](crate::fleet::simulate_fleet) for the same
     /// `FleetConfig`, whatever the shard and worker counts.
-    pub fn run_stream<F: FnMut(MemEvent)>(&self, scfg: &ShardConfig, mut sink: F) -> ShardedOutcome {
+    pub fn run_stream<F: FnMut(MemEvent)>(
+        &self,
+        scfg: &ShardConfig,
+        mut sink: F,
+    ) -> ShardedOutcome {
         let span = mfp_obs::latency("sim_sharded_seconds", &[]).time();
         let shards = scfg.shards.max(1);
         let workers = scfg.workers.max(1);
@@ -361,15 +367,7 @@ fn simulate_shard(
             .expect("platform ecc")
             .1;
         let mut rng = StdRng::seed_from_u64(*seed);
-        let outcome = simulate_dimm_ras(
-            plan,
-            ecc,
-            cfg.horizon,
-            storm,
-            cfg.ras,
-            &mut log,
-            &mut rng,
-        );
+        let outcome = simulate_dimm_ras(plan, ecc, cfg.horizon, storm, cfg.ras, &mut log, &mut rng);
         truths.push(DimmTruth {
             id: plan.id,
             platform: *platform,
@@ -386,8 +384,7 @@ fn simulate_shard(
     let wall_secs = started.elapsed().as_secs_f64();
 
     let shard_label = shard.to_string();
-    mfp_obs::counter("sim_shard_events", &[("shard", &shard_label)])
-        .add(events.len() as u64);
+    mfp_obs::counter("sim_shard_events", &[("shard", &shard_label)]).add(events.len() as u64);
     mfp_obs::latency("sim_shard_seconds", &[]).record(wall_secs);
     let stats = ShardStats {
         shard,
@@ -543,9 +540,8 @@ mod tests {
         assert!(snap.counter("sim_sharded_events_merged") > 0);
         // Per-shard series merge into one logical counter in the snapshot.
         assert!(snap.counter("sim_shard_events") > 0);
-        assert!(
-            snap.counter_labeled("sim_shard_events", &[("shard", "0")])
-                .is_some()
-        );
+        assert!(snap
+            .counter_labeled("sim_shard_events", &[("shard", "0")])
+            .is_some());
     }
 }

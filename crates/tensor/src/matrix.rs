@@ -54,7 +54,11 @@ impl Matrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        Matrix { rows: r, cols: c, data }
+        Matrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// The identity matrix.

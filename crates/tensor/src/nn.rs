@@ -347,7 +347,10 @@ impl MultiHeadAttention {
     ///
     /// Panics unless `dim % heads == 0`.
     pub fn new(dim: usize, heads: usize, seq_len: usize, seed: u64) -> Self {
-        assert!(dim.is_multiple_of(heads), "dim must divide evenly across heads");
+        assert!(
+            dim.is_multiple_of(heads),
+            "dim must divide evenly across heads"
+        );
         MultiHeadAttention {
             wq: Linear::new(dim, dim, seed ^ 0x51),
             wk: Linear::new(dim, dim, seed ^ 0x52),
@@ -512,11 +515,7 @@ mod tests {
     /// Finite-difference gradient check helper: perturbs `get/set` scalar
     /// access and compares the analytic input gradient on loss
     /// `L = sum(y ⊙ r)`.
-    fn num_grad(
-        mut f: impl FnMut(&Matrix) -> Matrix,
-        x: &Matrix,
-        r_weights: &Matrix,
-    ) -> Matrix {
+    fn num_grad(mut f: impl FnMut(&Matrix) -> Matrix, x: &Matrix, r_weights: &Matrix) -> Matrix {
         let eps = 1e-3;
         let mut g = Matrix::zeros(x.rows(), x.cols());
         for i in 0..x.rows() {

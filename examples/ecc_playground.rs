@@ -44,7 +44,10 @@ fn main() {
         &device_pattern(5, &[(1, 0), (5, 1)]),
     );
     let whole_device: Vec<(u8, u8)> = (0..8).flat_map(|b| (0..4).map(move |q| (b, q))).collect();
-    show("whole-device failure (chipkill case)", &device_pattern(5, &whole_device));
+    show(
+        "whole-device failure (chipkill case)",
+        &device_pattern(5, &whole_device),
+    );
 
     let mut two_devices = device_pattern(3, &[(2, 0), (2, 1)]);
     two_devices.set(2, 9 * 4);

@@ -43,7 +43,11 @@ fn main() {
         }
         let res = evaluate_algorithm(algo, &splits, platform, &cfg);
         let e = &res.evaluation;
-        let note = if res.reported_in_paper { "" } else { "  (X in paper)" };
+        let note = if res.reported_in_paper {
+            ""
+        } else {
+            "  (X in paper)"
+        };
         println!(
             "{:<22} {:>9.2} {:>7.2} {:>6.2} {:>6.2}{note}",
             algo.label(),

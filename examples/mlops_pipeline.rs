@@ -7,10 +7,10 @@
 
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::{SimDuration, SimTime};
-use mfp_ml::model::Algorithm;
-use mfp_mlops::prelude::*;
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
+use mfp_ml::model::Algorithm;
+use mfp_mlops::prelude::*;
 use mfp_sim::config::FleetConfig;
 use mfp_sim::fleet::simulate_fleet;
 use std::collections::BTreeMap;
@@ -44,10 +44,20 @@ fn main() {
     // ---- Feature store: catalog + batch materialization. ----------------
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
     for view in store.views() {
-        eprintln!("feature view {} v{} ({} features)", view.name, view.version, view.schema.len());
+        eprintln!(
+            "feature view {} v{} ({} features)",
+            view.name,
+            view.version,
+            view.schema.len()
+        );
     }
     let train = store
-        .materialize(&lake, platform, SimTime::ZERO, SimTime::ZERO + SimDuration::days(105))
+        .materialize(
+            &lake,
+            platform,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::days(105),
+        )
         .downsample_negatives(8);
     let benchmark = store.materialize(
         &lake,
@@ -102,13 +112,8 @@ fn main() {
     // ---- Online prediction over the live stream. -------------------------
     eprintln!("streaming {} live events...", live.len());
     let feedback = FeedbackLoop::new();
-    let mut predictor = OnlinePredictor::new(
-        &lake,
-        &store,
-        &registry,
-        platform,
-        OnlineConfig::default(),
-    );
+    let mut predictor =
+        OnlinePredictor::new(&lake, &store, &registry, platform, OnlineConfig::default());
     let mut ue_times: BTreeMap<mfp_dram::address::DimmId, SimTime> = BTreeMap::new();
     for e in &live {
         if let Some((p, _)) = lake.dimm_info(e.dimm()) {
@@ -135,11 +140,7 @@ fn main() {
     );
 
     // ---- Cloud service: VM mitigation + measured VIRR. -------------------
-    let report = evaluate_mitigation(
-        predictor.alarms(),
-        &ue_times,
-        &MitigationConfig::default(),
-    );
+    let report = evaluate_mitigation(predictor.alarms(), &ue_times, &MitigationConfig::default());
     println!(
         "mitigation: tp={} fp={} fn={}  interruptions {} -> {:.0}",
         report.tp, report.fp, report.fn_, report.interruptions_without, report.interruptions_with
@@ -151,7 +152,12 @@ fn main() {
     dash.gauge("service/virr_measured", report.virr_measured);
 
     // ---- Monitoring: drift + feedback-driven retraining decision. --------
-    let live_features = store.materialize(&lake, platform, SimTime::ZERO + SimDuration::days(150), split);
+    let live_features = store.materialize(
+        &lake,
+        platform,
+        SimTime::ZERO + SimDuration::days(150),
+        split,
+    );
     let drift = psi_report_excluding(
         &benchmark,
         &live_features,

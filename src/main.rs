@@ -104,7 +104,10 @@ fn main() -> ExitCode {
 
     match cmd.as_str() {
         "simulate" => {
-            eprintln!("simulating 1:{:.0} fleet (seed {})...", args.scale, args.seed);
+            eprintln!(
+                "simulating 1:{:.0} fleet (seed {})...",
+                args.scale, args.seed
+            );
             let fleet = simulate_fleet(&FleetConfig::calibrated(args.scale, args.seed));
             let (ces, ues, storms) = fleet.log.counts();
             println!(
@@ -180,7 +183,11 @@ fn main() -> ExitCode {
             match std::fs::read(path).map(|b| BmcLog::decode(&b)) {
                 Ok(Ok(log)) => {
                     let (ces, ues, storms) = log.counts();
-                    println!("{}: {} events ({ces} CE, {ues} UE, {storms} storms)", path, log.len());
+                    println!(
+                        "{}: {} events ({ces} CE, {ues} UE, {storms} storms)",
+                        path,
+                        log.len()
+                    );
                     ExitCode::SUCCESS
                 }
                 Ok(Err(e)) => {

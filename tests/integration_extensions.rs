@@ -59,7 +59,10 @@ fn ras_reduces_ce_volume_without_creating_ues() {
     let fleet_ras = simulate_fleet(&base);
     let (ce0, ue0, _) = fleet_plain.log.counts();
     let (ce1, ue1, _) = fleet_ras.log.counts();
-    assert!(ce1 < ce0, "mitigation must reduce CE volume: {ce0} -> {ce1}");
+    assert!(
+        ce1 < ce0,
+        "mitigation must reduce CE volume: {ce0} -> {ce1}"
+    );
     assert!(ue1 <= ue0, "mitigation must never add UEs: {ue0} -> {ue1}");
 }
 
@@ -85,10 +88,7 @@ fn lifecycle_over_real_fleet_tracks_production() {
         SimTime::ZERO + SimDuration::days(240),
     );
     assert!(!checkpoints.is_empty());
-    assert!(
-        checkpoints.iter().any(|c| c.deployed),
-        "{checkpoints:#?}"
-    );
+    assert!(checkpoints.iter().any(|c| c.deployed), "{checkpoints:#?}");
     assert!(registry.production(Platform::IntelPurley).is_some());
 }
 

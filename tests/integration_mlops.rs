@@ -73,7 +73,12 @@ fn full_mlops_loop_on_simulated_data() {
 
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
     let train = store
-        .materialize(&lake, Platform::IntelPurley, SimTime::ZERO, SimTime::ZERO + SimDuration::days(50))
+        .materialize(
+            &lake,
+            Platform::IntelPurley,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::days(50),
+        )
         .downsample_negatives(6);
     let bench = store.materialize(
         &lake,
@@ -118,11 +123,7 @@ fn full_mlops_loop_on_simulated_data() {
     }
     predictor.finish(SimTime::ZERO + fleet.config.horizon);
 
-    let report = evaluate_mitigation(
-        predictor.alarms(),
-        &ue_times,
-        &MitigationConfig::default(),
-    );
+    let report = evaluate_mitigation(predictor.alarms(), &ue_times, &MitigationConfig::default());
     // Consistency: counted outcomes cover all alarmed + failed DIMMs.
     assert_eq!(
         report.tp + report.fn_,
