@@ -43,7 +43,7 @@ fn main() {
         };
         let (ue0, ce0, ..) = stat(&base);
         let (ue1, ce1, ppr, off, mit) = stat(&ras);
-        let (ue2, _, ..) = stat(&adddc);
+        let (ue2, ..) = stat(&adddc);
         let engaged = adddc
             .platform_dimms(p)
             .filter(|d| d.outcome.adddc_engaged)

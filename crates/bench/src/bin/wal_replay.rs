@@ -1,9 +1,10 @@
 //! Durability benchmark and crash-replay identity gate for the
-//! write-ahead-logged serving engine (`mfp_mlops::wal`): measures the
-//! WAL's logging overhead against the bare sequential predictor, then
-//! truncates the log at sampled byte offsets — simulated crashes — and
-//! requires recovery + resume to reproduce the baseline alarm log
-//! bit-for-bit. A machine-readable baseline is written to
+//! write-ahead-logged serving engine (`mfp_mlops::wal::ShardedDurable`):
+//! measures the per-shard WALs' logging overhead against the bare
+//! sequential predictor, then truncates every shard's log at its own
+//! sampled byte offset — a simulated crash — and requires recovery +
+//! resume to reproduce the baseline alarm log bit-for-bit. A
+//! machine-readable baseline recording `cores` is written to
 //! `BENCH_wal.json`; any divergence exits non-zero.
 //!
 //! `cargo run --release -p mfp-bench --bin wal_replay -- \
@@ -20,9 +21,10 @@ use mfp_ml::metrics::{Confusion, Evaluation};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
+use mfp_mlops::wal::shard_dir;
 use mfp_sim::config::FleetConfig;
 use mfp_sim::sharded::{ShardConfig, ShardedFleet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The calibrated Purley sub-fleet rescaled to roughly `dimms` DIMMs.
@@ -88,6 +90,7 @@ fn main() {
         }
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fleet_cfg = purley_fleet(dimms, horizon_days, seed);
     let online_cfg = OnlineConfig::default();
     let ingest_cfg = IngestConfig::default();
@@ -127,7 +130,7 @@ fn main() {
         |o| outs.push(o),
     );
     println!(
-        "wal_replay: {} dimms, {} events, {} ingest outputs, seed {seed}",
+        "wal_replay: {} dimms, {} events, {} ingest outputs, seed {seed} ({cores} cores available)",
         planned.dimm_count(),
         events.len(),
         outs.len(),
@@ -170,10 +173,15 @@ fn main() {
         outs.len() as f64 / seq_secs.max(1e-9),
     );
 
-    // Durable run with compaction: the WAL's logging overhead.
+    // Durable run with compaction: the WALs' logging overhead.
     let durable_dir = scratch("durable");
     let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-    let (mut durable, _) = DurableOnline::open(
+    let wal_files = |root: &Path| -> Vec<PathBuf> {
+        (0..stores.len())
+            .map(|s| shard_dir(root, s).join("wal.log"))
+            .collect()
+    };
+    let (mut durable, _) = ShardedDurable::open(
         &durable_dir,
         &lake,
         &stores,
@@ -190,12 +198,15 @@ fn main() {
     durable.finish(end).expect("wal finish");
     let wal_secs = t1.elapsed().as_secs_f64();
     let wal_alarms = durable.alarms();
-    let wal_len = std::fs::metadata(durable_dir.join("wal.log")).map_or(0, |m| m.len());
+    let wal_len: u64 = wal_files(&durable_dir)
+        .iter()
+        .map(|f| std::fs::metadata(f).map_or(0, |m| m.len()))
+        .sum();
     let overhead = wal_secs / seq_secs.max(1e-9);
     drop(durable);
     println!(
         "  durable: {:>9} outputs, {:>5} alarms in {wal_secs:>7.2}s ({overhead:.2}x bare, \
-         compacted wal {wal_len} bytes)",
+         compacted wals {wal_len} bytes)",
         outs.len(),
         wal_alarms.len(),
     );
@@ -204,7 +215,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Full-coverage WAL for the crash gate (compaction off so every cut
+    // Full-coverage WALs for the crash gate (compaction off so every cut
     // offset exercises replay, not checkpoint restore alone).
     let full_dir = scratch("full");
     let full_stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
@@ -213,7 +224,7 @@ fn main() {
         compact_every: u64::MAX,
         ..DurableConfig::default()
     };
-    let (mut writer, _) = DurableOnline::open(
+    let (mut writer, _) = ShardedDurable::open(
         &full_dir,
         &lake,
         &full_stores,
@@ -228,21 +239,35 @@ fn main() {
     }
     writer.flush().expect("wal flush");
     drop(writer);
-    let image = std::fs::read(full_dir.join("wal.log")).expect("read wal image");
+    let images: Vec<Vec<u8>> = wal_files(&full_dir)
+        .iter()
+        .map(|f| std::fs::read(f).expect("read wal image"))
+        .collect();
+    let image_bytes: usize = images.iter().map(Vec::len).sum();
 
-    // Crash at `cuts` seed-derived offsets: recover, resume, compare.
+    // Crash `cuts` times, each shard's log torn at its own seed-derived
+    // offset: recover, re-feed the stream, compare.
     let mut rng = mfp_rng::StdRng::from_state(seed);
     let mut replay_secs: Vec<f64> = Vec::new();
     let mut replayed_total = 0u64;
     let mut identical = true;
     for k in 0..cuts {
-        let cut = (rng.next_u64() % (image.len() as u64 + 1)) as usize;
         let crash_dir = scratch(&format!("cut{k}"));
-        std::fs::write(crash_dir.join("wal.log"), &image[..cut]).expect("write truncated wal");
+        let offsets: Vec<usize> = images
+            .iter()
+            .zip(wal_files(&crash_dir))
+            .map(|(image, file)| {
+                let cut = (rng.next_u64() % (image.len() as u64 + 1)) as usize;
+                std::fs::create_dir_all(file.parent().expect("shard dir"))
+                    .expect("create shard dir");
+                std::fs::write(&file, &image[..cut]).expect("write truncated wal");
+                cut
+            })
+            .collect();
         let crash_stores =
             make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
         let t = Instant::now();
-        let (mut resumed, report) = DurableOnline::open(
+        let (mut resumed, reports) = ShardedDurable::open(
             &crash_dir,
             &lake,
             &crash_stores,
@@ -251,20 +276,20 @@ fn main() {
             online_cfg,
             nocompact,
         )
-        .expect("recover from truncated wal");
+        .expect("recover from truncated wals");
         let replay = t.elapsed().as_secs_f64();
         replay_secs.push(replay);
-        replayed_total += report.outputs_replayed;
-        let covered = resumed.applied() as usize;
-        for o in &outs[covered..] {
+        let replayed: u64 = reports.iter().map(|r| r.outputs_replayed).sum();
+        let torn: u64 = reports.iter().map(|r| r.torn_tail_bytes).sum();
+        replayed_total += replayed;
+        for o in &outs {
             resumed.push(*o).expect("resume push");
         }
         resumed.finish(end).expect("resume finish");
         let ok = resumed.alarms() == ref_alarms;
         println!(
-            "  cut {k}: offset {cut:>9} → {:>7} replayed, {:>5} torn bytes, \
+            "  cut {k}: offsets {offsets:?} → {replayed:>7} replayed, {torn:>5} torn bytes, \
              replay {replay:>6.3}s, identical {ok}",
-            report.outputs_replayed, report.torn_tail_bytes,
         );
         identical &= ok;
         let _ = std::fs::remove_dir_all(&crash_dir);
@@ -283,10 +308,11 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"wal_replay\",\n  \"dimms\": {},\n  \"events\": {},\n  \
          \"outputs\": {},\n  \"horizon_days\": {horizon_days},\n  \"seed\": {seed},\n  \
-         \"shards\": {shards},\n  \"batch\": {batch},\n  \"compact_every\": {compact_every},\n  \
-         \"config_hash\": \"{cfg_hash}\",\n  \"baseline\": {{\"wall_secs\": {}, \
-         \"outputs_per_sec\": {}, \"alarms\": {}}},\n  \"durable\": {{\"wall_secs\": {}, \
-         \"outputs_per_sec\": {}, \"overhead_x\": {}, \"compacted_wal_bytes\": {wal_len}}},\n  \
+         \"cores\": {cores},\n  \"shards\": {shards},\n  \"batch\": {batch},\n  \
+         \"compact_every\": {compact_every},\n  \"config_hash\": \"{cfg_hash}\",\n  \
+         \"baseline\": {{\"wall_secs\": {}, \"outputs_per_sec\": {}, \"alarms\": {}}},\n  \
+         \"durable\": {{\"wall_secs\": {}, \"outputs_per_sec\": {}, \"overhead_x\": {}, \
+         \"compacted_wal_bytes\": {wal_len}}},\n  \
          \"recovery\": {{\"cuts\": {cuts}, \"wal_bytes\": {}, \"identical\": {identical}, \
          \"mean_replay_secs\": {}, \"max_replay_secs\": {}, \
          \"replay_outputs_per_sec\": {}}}\n}}\n",
@@ -299,7 +325,7 @@ fn main() {
         num(wal_secs),
         num(outs.len() as f64 / wal_secs.max(1e-9)),
         num(overhead),
-        image.len(),
+        image_bytes,
         num(mean_replay),
         num(max_replay),
         num(replay_outputs_per_sec),

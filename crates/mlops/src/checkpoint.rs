@@ -21,7 +21,6 @@ use crate::feature_store::FeatureStore;
 use crate::lake::DataLake;
 use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
 use crate::registry::ModelRegistry;
-use crate::serve::ShardedOnline;
 use mfp_dram::address::DimmId;
 use mfp_dram::bmc::{BmcLog, DecodeError};
 use mfp_dram::event::MemEvent;
@@ -41,8 +40,6 @@ const MAGIC: [u8; 4] = *b"MFC1";
 const VERSION: u8 = 3;
 /// Oldest wire-format version [`verify_envelope`] still accepts.
 const MIN_VERSION: u8 = 2;
-/// Magic bytes at the head of an encoded *sharded* checkpoint.
-const SERVE_MAGIC: [u8; 4] = *b"MFS1";
 
 /// Appends the payload CRC: every checkpoint wire
 /// payload is `header ++ body ++ crc32(header ++ body)`.
@@ -56,9 +53,9 @@ fn seal(mut buf: Vec<u8>) -> Vec<u8> {
 /// between the 5-byte header and the 4-byte checksum along with the
 /// envelope's version, so decoders can accept the historical formats in
 /// `MIN_VERSION..=VERSION`.
-fn verify_envelope<'a>(data: &'a [u8], magic: &[u8; 4]) -> Result<(&'a [u8], u8), CheckpointError> {
+fn verify_envelope(data: &[u8]) -> Result<(&[u8], u8), CheckpointError> {
     let mut c = Cursor { data };
-    if c.bytes(4)? != magic {
+    if c.bytes(4)? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
     let version = c.u8()?;
@@ -246,7 +243,7 @@ impl OnlineCheckpoint {
     /// checksum mismatch (torn write or bit rot), an unknown platform
     /// index, or a malformed embedded event log.
     pub fn decode(data: &[u8]) -> Result<OnlineCheckpoint, CheckpointError> {
-        let (payload, version) = verify_envelope(data, &MAGIC)?;
+        let (payload, version) = verify_envelope(data)?;
         let mut c = Cursor { data: payload };
         let pidx = c.u8()?;
         let platform = *Platform::ALL
@@ -341,141 +338,6 @@ impl OnlineCheckpoint {
     }
 }
 
-/// A point-in-time snapshot of a sharded serving engine
-/// ([`ShardedOnline`] / `crate::serve::serve_pipeline`): one
-/// [`OnlineCheckpoint`] per shard, ordered by shard index.
-///
-/// The wire format wraps each shard's `MFC1` payload length-prefixed
-/// under an `MFS1` header, so a shard payload can be inspected (or
-/// restored alone) with the single-predictor decoder. Restoring
-/// requires the **same shard count** the snapshot was taken with —
-/// shard routing is a pure function of `(dimm, shards)`, so changing
-/// the count would re-home DIMMs away from their serialized state;
-/// [`ServeCheckpoint::restore`] asserts this.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeCheckpoint {
-    /// Per-shard snapshots, index `i` belonging to shard `i`.
-    pub shards: Vec<OnlineCheckpoint>,
-}
-
-impl ServeCheckpoint {
-    /// Captures every shard of the engine (with `stores[i]` being shard
-    /// `i`'s feature store, as built by `crate::serve::make_stores`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stores.len()` differs from the engine's shard count;
-    /// [`ServeCheckpoint::try_capture`] reports the same condition as a
-    /// typed error instead.
-    pub fn capture(engine: &ShardedOnline<'_>, stores: &[FeatureStore]) -> Self {
-        Self::try_capture(engine, stores).expect("one feature store per shard")
-    }
-
-    /// Fallible [`ServeCheckpoint::capture`]: a store slice whose length
-    /// disagrees with the engine's shard count — caller-supplied data,
-    /// not a library invariant — comes back as
-    /// [`CheckpointError::ShardCount`] instead of a panic.
-    pub fn try_capture(
-        engine: &ShardedOnline<'_>,
-        stores: &[FeatureStore],
-    ) -> Result<Self, CheckpointError> {
-        if engine.shard_count() != stores.len() {
-            return Err(CheckpointError::ShardCount {
-                captured: engine.shard_count(),
-                stores: stores.len(),
-            });
-        }
-        Ok(ServeCheckpoint {
-            shards: engine
-                .shards
-                .iter()
-                .zip(stores)
-                .map(|(p, s)| OnlineCheckpoint::capture(p, s))
-                .collect(),
-        })
-    }
-
-    /// Rebuilds a sharded engine (refilling `stores`) from this
-    /// checkpoint. Replaying the post-checkpoint suffix yields the
-    /// alarm/score sequence of an uninterrupted run, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stores.len()` differs from the captured shard count
-    /// (see the type docs for why resharding a snapshot is unsound);
-    /// [`ServeCheckpoint::try_restore`] reports the same condition as a
-    /// typed error instead.
-    pub fn restore<'a>(
-        &self,
-        lake: &'a DataLake,
-        stores: &'a [FeatureStore],
-        registry: &'a ModelRegistry,
-    ) -> ShardedOnline<'a> {
-        self.try_restore(lake, stores, registry)
-            .expect("restore requires the captured shard count")
-    }
-
-    /// Fallible [`ServeCheckpoint::restore`]: a shard count mismatch —
-    /// typically an on-disk snapshot meeting a reconfigured deployment,
-    /// i.e. input-derived state — comes back as
-    /// [`CheckpointError::ShardCount`] instead of a panic.
-    pub fn try_restore<'a>(
-        &self,
-        lake: &'a DataLake,
-        stores: &'a [FeatureStore],
-        registry: &'a ModelRegistry,
-    ) -> Result<ShardedOnline<'a>, CheckpointError> {
-        if self.shards.len() != stores.len() {
-            return Err(CheckpointError::ShardCount {
-                captured: self.shards.len(),
-                stores: stores.len(),
-            });
-        }
-        Ok(ShardedOnline {
-            shards: self
-                .shards
-                .iter()
-                .zip(stores)
-                .map(|(cp, store)| cp.restore(lake, store, registry))
-                .collect(),
-        })
-    }
-
-    /// Serializes the sharded checkpoint into its binary format.
-    pub fn encode(&self) -> Vec<u8> {
-        let payloads: Vec<Vec<u8>> = self.shards.iter().map(|cp| cp.encode()).collect();
-        let total: usize = payloads.iter().map(|p| p.len() + 8).sum();
-        let mut buf = Vec::with_capacity(5 + 8 + total);
-        buf.extend_from_slice(&SERVE_MAGIC);
-        buf.push(VERSION);
-        buf.extend_from_slice(&(payloads.len() as u64).to_be_bytes());
-        for payload in payloads {
-            buf.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        seal(buf)
-    }
-
-    /// Deserializes a sharded checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on truncation, bad magic/version, a
-    /// checksum mismatch, or any malformed embedded shard payload.
-    pub fn decode(data: &[u8]) -> Result<ServeCheckpoint, CheckpointError> {
-        let (payload, _version) = verify_envelope(data, &SERVE_MAGIC)?;
-        let mut c = Cursor { data: payload };
-        let n = c.len()?;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            let plen = c.len()?;
-            let payload = c.bytes(plen)?;
-            shards.push(OnlineCheckpoint::decode(payload)?);
-        }
-        Ok(ServeCheckpoint { shards })
-    }
-}
-
 fn put_dimm(buf: &mut Vec<u8>, d: DimmId) {
     buf.extend_from_slice(&d.server.0.to_be_bytes());
     buf.push(d.slot);
@@ -544,14 +406,6 @@ pub enum CheckpointError {
     BadPlatform(u8),
     /// An embedded event log failed to decode.
     BadLog(DecodeError),
-    /// A sharded capture/restore was attempted with a store slice whose
-    /// length disagrees with the checkpointed (or engine's) shard count.
-    ShardCount {
-        /// Shards in the snapshot (or engine).
-        captured: usize,
-        /// Feature stores the caller supplied.
-        stores: usize,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -563,10 +417,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::BadPlatform(p) => write!(f, "unknown platform index {p}"),
             CheckpointError::BadLog(e) => write!(f, "embedded event log: {e}"),
-            CheckpointError::ShardCount { captured, stores } => write!(
-                f,
-                "checkpoint holds {captured} shards but {stores} stores were supplied"
-            ),
         }
     }
 }
@@ -712,59 +562,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sharded_checkpoint_roundtrips_and_rejects_garbage() {
-        use crate::serve::{make_stores, ShardedOnline};
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = [DimmId::new(1, 0), DimmId::new(2, 1), DimmId::new(3, 0)];
-        setup(&lake, &registry, &dimms);
-        let stores = make_stores(3, ProblemConfig::default(), FaultThresholds::default());
-        let mut engine = ShardedOnline::new(
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-        );
-        for e in stream(&dimms) {
-            engine.observe(&e);
-        }
-        let cp = ServeCheckpoint::capture(&engine, &stores);
-        assert_eq!(cp.shards.len(), 3);
-        let wire = cp.encode();
-        let back = ServeCheckpoint::decode(&wire).unwrap();
-        assert_eq!(back, cp, "sharded checkpoint must round-trip bit-exactly");
-
-        assert_eq!(
-            ServeCheckpoint::decode(b"xx"),
-            Err(CheckpointError::Truncated)
-        );
-        assert_eq!(
-            ServeCheckpoint::decode(b"XXXX\x01\x00"),
-            Err(CheckpointError::BadMagic)
-        );
-        assert_eq!(
-            ServeCheckpoint::decode(b"MFS1\x09\x00"),
-            Err(CheckpointError::BadVersion(9))
-        );
-        let cut = &wire[..wire.len() - 3];
-        assert_eq!(
-            ServeCheckpoint::decode(cut),
-            Err(CheckpointError::BadChecksum)
-        );
-        // A single-predictor payload is not a sharded checkpoint.
-        let single = cp.shards[0].encode();
-        assert_eq!(
-            ServeCheckpoint::decode(&single),
-            Err(CheckpointError::BadMagic)
-        );
-    }
-
-    /// Builds a small but non-trivial pair of wire payloads (single and
-    /// sharded) for the torn-write sweeps below.
-    fn sweep_payloads() -> (Vec<u8>, Vec<u8>) {
-        use crate::serve::{make_stores, ShardedOnline};
+    /// Builds a small but non-trivial wire payload for the torn-write
+    /// sweeps below.
+    fn sweep_payload() -> Vec<u8> {
         let lake = DataLake::new();
         let registry = ModelRegistry::new();
         let dimms = [DimmId::new(1, 0), DimmId::new(2, 1)];
@@ -780,60 +580,33 @@ mod tests {
         for e in stream(&dimms).into_iter().take(12) {
             p.observe(&e);
         }
-        let single = OnlineCheckpoint::capture(&p, &s).encode();
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let mut engine = ShardedOnline::new(
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-        );
-        for e in stream(&dimms).into_iter().take(12) {
-            engine.observe(&e);
-        }
-        let sharded = ServeCheckpoint::capture(&engine, &stores).encode();
-        (single, sharded)
+        OnlineCheckpoint::capture(&p, &s).encode()
     }
 
     #[test]
     fn truncation_at_every_byte_offset_is_detected() {
-        let (single, sharded) = sweep_payloads();
-        assert!(OnlineCheckpoint::decode(&single).is_ok());
-        assert!(ServeCheckpoint::decode(&sharded).is_ok());
-        for cut in 0..single.len() {
+        let wire = sweep_payload();
+        assert!(OnlineCheckpoint::decode(&wire).is_ok());
+        for cut in 0..wire.len() {
             assert!(
-                OnlineCheckpoint::decode(&single[..cut]).is_err(),
+                OnlineCheckpoint::decode(&wire[..cut]).is_err(),
                 "MFC1 truncated to {cut} bytes must not decode"
-            );
-        }
-        for cut in 0..sharded.len() {
-            assert!(
-                ServeCheckpoint::decode(&sharded[..cut]).is_err(),
-                "MFS1 truncated to {cut} bytes must not decode"
             );
         }
     }
 
     #[test]
     fn single_bit_corruption_is_detected() {
-        let (single, sharded) = sweep_payloads();
+        let wire = sweep_payload();
         // Every byte, one rotating bit per byte: flips in the header are
         // caught by magic/version checks, everywhere else by the CRC.
-        for (wire, name) in [(&single, "MFC1"), (&sharded, "MFS1")] {
-            for i in 0..wire.len() {
-                let mut flipped = wire.to_vec();
-                flipped[i] ^= 1 << (i % 8);
-                let err = if *name == *"MFC1" {
-                    OnlineCheckpoint::decode(&flipped).err()
-                } else {
-                    ServeCheckpoint::decode(&flipped).err()
-                };
-                assert!(
-                    err.is_some(),
-                    "{name}: bit flip at byte {i} must not decode"
-                );
-            }
+        for i in 0..wire.len() {
+            let mut flipped = wire.clone();
+            flipped[i] ^= 1 << (i % 8);
+            assert!(
+                OnlineCheckpoint::decode(&flipped).is_err(),
+                "MFC1: bit flip at byte {i} must not decode"
+            );
         }
     }
 
@@ -912,76 +685,6 @@ mod tests {
             reference.score_trace(),
             "a v3 restore must carry the pre-crash score trace through"
         );
-    }
-
-    #[test]
-    fn try_capture_reports_shard_count_as_typed_error() {
-        use crate::serve::{make_stores, ShardedOnline};
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let engine = ShardedOnline::new(
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-        );
-        let other = make_stores(3, ProblemConfig::default(), FaultThresholds::default());
-        let err = ServeCheckpoint::try_capture(&engine, &other).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::ShardCount {
-                captured: 2,
-                stores: 3
-            }
-        );
-        assert!(ServeCheckpoint::try_capture(&engine, &stores).is_ok());
-    }
-
-    #[test]
-    fn try_restore_reports_shard_count_as_typed_error() {
-        use crate::serve::{make_stores, ShardedOnline};
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let engine = ShardedOnline::new(
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-        );
-        let cp = ServeCheckpoint::capture(&engine, &stores);
-        let other = make_stores(4, ProblemConfig::default(), FaultThresholds::default());
-        let err = cp.try_restore(&lake, &other, &registry).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::ShardCount {
-                captured: 2,
-                stores: 4
-            }
-        );
-        assert!(cp.try_restore(&lake, &stores, &registry).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "captured shard count")]
-    fn sharded_restore_rejects_a_different_shard_count() {
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        use crate::serve::{make_stores, ShardedOnline};
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let engine = ShardedOnline::new(
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-        );
-        let cp = ServeCheckpoint::capture(&engine, &stores);
-        let other = make_stores(4, ProblemConfig::default(), FaultThresholds::default());
-        let _ = cp.restore(&lake, &other, &registry);
     }
 
     #[test]

@@ -427,7 +427,7 @@ impl IngestOutput {
 ///     4,
 ///     256,
 ///     |emit| {
-///         fleet.run_stream(&ShardConfig::new(4, 2), |e| emit(e));
+///         fleet.run_stream(&ShardConfig::new(4, 2), emit);
 ///     },
 ///     |out| {
 ///         if let IngestOutput::Released(_) = out {
@@ -758,7 +758,7 @@ mod tests {
             2,
             64,
             |emit| {
-                fleet.run_stream(&ShardConfig::new(4, 2), |e| emit(e));
+                fleet.run_stream(&ShardConfig::new(4, 2), emit);
             },
             |out| {
                 if let IngestOutput::Released(e) = out {

@@ -428,7 +428,9 @@ impl DiskLake {
                     return Err(LakeError::Corrupt("partition shorter than committed"));
                 }
                 let committed = &data[..entry.committed_bytes as usize];
-                let mut events: Vec<MemEvent> = Vec::with_capacity(entry.events as usize);
+                // `entry.events` is untrusted until the count check below,
+                // so it must not size an allocation.
+                let mut events: Vec<MemEvent> = Vec::new();
                 let mut at = 0usize;
                 while at < committed.len() {
                     let len = committed
@@ -750,7 +752,7 @@ mod tests {
         let lake = DataLake::new();
         assert_eq!(lake.ingest(&[ce(10, DimmId::new(42, 0))]), 1);
         assert!(
-            counter.get() >= before + 1,
+            counter.get() > before,
             "uncataloged rejects must reach telemetry"
         );
     }
@@ -888,6 +890,29 @@ mod tests {
         // corruption and must be detected, not silently served short.
         let data = fs::read(&victim).unwrap();
         fs::write(&victim, &data[..3]).unwrap();
+        assert!(matches!(DiskLake::open(&root), Err(LakeError::Corrupt(_))));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn disk_lake_rejects_a_forged_manifest_event_count() {
+        let root = test_dir("forged");
+        let disk = DiskLake::open(&root).unwrap();
+        let events = fleet(&mut |id, p, s| {
+            disk.register_dimm(id, p, s).unwrap();
+        });
+        disk.ingest(&events).unwrap();
+        drop(disk);
+        // Forge the first entry's event count and re-seal the CRC, so the
+        // manifest still verifies and only the count check can catch it.
+        let path = root.join("manifest.bin");
+        let mut bytes = fs::read(&path).unwrap();
+        let at = 5 + 8 + 17; // header, entry count, platform + day + committed
+        bytes[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_be_bytes());
+        let sealed = bytes.len() - 4;
+        let crc = crate::wal::crc32(&bytes[..sealed]);
+        bytes[sealed..].copy_from_slice(&crc.to_be_bytes());
+        fs::write(&path, &bytes).unwrap();
         assert!(matches!(DiskLake::open(&root), Err(LakeError::Corrupt(_))));
         let _ = fs::remove_dir_all(&root);
     }

@@ -27,10 +27,11 @@
 //!   retraining policy.
 //! * [`lifecycle`] — the checkpointed orchestrator that ties monitoring,
 //!   drift and CI/CD into the paper's continuous-improvement loop.
-//! * [`wal`] — the durability layer: a checksummed write-ahead log with
-//!   checkpoint compaction and crash recovery that replays to
-//!   bit-identical alarms and scores from any torn-write offset, at
-//!   whole-engine (`MFW1`/`MFD1`) or per-shard (`MFW2`) granularity.
+//! * [`wal`] — the durability layer: one checksummed write-ahead log
+//!   (`MFW1` records) and one `MFD1`-wrapped `MFC1` checkpoint per shard
+//!   under an `MFW2` root, with compaction and crash recovery that
+//!   replays to bit-identical alarms and scores from any torn-write
+//!   offset, each shard independently of its siblings.
 //! * [`supervise`] — self-healing serving: shards run as restartable
 //!   units with panic capture, heartbeat hang detection, deterministic
 //!   bounded backoff, and poison-record quarantine, gated by a seeded
@@ -61,7 +62,7 @@ pub mod wal;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::checkpoint::{CheckpointError, OnlineCheckpoint, ServeCheckpoint};
+    pub use crate::checkpoint::{CheckpointError, OnlineCheckpoint};
     pub use crate::cicd::{run_pipeline, PipelineConfig, PipelineRun, StageResult};
     pub use crate::drift::{psi_report, psi_report_excluding, DriftReport};
     pub use crate::feature_store::{FeatureStore, FeatureView};
@@ -81,14 +82,14 @@ pub mod prelude {
     pub use crate::registry::{ModelEntry, ModelRegistry, Stage};
     pub use crate::serve::{
         make_stores, serve_pipeline, shard_of, shard_route, ServeConfig, ServeError, ServeOutcome,
-        ServeStats, ShardServeStats, ShardedOnline,
+        ServeStats, ShardServeStats,
     };
     pub use crate::supervise::{
         ChaosEvent, ChaosKind, ChaosPlan, SuperviseConfig, SupervisedOutcome, Supervisor,
         SupervisorReport,
     };
     pub use crate::wal::{
-        ApplyVerdict, DurableConfig, DurableOnline, DurableShard, FlushStatus, RecoveryReport,
-        ShardedDurable, WalError,
+        ApplyVerdict, DurableConfig, DurableShard, FlushStatus, RecoveryReport, ShardedDurable,
+        WalError,
     };
 }

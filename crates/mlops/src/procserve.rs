@@ -311,7 +311,7 @@ impl FrameReader {
     }
 
     /// Tries to produce the next frame from buffered bytes.
-    pub fn next(&mut self) -> FrameStep {
+    pub fn next_step(&mut self) -> FrameStep {
         if !self.locked {
             let header = stream_header();
             match self
@@ -868,7 +868,7 @@ fn expand_record(rec: &WalRecord) -> Vec<(u64, IngestOutput)> {
 fn read_msg(reader: &mut FrameReader, input: &mut impl Read) -> Result<Option<Msg>, ProcError> {
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        match reader.next() {
+        match reader.next_step() {
             FrameStep::Frame(f) => return Msg::parse(&f).map(Some),
             FrameStep::Corrupt => return Err(ProcError::CorruptFrame),
             FrameStep::NeedMore => {
@@ -1201,14 +1201,8 @@ struct WorkerHandle {
     sent: u64,
 }
 
-/// What `recv` saw.
-enum RecvOutcome {
-    Msg(Msg),
-    /// The pipe closed or delivered garbage: the worker is dead to us.
-    Died,
-    /// No answer within the ack deadline: the worker is wedged.
-    TimedOut,
-}
+/// One shard's final report: its alarms, score trace and scored count.
+type ShardRun = (Vec<Alarm>, Vec<ScoreRecord>, u64);
 
 /// How a feed round ended.
 enum FeedEnd {
@@ -1255,7 +1249,7 @@ fn spawn_reader(mut stdout: ChildStdout) -> (Receiver<Result<Msg, ProcError>>, J
         let mut chunk = [0u8; 16 * 1024];
         loop {
             loop {
-                match reader.next() {
+                match reader.next_step() {
                     FrameStep::Frame(f) => {
                         mfp_obs::counter("ipc_frames", &[("dir", "up")]).incr();
                         match Msg::parse(&f) {
@@ -1381,16 +1375,11 @@ impl ProcSupervisor {
     }
 
     /// Waits for the worker's next message under the ack deadline.
-    fn recv(&self, w: &WorkerHandle) -> RecvOutcome {
-        match w
-            .rx
-            .recv_timeout(Duration::from_millis(self.cfg.ack_timeout_ms))
-        {
-            Ok(Ok(m)) => RecvOutcome::Msg(m),
-            Ok(Err(_)) => RecvOutcome::Died,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Died,
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-        }
+    /// `Timeout` means the worker is wedged; `Disconnected` means its
+    /// pipe closed or delivered garbage, so it is dead to us.
+    fn recv(&self, w: &WorkerHandle) -> Result<Msg, RecvTimeoutError> {
+        w.rx.recv_timeout(Duration::from_millis(self.cfg.ack_timeout_ms))?
+            .map_err(|_| RecvTimeoutError::Disconnected)
     }
 
     /// Feeds the worker its routed backlog up to `upto`, one acked
@@ -1414,10 +1403,12 @@ impl ProcSupervisor {
             }
             w.sent = hi as u64;
             match self.recv(w) {
-                RecvOutcome::Msg(Msg::Progress { .. }) => {}
-                RecvOutcome::Msg(Msg::Crashed { seq }) => return FeedEnd::Crashed(seq),
-                RecvOutcome::Msg(_) | RecvOutcome::Died => return FeedEnd::Died { hung: false },
-                RecvOutcome::TimedOut => return FeedEnd::Died { hung: true },
+                Ok(Msg::Progress { .. }) => {}
+                Ok(Msg::Crashed { seq }) => return FeedEnd::Crashed(seq),
+                Ok(_) | Err(RecvTimeoutError::Disconnected) => {
+                    return FeedEnd::Died { hung: false }
+                }
+                Err(RecvTimeoutError::Timeout) => return FeedEnd::Died { hung: true },
             }
         }
         FeedEnd::Clean
@@ -1591,7 +1582,7 @@ impl ProcSupervisor {
             return Ok(self.schedule_restart(s, now, ctl, report));
         }
         match self.recv(&w) {
-            RecvOutcome::Msg(Msg::Hello { fed, replayed, .. }) => {
+            Ok(Msg::Hello { fed, replayed, .. }) => {
                 report.replayed_outputs += replayed;
                 w.sent = fed.min(routed_s.len() as u64);
                 match self.feed_upto(&mut w, outs, routed_s, routed_s.len()) {
@@ -1609,15 +1600,15 @@ impl ProcSupervisor {
                     }
                 }
             }
-            RecvOutcome::Msg(Msg::Crashed { seq }) => {
+            Ok(Msg::Crashed { seq }) => {
                 self.reap_exited(w);
                 self.crash_slot(s, seq, now, outs, routed_s, ctl, report)
             }
-            RecvOutcome::Msg(_) | RecvOutcome::Died => {
+            Ok(_) | Err(RecvTimeoutError::Disconnected) => {
                 self.reap(w, report);
                 Ok(self.schedule_restart(s, now, ctl, report))
             }
-            RecvOutcome::TimedOut => {
+            Err(RecvTimeoutError::Timeout) => {
                 report.heartbeat_misses += 1;
                 self.reap(w, report);
                 Ok(self.schedule_restart(s, now, ctl, report))
@@ -1819,7 +1810,7 @@ impl ProcSupervisor {
         // final prediction ticks, and collect reports — re-entering if
         // a finish crashes a worker.
         let mut now = outs.len() as u64;
-        let mut results: Vec<Option<(Vec<Alarm>, Vec<ScoreRecord>, u64)>> = vec![None; n];
+        let mut results: Vec<Option<ShardRun>> = vec![None; n];
         loop {
             while slots
                 .iter()
@@ -1842,7 +1833,7 @@ impl ProcSupervisor {
                                     self.schedule_restart(s, now, &mut ctl[s], &mut report)
                                 } else {
                                     match self.recv(&w) {
-                                        RecvOutcome::Msg(Msg::Report {
+                                        Ok(Msg::Report {
                                             alarms,
                                             scores,
                                             scored,
@@ -1850,7 +1841,7 @@ impl ProcSupervisor {
                                             results[s] = Some((alarms, scores, scored));
                                             PSlot::Up(w)
                                         }
-                                        RecvOutcome::Msg(Msg::Crashed { seq }) => {
+                                        Ok(Msg::Crashed { seq }) => {
                                             results[s] = None;
                                             any_crash = true;
                                             self.reap_exited(w);
@@ -1864,13 +1855,13 @@ impl ProcSupervisor {
                                                 &mut report,
                                             )?
                                         }
-                                        RecvOutcome::Msg(_) | RecvOutcome::Died => {
+                                        Ok(_) | Err(RecvTimeoutError::Disconnected) => {
                                             results[s] = None;
                                             any_crash = true;
                                             self.reap(w, &mut report);
                                             self.schedule_restart(s, now, &mut ctl[s], &mut report)
                                         }
-                                        RecvOutcome::TimedOut => {
+                                        Err(RecvTimeoutError::Timeout) => {
                                             results[s] = None;
                                             any_crash = true;
                                             report.heartbeat_misses += 1;
@@ -2020,7 +2011,7 @@ mod tests {
         let mut out: Vec<IngestOutput> = (0..20 * dimms.len() as u64)
             .map(|k| {
                 let d = dimms[(k % dimms.len() as u64) as usize];
-                IngestOutput::Released(risky_ce(1_000 + k * 1_800, d, d.server.0 % 2 == 0))
+                IngestOutput::Released(risky_ce(1_000 + k * 1_800, d, d.server.0.is_multiple_of(2)))
             })
             .collect();
         out.insert(
@@ -2191,7 +2182,7 @@ mod tests {
         for b in stream {
             reader.push(&[b]);
             loop {
-                match reader.next() {
+                match reader.next_step() {
                     FrameStep::Frame(f) => got.push(Msg::parse(&f).unwrap()),
                     FrameStep::NeedMore => break,
                     FrameStep::Corrupt => panic!("clean stream misread as corrupt"),
@@ -2208,7 +2199,7 @@ mod tests {
         let mut frame = encode_frame(K_HANG, 0, &[]);
         frame[9..13].copy_from_slice(&u32::MAX.to_be_bytes());
         reader.push(&frame);
-        assert!(matches!(reader.next(), FrameStep::Corrupt));
+        assert!(matches!(reader.next_step(), FrameStep::Corrupt));
     }
 
     #[test]

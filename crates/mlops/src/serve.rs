@@ -7,10 +7,10 @@
 //! feature window — is independent of every other DIMM's. This module
 //! partitions that state by a **stable DIMM hash** ([`shard_of`]) into
 //! `shards` sub-predictors, each owning its own [`FeatureStore`], and
-//! drives them either synchronously ([`ShardedOnline`]) or as a
-//! backpressured pipeline on a scoped worker pool ([`serve_pipeline`]):
-//! ingest → validate → route → score → alarm, with bounded channels at
-//! every hand-off.
+//! drives them as a backpressured pipeline on a scoped worker pool
+//! ([`serve_pipeline`]): ingest → validate → route → score → alarm, with
+//! bounded channels at every hand-off. The durable engine
+//! (`crate::wal::ShardedDurable`) routes with the same hash.
 //!
 //! # Determinism argument
 //!
@@ -41,9 +41,7 @@
 //!
 //! The contract assumes the input stream is time-ordered per DIMM — the
 //! order [`Ingestor`](crate::ingest::Ingestor) releases. [`serve_pipeline`]
-//! enforces this by construction (the router consumes `ingest_bounded`);
-//! [`ShardedOnline`] trusts its caller the same way `OnlinePredictor`
-//! does, and rejects stragglers per shard with the same watermark rule.
+//! enforces this by construction (the router consumes `ingest_bounded`).
 //!
 //! # Backpressure
 //!
@@ -53,7 +51,6 @@
 //! peak resident state is `O(workers × batch × capacity)` events on top
 //! of the per-shard windows — fleet size never enters the bound.
 
-use crate::checkpoint::{OnlineCheckpoint, ServeCheckpoint};
 use crate::feature_store::FeatureStore;
 use crate::ingest::{ingest_bounded, IngestConfig, IngestOutput, IngestStats};
 use crate::lake::DataLake;
@@ -90,8 +87,8 @@ pub fn shard_route(out: &crate::ingest::IngestOutput, shards: usize) -> usize {
 
 /// Builds one [`FeatureStore`] per shard with identical configuration.
 /// The slice outlives the engine (predictors borrow their stores), so
-/// callers hold it and pass `&stores` to [`ShardedOnline::new`] /
-/// [`ServeCheckpoint::restore`].
+/// callers hold it and pass `&stores` to
+/// [`ShardedDurable::open`](crate::wal::ShardedDurable::open).
 pub fn make_stores(
     shards: usize,
     problem: ProblemConfig,
@@ -122,8 +119,6 @@ pub struct ServeConfig {
     /// Record every model invocation into [`ServeOutcome::scores`]
     /// (unbounded memory — testing/verification only).
     pub record_scores: bool,
-    /// Capture a [`ServeCheckpoint`] of the final sharded state.
-    pub capture_checkpoint: bool,
 }
 
 impl Default for ServeConfig {
@@ -138,7 +133,6 @@ impl Default for ServeConfig {
             batch: 256,
             online: OnlineConfig::default(),
             record_scores: false,
-            capture_checkpoint: false,
         }
     }
 }
@@ -151,104 +145,6 @@ impl ServeConfig {
             workers,
             ..ServeConfig::default()
         }
-    }
-}
-
-/// The synchronous sharded engine: `shards` independent
-/// [`OnlinePredictor`]s behind a pure hash router. This is the unit the
-/// pipeline distributes and the unit [`ServeCheckpoint`] snapshots; it
-/// is also directly useful where threads are unwanted (tests, replay).
-#[derive(Debug)]
-pub struct ShardedOnline<'a> {
-    pub(crate) shards: Vec<OnlinePredictor<'a>>,
-}
-
-impl<'a> ShardedOnline<'a> {
-    /// Creates one predictor per store in `stores` (one store per
-    /// shard — build them with [`make_stores`]).
-    pub fn new(
-        lake: &'a DataLake,
-        stores: &'a [FeatureStore],
-        registry: &'a ModelRegistry,
-        platform: Platform,
-        cfg: OnlineConfig,
-    ) -> Self {
-        assert!(!stores.is_empty(), "at least one shard store is required");
-        ShardedOnline {
-            shards: stores
-                .iter()
-                .map(|store| OnlinePredictor::new(lake, store, registry, platform, cfg))
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Routes one event to its home shard; returns whether that shard's
-    /// predictor accepted it (same watermark rule as
-    /// [`OnlinePredictor::observe`]).
-    pub fn observe(&mut self, event: &MemEvent) -> bool {
-        let s = shard_of(event.dimm(), self.shards.len());
-        self.shards[s].observe(event)
-    }
-
-    /// Flushes every shard's prediction ticks up to `until`.
-    pub fn finish(&mut self, until: SimTime) {
-        for shard in &mut self.shards {
-            shard.finish(until);
-        }
-    }
-
-    /// Enables or disables score tracing on every shard.
-    pub fn set_score_trace(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.set_score_trace(on);
-        }
-    }
-
-    /// All alarms raised so far, merged by `(time, dimm)` — bit-identical
-    /// to the sequential predictor's alarm log for the same stream.
-    pub fn alarms(&self) -> Vec<Alarm> {
-        let mut out: Vec<Alarm> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.alarms().iter().copied())
-            .collect();
-        out.sort_by_key(|a| (a.time, a.dimm));
-        out
-    }
-
-    /// All recorded scores, merged by `(time, dimm)` (empty unless
-    /// tracing is on).
-    pub fn scores(&self) -> Vec<ScoreRecord> {
-        let mut out: Vec<ScoreRecord> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.score_trace().iter().copied())
-            .collect();
-        out.sort_by_key(|r| (r.time, r.dimm));
-        out
-    }
-
-    /// Total model invocations across shards.
-    pub fn scored(&self) -> u64 {
-        self.shards.iter().map(|s| s.scored()).sum()
-    }
-
-    /// Total stale rejections across shards.
-    pub fn stale_rejected(&self) -> u64 {
-        self.shards.iter().map(|s| s.stale_rejected()).sum()
-    }
-
-    /// Routes one normalized ingest output to its home shard — the
-    /// single entry point `crate::wal` replays through, mirroring
-    /// [`OnlinePredictor::apply`]. Returns whether it was accepted.
-    pub fn apply(&mut self, out: &IngestOutput) -> bool {
-        let s = shard_route(out, self.shards.len());
-        self.shards[s].apply(out)
     }
 }
 
@@ -268,14 +164,6 @@ pub enum ServeError {
         /// The worker that received the item.
         worker: usize,
     },
-    /// Checkpoint capture was requested but a shard produced no
-    /// snapshot, so no coherent [`ServeCheckpoint`] exists — previously
-    /// `expect("capture enabled on every shard")`. The outcome carries
-    /// `checkpoint: None`.
-    MissingCapture {
-        /// The shard without a snapshot.
-        shard: usize,
-    },
     /// The shard owning a DIMM exhausted its restart budget and is out
     /// of the merge: its DIMMs degrade to this error instead of wedging
     /// or silently vanishing from fleet-wide results (see
@@ -293,9 +181,6 @@ impl std::fmt::Display for ServeError {
                 f,
                 "event for dimm {dimm:?} (shard {shard}) reached worker {worker}, which does not own it"
             ),
-            ServeError::MissingCapture { shard } => {
-                write!(f, "shard {shard} produced no checkpoint during capture")
-            }
             ServeError::ShardUnavailable { shard } => {
                 write!(f, "shard {shard} is past its restart budget and unavailable")
             }
@@ -356,11 +241,8 @@ pub struct ServeOutcome {
     pub ingest: IngestStats,
     /// Execution statistics.
     pub stats: ServeStats,
-    /// Final sharded state (only when
-    /// [`ServeConfig::capture_checkpoint`]).
-    pub checkpoint: Option<ServeCheckpoint>,
-    /// Non-fatal faults the pipeline degraded through (misroutes,
-    /// partial captures), ordered by shard. Empty on a healthy run.
+    /// Non-fatal faults the pipeline degraded through (misroutes),
+    /// ordered by shard. Empty on a healthy run.
     pub errors: Vec<ServeError>,
 }
 
@@ -388,7 +270,6 @@ struct ShardResult {
     events: u64,
     scored: u64,
     stale_rejected: u64,
-    checkpoint: Option<OnlineCheckpoint>,
     errors: Vec<ServeError>,
 }
 
@@ -473,7 +354,6 @@ where
             let global_latency = global_latency.clone();
             let online = scfg.online;
             let record_scores = scfg.record_scores;
-            let capture = scfg.capture_checkpoint;
             s.spawn(move || {
                 // Predictors are built in-thread: shard state never
                 // crosses a thread boundary while live.
@@ -519,8 +399,6 @@ where
                 let mut errors = Some(errors);
                 for (shard, (mut pred, events)) in preds {
                     pred.finish(end);
-                    let checkpoint =
-                        capture.then(|| OnlineCheckpoint::capture(&pred, &stores[shard]));
                     let _ = result_tx.send(ShardResult {
                         shard,
                         scores: pred.trace.take().unwrap_or_default(),
@@ -528,7 +406,6 @@ where
                         stale_rejected: pred.stale_rejected(),
                         alarms: std::mem::take(&mut pred.alarms),
                         events,
-                        checkpoint,
                         // The worker's accumulated faults ride its first
                         // shard result.
                         errors: errors.take().unwrap_or_default(),
@@ -575,28 +452,10 @@ where
         .flat_map(|r| r.scores.iter().copied())
         .collect();
     scores.sort_by_key(|r| (r.time, r.dimm));
-    let mut errors: Vec<ServeError> = results
+    let errors: Vec<ServeError> = results
         .iter_mut()
         .flat_map(|r| std::mem::take(&mut r.errors))
         .collect();
-    let checkpoint = if scfg.capture_checkpoint {
-        // A shard that produced no snapshot makes the set incoherent:
-        // degrade to `None` and report which shard, instead of aborting.
-        let mut shards_cp = Vec::with_capacity(results.len());
-        let mut complete = true;
-        for r in &results {
-            match &r.checkpoint {
-                Some(cp) => shards_cp.push(cp.clone()),
-                None => {
-                    errors.push(ServeError::MissingCapture { shard: r.shard });
-                    complete = false;
-                }
-            }
-        }
-        complete.then_some(ServeCheckpoint { shards: shards_cp })
-    } else {
-        None
-    };
     if !errors.is_empty() {
         mfp_obs::counter("serve_errors", &[]).add(errors.len() as u64);
     }
@@ -625,7 +484,6 @@ where
             p99_score_secs: latency.quantile(0.99),
             per_shard,
         },
-        checkpoint,
         errors,
     };
     mfp_obs::counter("serve_pipeline_runs", &[]).incr();
@@ -696,7 +554,7 @@ mod tests {
             .map(|k| {
                 let d = dimms[(k % dimms.len() as u64) as usize];
                 // Half the fleet carries the risky signature.
-                risky_ce(1_000 + k * 1_800, d, d.server.0 % 2 == 0)
+                risky_ce(1_000 + k * 1_800, d, d.server.0.is_multiple_of(2))
             })
             .collect()
     }
@@ -749,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_core_matches_sequential_for_any_shard_count() {
+    fn pipeline_matches_sequential_across_the_worker_matrix() {
         let lake = DataLake::new();
         let registry = ModelRegistry::new();
         let dimms = setup(&lake, &registry);
@@ -766,43 +624,7 @@ mod tests {
             "stream must alarm or the test is vacuous"
         );
 
-        for shards in [1usize, 2, 3, 4, 8] {
-            let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-            let mut engine =
-                ShardedOnline::new(&lake, &stores, &registry, Platform::IntelPurley, cfg);
-            engine.set_score_trace(true);
-            for e in &events {
-                engine.observe(e);
-            }
-            engine.finish(end);
-            assert_eq!(
-                engine.alarms(),
-                alarms,
-                "alarms diverged at {shards} shards"
-            );
-            assert_eq!(
-                engine.scores(),
-                scores,
-                "scores diverged at {shards} shards"
-            );
-            assert_eq!(engine.scored(), scored);
-            assert_eq!(engine.stale_rejected(), 0);
-        }
-    }
-
-    #[test]
-    fn pipeline_matches_sequential_across_the_worker_matrix() {
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
-        let events = stream(&dimms);
-        let end =
-            SimTime::from_secs(events.last().unwrap().time().as_secs()) + SimDuration::days(2);
-        let cfg = OnlineConfig::default();
-        let (alarms, scores, scored) = sequential_oracle(&lake, &registry, &events, cfg, end);
-        assert!(!alarms.is_empty());
-
-        for (shards, workers) in [(1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 3)] {
+        for (shards, workers) in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (4, 4), (8, 3)] {
             let scfg = ServeConfig {
                 record_scores: true,
                 online: cfg,
@@ -936,55 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_checkpoint_resumes_bit_identically() {
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
-        let events = stream(&dimms);
-        let split = events.len() / 2;
-        let end =
-            SimTime::from_secs(events.last().unwrap().time().as_secs()) + SimDuration::days(2);
-        let cfg = OnlineConfig::default();
-        let (ref_alarms, _, ref_scored) = sequential_oracle(&lake, &registry, &events, cfg, end);
-
-        // Serve the first half, checkpoint, encode to the wire.
-        let shards = 4usize;
-        let scfg = ServeConfig {
-            capture_checkpoint: true,
-            online: cfg,
-            ..ServeConfig::new(shards, 2)
-        };
-        let mid = SimTime::from_secs(events[split - 1].time().as_secs());
-        let first = serve_pipeline(
-            &lake,
-            &registry,
-            Platform::IntelPurley,
-            ProblemConfig::default(),
-            FaultThresholds::default(),
-            IngestConfig::default(),
-            &scfg,
-            mid,
-            |emit| {
-                for e in &events[..split] {
-                    emit(*e);
-                }
-            },
-        );
-        let wire = first.checkpoint.expect("capture was requested").encode();
-
-        // Restore into a synchronous engine and replay the suffix.
-        let decoded = ServeCheckpoint::decode(&wire).expect("wire round-trip");
-        let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-        let mut resumed = decoded.restore(&lake, &stores, &registry);
-        for e in &events[split..] {
-            resumed.observe(e);
-        }
-        resumed.finish(end);
-        assert_eq!(resumed.alarms(), ref_alarms);
-        assert_eq!(resumed.scored(), ref_scored);
-    }
-
-    #[test]
     fn latency_stats_are_populated() {
         let lake = DataLake::new();
         let registry = ModelRegistry::new();
@@ -1024,45 +797,5 @@ mod tests {
             text.contains("shard 3") && text.contains("worker 0"),
             "{text}"
         );
-        let partial = ServeError::MissingCapture { shard: 5 };
-        assert!(partial.to_string().contains("shard 5"));
-    }
-
-    #[test]
-    fn apply_routes_outputs_like_observe_and_note_gap() {
-        use crate::ingest::{GapRecord, IngestOutput};
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
-        let events = stream(&dimms);
-        let end = SimTime::from_secs(events.last().unwrap().time().as_secs());
-        let stores_a = make_stores(3, ProblemConfig::default(), FaultThresholds::default());
-        let stores_b = make_stores(3, ProblemConfig::default(), FaultThresholds::default());
-        let mk = |stores| {
-            ShardedOnline::new(
-                &lake,
-                stores,
-                &registry,
-                Platform::IntelPurley,
-                OnlineConfig::default(),
-            )
-        };
-        let (mut direct, mut via_apply) = (mk(&stores_a), mk(&stores_b));
-        let gap = GapRecord {
-            dimm: dimms[0],
-            from: SimTime::from_secs(1),
-            to: SimTime::from_secs(2),
-        };
-        for e in &events {
-            direct.observe(e);
-            assert!(via_apply.apply(&IngestOutput::Released(*e)));
-        }
-        let home = shard_of(gap.dimm, direct.shard_count());
-        direct.shards[home].note_gap(gap.dimm);
-        assert!(via_apply.apply(&IngestOutput::Gap(gap)));
-        direct.finish(end);
-        via_apply.finish(end);
-        assert_eq!(direct.alarms(), via_apply.alarms());
-        assert_eq!(direct.scored(), via_apply.scored());
     }
 }

@@ -789,7 +789,7 @@ mod tests {
         let mut out: Vec<IngestOutput> = (0..20 * dimms.len() as u64)
             .map(|k| {
                 let d = dimms[(k % dimms.len() as u64) as usize];
-                IngestOutput::Released(risky_ce(1_000 + k * 1_800, d, d.server.0 % 2 == 0))
+                IngestOutput::Released(risky_ce(1_000 + k * 1_800, d, d.server.0.is_multiple_of(2)))
             })
             .collect();
         out.insert(

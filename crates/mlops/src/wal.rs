@@ -1,55 +1,15 @@
 //! Write-ahead logging and crash recovery for the online serving path.
 //!
-//! [`crate::checkpoint`] makes the sharded engine's state restorable, but
-//! a checkpoint alone loses every event between captures. This module
-//! closes that window: every accepted ingest output (released event or
-//! detected gap) is appended to a checksummed, length-prefixed
-//! write-ahead log **before** it mutates predictor state, and periodic
-//! compaction folds the log prefix into a [`ServeCheckpoint`] so the log
-//! stays short. Recovery is restore-latest-checkpoint + deterministic
-//! replay of the WAL tail.
+//! [`crate::checkpoint`] makes one predictor's state restorable, but a
+//! checkpoint alone loses every event between captures. This module
+//! closes that window shard by shard: every ingest output (released
+//! event or detected gap) routed to a shard is appended to that shard's
+//! checksummed, length-prefixed write-ahead log **before** it mutates the
+//! shard's predictor, and periodic compaction folds the log into an
+//! `MFC1` checkpoint so the log stays short. Recovery is
+//! restore-latest-checkpoint + deterministic replay of the log tail.
 //!
-//! # Recovery invariant
-//!
-//! For a crash at *any* byte offset of the WAL file, [`DurableOnline::open`]
-//! reconstructs an engine whose state equals a fresh engine fed the first
-//! `m` canonical ingest outputs, where `m` is exactly the number of
-//! outputs in the longest valid WAL prefix (plus the checkpointed
-//! prefix). Resuming the stream from output `m` therefore yields alarms
-//! and scores **bit-identical** to an uncrashed run — the property
-//! `truncating_the_wal_anywhere_recovers_bit_identically` sweeps below
-//! and `tests/prop_wal.rs` checks on randomized streams.
-//!
-//! Two crash windows deserve a note:
-//!
-//! * **Torn appends.** A record whose checksum or length prefix does not
-//!   verify ends the valid prefix; the torn tail is measured, truncated,
-//!   and the file is re-opened for append at the cut.
-//! * **Compaction.** A checkpoint stores `applied`, the global sequence
-//!   number of the first output *not* folded into it. If a crash lands
-//!   between the checkpoint rename and the WAL reset, replay skips every
-//!   WAL output with `seq < applied` instead of double-applying it.
-//!
-//! # Wire format (`MFW1`)
-//!
-//! ```text
-//! file   := "MFW1" version:u8 record*
-//! record := kind:u8 seq:u64 len:u32 payload:[u8; len] crc32:u32
-//! ```
-//!
-//! Big endian throughout; the CRC covers `kind..payload`. `kind` 1 is a
-//! batch of released events (payload: an encoded `BmcLog`, whose stable
-//! time sort is the identity on the already-ordered run), `kind` 2 is a
-//! collection gap (server, slot, from, to). `seq` is the global sequence
-//! number of the record's first output, so a batch of `k` events covers
-//! `seq..seq+k`. Decoding is bounds-checked like `MFC1`: a corrupted
-//! length can neither over-read nor over-allocate.
-//!
-//! # Per-shard durability (`MFW2`)
-//!
-//! [`DurableOnline`] keeps one log in front of the whole engine, so one
-//! crashed shard stalls the fleet behind a full replay. The `MFW2`
-//! *directory* layout splits durability to shard granularity:
+//! # Layout (`MFW2`)
 //!
 //! ```text
 //! root/
@@ -61,16 +21,53 @@
 //!   shard-001/ ...
 //! ```
 //!
-//! Each [`DurableShard`] reuses the `MFW1` record codec and the `MFD1`
-//! applied-output watermark unchanged — only the sequence numbers are
-//! per-shard (the position of the output in *that shard's* routed
-//! sub-stream, which is itself deterministic because routing is the pure
-//! hash `crate::serve::shard_of`). A shard therefore recovers
-//! **independently**: restore its own checkpoint, replay its own longest
-//! valid prefix, never read a sibling's files. [`ShardedDurable`] is the
-//! unsupervised composition (`crate::supervise` adds restarts, backoff
-//! and quarantine on top); on resume the caller re-feeds the stream from
-//! the start and each shard skips the prefix it already covered.
+//! Sequence numbers are per shard: output `k` of a shard is the `k`-th
+//! output routed to it, a stable coordinate across restarts because
+//! routing is the pure hash `crate::serve::shard_of`. A [`DurableShard`]
+//! therefore recovers **independently**: restore its own checkpoint,
+//! replay its own longest valid prefix, never read a sibling's files.
+//! [`ShardedDurable`] is the unsupervised composition (`crate::supervise`
+//! and `crate::procserve` add restarts, backoff and quarantine on top);
+//! on resume the caller re-feeds the stream from the start and each shard
+//! skips the prefix it already covered.
+//!
+//! # Recovery invariant
+//!
+//! For a crash at *any* byte offset of a shard's `wal.log`,
+//! [`DurableShard::open`] rebuilds a predictor whose state equals a fresh
+//! one fed the first `m` outputs routed to that shard, where `m` is the
+//! checkpoint watermark plus the outputs in the longest valid log prefix.
+//! Re-feeding the stream therefore yields alarms and scores
+//! **bit-identical** to an uncrashed run — the property
+//! `truncating_the_wal_anywhere_recovers_bit_identically` sweeps below
+//! and `tests/prop_wal.rs` checks on randomized streams.
+//!
+//! Two crash windows deserve a note:
+//!
+//! * **Torn appends.** A record whose checksum or length prefix does not
+//!   verify ends the valid prefix; the torn tail is measured, truncated,
+//!   and the file is re-opened for append at the cut.
+//! * **Compaction.** A checkpoint stores `applied`, the per-shard sequence
+//!   number of the first output *not* folded into it. If a crash lands
+//!   between the checkpoint rename and the WAL reset, replay skips every
+//!   WAL output with `seq < applied` instead of double-applying it.
+//!
+//! # Record format (`MFW1`)
+//!
+//! ```text
+//! file   := "MFW1" version:u8 record*
+//! record := kind:u8 seq:u64 len:u32 payload:[u8; len] crc32:u32
+//! ```
+//!
+//! Big endian throughout; the CRC covers `kind..payload`. `kind` 1 is a
+//! batch of released events (payload: an encoded `BmcLog`, whose stable
+//! time sort is the identity on the already-ordered run), `kind` 2 is a
+//! collection gap (server, slot, from, to). `seq` is the per-shard
+//! sequence number of the record's first output, so a batch of `k`
+//! events covers `seq..seq+k`. Decoding is bounds-checked like `MFC1`: a
+//! corrupted length can neither over-read nor over-allocate.
+//!
+//! # Apply guard
 //!
 //! Every state mutation goes through an *apply guard* — a closure that
 //! may apply, skip, or report a crash for each durable output. The
@@ -79,13 +76,13 @@
 //! poison record (durable before it ever crashed the shard — the price
 //! of write-ahead ordering) from a crash loop into a skipped output.
 
-use crate::checkpoint::{CheckpointError, OnlineCheckpoint, ServeCheckpoint};
+use crate::checkpoint::{CheckpointError, OnlineCheckpoint};
 use crate::feature_store::FeatureStore;
 use crate::ingest::{GapRecord, IngestOutput};
 use crate::lake::DataLake;
 use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
 use crate::registry::ModelRegistry;
-use crate::serve::{shard_route, ShardedOnline};
+use crate::serve::shard_route;
 use mfp_dram::address::DimmId;
 use mfp_dram::bmc::BmcLog;
 use mfp_dram::event::MemEvent;
@@ -109,8 +106,8 @@ pub(crate) const RECORD_HEADER_LEN: usize = 13;
 
 /// IEEE CRC-32 (the Ethernet/zip polynomial), table-driven.
 ///
-/// Shared by the WAL record format and the `MFC1`/`MFS1` checkpoint
-/// envelopes: one detection primitive for every durability payload.
+/// Shared by the WAL record format and the `MFC1`, `MFD1`, `MFW2` and
+/// lake envelopes: one detection primitive for every durability payload.
 pub fn crc32(data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
@@ -147,11 +144,11 @@ pub enum WalPayload {
     Gap(GapRecord),
 }
 
-/// One WAL record: a payload stamped with the global sequence number of
-/// its first output.
+/// One WAL record: a payload stamped with the per-shard sequence number
+/// of its first output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
-    /// Global output sequence number of the record's first output.
+    /// Per-shard output sequence number of the record's first output.
     pub seq: u64,
     /// The logged outputs.
     pub payload: WalPayload,
@@ -219,10 +216,10 @@ pub enum WalError {
     Checkpoint(CheckpointError),
     /// The `MFW2` meta file is corrupt or not a meta file.
     BadMeta(&'static str),
-    /// The on-disk state was captured with a different shard count than
-    /// the caller's stores — resharding a snapshot is unsound (see
-    /// [`ServeCheckpoint::restore`]), so this fails as data instead of
-    /// panicking inside the restore.
+    /// The `MFW2` root was written with a different shard count than the
+    /// caller's stores. Routing is a pure function of `(dimm, shards)`,
+    /// so resharding would re-home DIMMs away from their logged state and
+    /// make every per-shard sequence number meaningless.
     ShardCountMismatch {
         /// Shards recorded on disk.
         captured: usize,
@@ -389,10 +386,11 @@ pub(crate) fn decode_record(data: &[u8]) -> Option<WalRecord> {
 /// scores — only how often bytes hit the disk and how long replay takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableConfig {
-    /// Outputs buffered before an automatic [`DurableOnline::flush`]
-    /// (clamped to at least 1).
+    /// Outputs a shard buffers before an automatic
+    /// [`DurableShard::flush`] (clamped to at least 1).
     pub batch: usize,
-    /// WAL records between compactions; `u64::MAX` disables compaction.
+    /// WAL records a shard appends between compactions; `u64::MAX`
+    /// disables compaction.
     pub compact_every: u64,
     /// `fsync` the WAL after every flush (durability against power loss
     /// rather than just process crash; slower).
@@ -414,7 +412,7 @@ impl Default for DurableConfig {
     }
 }
 
-/// What [`DurableOnline::open`] found and did.
+/// What [`DurableShard::open`] found and did for one shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Outputs already folded into the restored checkpoint (0 without
@@ -430,10 +428,10 @@ pub struct RecoveryReport {
     /// Bytes of torn tail truncated from the WAL.
     pub torn_tail_bytes: u64,
     /// WAL outputs consumed without applying because the shard's
-    /// quarantine side log lists them (per-shard recovery only).
+    /// quarantine side log lists them.
     pub outputs_quarantined: u64,
-    /// Per-shard replay aborted: the apply guard reported a crash at
-    /// this sequence number (the output is a poison candidate; the
+    /// Replay aborted: the apply guard reported a crash at this
+    /// per-shard sequence number (the output is a poison candidate; the
     /// supervisor counts the crash and retries or quarantines).
     pub replay_crashed: Option<u64>,
 }
@@ -472,16 +470,15 @@ impl WalMetrics {
     }
 }
 
-/// Magic bytes of the durable checkpoint container: an `MFS1` (whole
-/// engine) or `MFC1` (single shard) payload wrapped with the
-/// applied-output watermark.
+/// Magic bytes of the durable checkpoint container: a shard's `MFC1`
+/// payload wrapped with its applied-output watermark.
 const CKPT_MAGIC: [u8; 4] = *b"MFD1";
 const CKPT_VERSION: u8 = 1;
 /// Magic bytes of the `MFW2` per-shard directory meta file.
 const META_MAGIC: [u8; 4] = *b"MFW2";
 const META_VERSION: u8 = 1;
 
-/// Wraps a checkpoint payload in the `MFD1` container: magic, version,
+/// Wraps an `MFC1` payload in the `MFD1` container: magic, version,
 /// the applied-output watermark, the payload length-prefixed, and a
 /// trailing CRC over everything before it.
 fn encode_durable_envelope(applied: u64, payload: &[u8]) -> Vec<u8> {
@@ -496,8 +493,7 @@ fn encode_durable_envelope(applied: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Unwraps an `MFD1` container, returning the applied watermark and the
-/// embedded checkpoint payload (still encoded — the caller knows whether
-/// it holds an `MFS1` or `MFC1` snapshot).
+/// embedded `MFC1` payload, still encoded.
 fn decode_durable_envelope(data: &[u8]) -> Result<(u64, &[u8]), WalError> {
     if data.len() < HEADER_LEN + 16 + 4 || data[..4] != CKPT_MAGIC || data[4] != CKPT_VERSION {
         return Err(WalError::Checkpoint(CheckpointError::BadMagic));
@@ -516,15 +512,6 @@ fn decode_durable_envelope(data: &[u8]) -> Result<(u64, &[u8]), WalError> {
         return Err(WalError::Checkpoint(CheckpointError::Truncated));
     }
     Ok((applied, &body[HEADER_LEN + 16..]))
-}
-
-fn encode_durable_checkpoint(applied: u64, cp: &ServeCheckpoint) -> Vec<u8> {
-    encode_durable_envelope(applied, &cp.encode())
-}
-
-fn decode_durable_checkpoint(data: &[u8]) -> Result<(u64, ServeCheckpoint), WalError> {
-    let (applied, payload) = decode_durable_envelope(data)?;
-    Ok((applied, ServeCheckpoint::decode(payload)?))
 }
 
 /// Writes `bytes` to `path` atomically: a sibling temp file is written,
@@ -637,267 +624,6 @@ pub(crate) fn batch_outputs(pending: &[IngestOutput], mut seq: u64) -> Vec<WalRe
     }
     records
 }
-
-/// A [`ShardedOnline`] engine behind a write-ahead log: every accepted
-/// ingest output is durable before it mutates predictor state, periodic
-/// compaction folds the log into a checkpoint, and [`DurableOnline::open`]
-/// recovers from a crash at any WAL byte offset to a state bit-identical
-/// to an uncrashed run over the same prefix (see the module docs).
-///
-/// Directory layout under the engine's root:
-///
-/// ```text
-/// root/
-///   wal.log          MFW1 record log (torn tail truncated on open)
-///   checkpoint.bin   MFD1 container: applied watermark + MFS1 payload
-/// ```
-#[derive(Debug)]
-pub struct DurableOnline<'a> {
-    dir: PathBuf,
-    engine: ShardedOnline<'a>,
-    stores: &'a [FeatureStore],
-    wal: BufWriter<File>,
-    pending: Vec<IngestOutput>,
-    /// Global sequence number of the next output to be accepted; equals
-    /// the number of outputs durably applied once `pending` is empty.
-    next_seq: u64,
-    records_since_compact: u64,
-    cfg: DurableConfig,
-    metrics: WalMetrics,
-}
-
-impl<'a> DurableOnline<'a> {
-    /// Opens (or creates) a durable engine rooted at `dir`, recovering
-    /// checkpoint + WAL state if present. `stores` must have the same
-    /// length as any previously checkpointed shard count — resharding a
-    /// snapshot is unsound for the same reason as
-    /// [`ServeCheckpoint::restore`].
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, a corrupt checkpoint container, or a WAL whose
-    /// header is not `MFW1`. A *torn* WAL tail is not an error: it is
-    /// measured in the report and truncated.
-    #[allow(clippy::too_many_arguments)]
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        lake: &'a DataLake,
-        stores: &'a [FeatureStore],
-        registry: &'a ModelRegistry,
-        platform: Platform,
-        online: OnlineConfig,
-        cfg: DurableConfig,
-    ) -> Result<(Self, RecoveryReport), WalError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let metrics = WalMetrics::new();
-        let mut report = RecoveryReport::default();
-        let replay_span = metrics.replay_seconds.time();
-
-        // 1. Latest checkpoint, if any.
-        let ckpt_path = dir.join("checkpoint.bin");
-        let mut engine = match fs::read(&ckpt_path) {
-            Ok(bytes) => {
-                let (applied, cp) = decode_durable_checkpoint(&bytes)?;
-                if cp.shards.len() != stores.len() {
-                    return Err(WalError::ShardCountMismatch {
-                        captured: cp.shards.len(),
-                        stores: stores.len(),
-                    });
-                }
-                report.checkpoint_applied = applied;
-                cp.restore(lake, stores, registry)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                ShardedOnline::new(lake, stores, registry, platform, online)
-            }
-            Err(e) => return Err(e.into()),
-        };
-        engine.set_score_trace(cfg.record_scores);
-        let mut next_seq = report.checkpoint_applied;
-
-        // 2. Replay the WAL tail past the checkpoint watermark.
-        let (file, contents) = recover_wal_file(&dir.join("wal.log"))?;
-        report.wal_records = contents.records.len() as u64;
-        report.torn_tail_bytes = contents.torn_bytes;
-        if contents.torn_bytes > 0 {
-            metrics.torn_tails.incr();
-        }
-        for record in &contents.records {
-            match &record.payload {
-                WalPayload::Events(events) => {
-                    for (i, e) in events.iter().enumerate() {
-                        if record.seq + i as u64 >= report.checkpoint_applied {
-                            engine.observe(e);
-                            report.outputs_replayed += 1;
-                        } else {
-                            report.outputs_skipped += 1;
-                        }
-                    }
-                }
-                WalPayload::Gap(gap) => {
-                    if record.seq >= report.checkpoint_applied {
-                        engine.apply(&IngestOutput::Gap(*gap));
-                        report.outputs_replayed += 1;
-                    } else {
-                        report.outputs_skipped += 1;
-                    }
-                }
-            }
-            next_seq = next_seq.max(record.seq + record.outputs());
-        }
-        metrics.replay_records.add(report.wal_records);
-        metrics.replay_outputs.add(report.outputs_replayed);
-        metrics.replay_skipped.add(report.outputs_skipped);
-        replay_span.stop();
-
-        Ok((
-            DurableOnline {
-                dir,
-                engine,
-                stores,
-                wal: BufWriter::new(file),
-                pending: Vec::with_capacity(cfg.batch.max(1)),
-                next_seq,
-                records_since_compact: 0,
-                cfg,
-                metrics,
-            },
-            report,
-        ))
-    }
-
-    /// Accepts one ingest output: buffered, logged on the next flush,
-    /// and only then applied to the engine. Flushes automatically every
-    /// [`DurableConfig::batch`] outputs.
-    pub fn push(&mut self, out: IngestOutput) -> Result<(), WalError> {
-        self.pending.push(out);
-        if self.pending.len() >= self.cfg.batch.max(1) {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Makes every buffered output durable, then applies it to the
-    /// engine — the write-ahead ordering. Contiguous released-event runs
-    /// are batched into one record; each gap gets its own. Triggers
-    /// compaction when the record budget is spent.
-    pub fn flush(&mut self) -> Result<(), WalError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let span = self.metrics.flush_seconds.time();
-        let pending = std::mem::take(&mut self.pending);
-        let records = batch_outputs(&pending, self.next_seq);
-        for record in &records {
-            let bytes = encode_record(record);
-            self.wal.write_all(&bytes)?;
-            self.metrics.appends.incr();
-            self.metrics.append_bytes.record(bytes.len() as f64);
-        }
-        self.wal.flush()?;
-        if self.cfg.fsync {
-            self.wal.get_ref().sync_data()?;
-            self.metrics.fsyncs.incr();
-        }
-        self.metrics.flushes.incr();
-        span.stop();
-        // Durable — now (and only now) mutate predictor state.
-        for out in &pending {
-            self.engine.apply(out);
-            self.next_seq += 1;
-        }
-        self.records_since_compact += records.len() as u64;
-        if self.records_since_compact >= self.cfg.compact_every {
-            self.compact()?;
-        }
-        Ok(())
-    }
-
-    /// Folds the whole WAL into a fresh checkpoint and resets the log:
-    /// checkpoint first (atomic rename), WAL truncation second, so a
-    /// crash between the two merely makes replay skip covered outputs.
-    pub fn compact(&mut self) -> Result<(), WalError> {
-        self.flush_pending_for_compact()?;
-        let cp = ServeCheckpoint::capture(&self.engine, self.stores);
-        let bytes = encode_durable_checkpoint(self.next_seq, &cp);
-        atomic_write(&self.dir.join("checkpoint.bin"), &bytes)?;
-        // Under fsync, persist the checkpoint's directory entry BEFORE
-        // the WAL reset rename: power loss must never observe the
-        // reset-but-unsynced log next to the pre-compaction checkpoint.
-        if self.cfg.fsync {
-            fsync_dir(&self.dir)?;
-        }
-        // Reset the WAL via the same atomic-rename pattern: a crash here
-        // leaves either the old full log (outputs skipped on replay) or
-        // the fresh empty one.
-        self.wal = BufWriter::new(reset_wal(&self.dir.join("wal.log"))?);
-        if self.cfg.fsync {
-            fsync_dir(&self.dir)?;
-        }
-        self.records_since_compact = 0;
-        self.metrics.compactions.incr();
-        Ok(())
-    }
-
-    /// Flushes buffered outputs without re-entering compaction.
-    fn flush_pending_for_compact(&mut self) -> Result<(), WalError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let budget = std::mem::replace(&mut self.cfg.compact_every, u64::MAX);
-        let result = self.flush();
-        self.cfg.compact_every = budget;
-        result
-    }
-
-    /// Flushes the buffer and runs every prediction tick up to `until`
-    /// (end of stream). Ticks are a deterministic function of durable
-    /// state, so they are not logged — recovery replays the WAL and the
-    /// caller re-invokes `finish`.
-    ///
-    /// When compaction is enabled, shutdown ends with a final compaction
-    /// (checkpoint rename, then WAL reset, each directory-synced under
-    /// [`DurableConfig::fsync`]) so a kill right after `finish` restarts
-    /// from the checkpoint instead of replaying the whole log.
-    pub fn finish(&mut self, until: SimTime) -> Result<(), WalError> {
-        self.flush()?;
-        self.engine.finish(until);
-        if self.cfg.compact_every != u64::MAX {
-            self.compact()?;
-        }
-        Ok(())
-    }
-
-    /// Outputs durably applied so far (the global sequence watermark);
-    /// buffered-but-unflushed outputs are not counted.
-    pub fn applied(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The underlying sharded engine (read access).
-    pub fn engine(&self) -> &ShardedOnline<'a> {
-        &self.engine
-    }
-
-    /// All alarms raised so far, merged by `(time, dimm)`.
-    pub fn alarms(&self) -> Vec<Alarm> {
-        self.engine.alarms()
-    }
-
-    /// All recorded scores (empty unless
-    /// [`DurableConfig::record_scores`]).
-    pub fn scores(&self) -> Vec<ScoreRecord> {
-        self.engine.scores()
-    }
-
-    /// Total model invocations across shards.
-    pub fn scored(&self) -> u64 {
-        self.engine.scored()
-    }
-}
-
-// ---------------------------------------------------------------- MFW2 --
 
 /// What a guarded apply decided to do with one durable output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1181,9 +907,11 @@ impl<'a> DurableShard<'a> {
     }
 
     /// Makes every buffered output durable, then consumes each through
-    /// `guard` — the same write-ahead ordering as [`DurableOnline`]. On
-    /// a crash verdict the remaining outputs stay durable but unapplied
-    /// and the caller must drop + re-open the shard.
+    /// `guard` — the write-ahead ordering. Contiguous released-event runs
+    /// are batched into one record; each gap gets its own. On a crash
+    /// verdict the remaining outputs stay durable but unapplied and the
+    /// caller must drop + re-open the shard. Compacts when the record
+    /// budget is spent.
     pub fn flush(&mut self, guard: &mut Guard<'_, 'a>) -> Result<FlushStatus, WalError> {
         if self.pending.is_empty() {
             return Ok(FlushStatus::Clean);
@@ -1230,9 +958,12 @@ impl<'a> DurableShard<'a> {
     }
 
     /// Folds this shard's WAL into a fresh `MFD1` checkpoint and resets
-    /// the log (same rename ordering and fsync rules as
-    /// [`DurableOnline::compact`]). Requires a clean shard: everything
-    /// flushed, nothing unconsumed.
+    /// the log: checkpoint first (atomic rename), WAL reset second, so a
+    /// crash between the two merely makes replay skip covered outputs.
+    /// Under [`DurableConfig::fsync`] the directory is synced after each
+    /// rename, so power loss never sees the reset log next to the old
+    /// checkpoint. Requires a clean shard: everything flushed, nothing
+    /// unconsumed.
     pub fn compact(&mut self) -> Result<(), WalError> {
         assert!(self.pending.is_empty(), "flush before compacting");
         assert_eq!(
@@ -1319,7 +1050,7 @@ impl<'a> DurableShard<'a> {
 /// The unsupervised `MFW2` engine: one [`DurableShard`] per feature
 /// store behind the pure hash router, each with its own log and
 /// checkpoint chain. Produces alarms and scores bit-identical to the
-/// sequential predictor (and to [`DurableOnline`]) for the same stream.
+/// sequential predictor for the same stream.
 ///
 /// On re-open after a crash the caller re-feeds the stream from the
 /// start: [`ShardedDurable::push`] counts the outputs routed to each
@@ -1409,9 +1140,12 @@ impl<'a> ShardedDurable<'a> {
         Ok(())
     }
 
-    /// Flushes and runs every shard's prediction ticks up to `until`
-    /// (compacting at shutdown when enabled, like
-    /// [`DurableOnline::finish`]).
+    /// Flushes and runs every shard's prediction ticks up to `until`.
+    /// Ticks are a deterministic function of durable state, so they are
+    /// not logged: recovery replays the logs and the caller re-invokes
+    /// `finish`. With compaction enabled every shard ends with a final
+    /// [`DurableShard::compact`], so a kill right after `finish` restarts
+    /// from the checkpoints instead of replaying whole logs.
     pub fn finish(&mut self, until: SimTime) -> Result<(), WalError> {
         let mut guard = apply_unguarded();
         for shard in &mut self.shards {
@@ -1548,7 +1282,7 @@ mod tests {
         let mut out: Vec<IngestOutput> = (0..20 * dimms.len() as u64)
             .map(|k| {
                 let d = dimms[(k % dimms.len() as u64) as usize];
-                IngestOutput::Released(risky_ce(1_000 + k * 1_800, d, d.server.0 % 2 == 0))
+                IngestOutput::Released(risky_ce(1_000 + k * 1_800, d, d.server.0.is_multiple_of(2)))
             })
             .collect();
         out.insert(
@@ -1656,7 +1390,7 @@ mod tests {
             let c = scan(&corrupt).unwrap();
             let intact = boundaries.iter().filter(|&&b| b <= i).count() - 1;
             assert!(
-                c.records.len() <= intact.min(records.len()).max(0),
+                c.records.len() <= intact.min(records.len()),
                 "bit flip at {i} must not extend the valid prefix"
             );
             assert_eq!(c.records[..], records[..c.records.len()]);
@@ -1671,48 +1405,68 @@ mod tests {
         assert_eq!(torn.torn_bytes, 3);
     }
 
-    #[test]
-    fn durable_run_matches_the_sequential_oracle() {
-        let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
-        let outs = outputs(&dimms);
-        let end = SimTime::from_secs(40 * 86_400);
-        let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
-        assert!(
-            !ref_alarms.is_empty(),
-            "stream must alarm or the test is vacuous"
-        );
-
-        for shards in [1usize, 2, 4] {
-            let dir = test_dir("clean");
-            let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-            let cfg = DurableConfig {
-                batch: 7,
-                record_scores: true,
-                ..DurableConfig::default()
-            };
-            let (mut durable, report) = DurableOnline::open(
-                &dir,
-                &lake,
-                &stores,
-                &registry,
-                Platform::IntelPurley,
-                OnlineConfig::default(),
-                cfg,
-            )
-            .unwrap();
-            assert_eq!(report, RecoveryReport::default());
-            for out in &outs {
-                durable.push(*out).unwrap();
-            }
-            durable.finish(end).unwrap();
-            assert_eq!(durable.alarms(), ref_alarms, "{shards} shards: alarms");
-            assert_eq!(durable.scores(), ref_scores, "{shards} shards: scores");
-            assert_eq!(durable.scored(), ref_scored);
-            assert_eq!(durable.applied(), outs.len() as u64);
-            let _ = fs::remove_dir_all(&dir);
+    fn traced() -> DurableConfig {
+        DurableConfig {
+            batch: 5,
+            compact_every: u64::MAX,
+            record_scores: true,
+            ..DurableConfig::default()
         }
+    }
+
+    fn open_root<'a>(
+        dir: &Path,
+        lake: &'a DataLake,
+        stores: &'a [FeatureStore],
+        registry: &'a ModelRegistry,
+        cfg: DurableConfig,
+    ) -> Result<(ShardedDurable<'a>, Vec<RecoveryReport>), WalError> {
+        ShardedDurable::open(
+            dir,
+            lake,
+            stores,
+            registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            cfg,
+        )
+    }
+
+    fn shard_stores(shards: usize) -> Vec<FeatureStore> {
+        make_stores(shards, ProblemConfig::default(), FaultThresholds::default())
+    }
+
+    /// Copies an `MFW2` root's meta file and every shard's log and
+    /// checkpoint: the on-disk state a crash right now would leave.
+    fn copy_root(src: &Path, dst: &Path, shards: usize) {
+        fs::copy(src.join("meta.bin"), dst.join("meta.bin")).unwrap();
+        for s in 0..shards {
+            let (from, to) = (shard_dir(src, s), shard_dir(dst, s));
+            fs::create_dir_all(&to).unwrap();
+            for name in ["wal.log", "checkpoint.bin"] {
+                if from.join(name).exists() {
+                    fs::copy(from.join(name), to.join(name)).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Byte offsets of every record boundary of a WAL image, starting
+    /// with the end of the header.
+    fn record_boundaries(image: &[u8]) -> Vec<usize> {
+        let mut b = vec![HEADER_LEN];
+        let mut off = HEADER_LEN;
+        while off < image.len() {
+            let plen = u32::from_be_bytes([
+                image[off + 9],
+                image[off + 10],
+                image[off + 11],
+                image[off + 12],
+            ]) as usize;
+            off += RECORD_HEADER_LEN + plen + 4;
+            b.push(off);
+        }
+        b
     }
 
     #[test]
@@ -1725,47 +1479,23 @@ mod tests {
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
 
         for shards in [1usize, 2, 4] {
-            // Write the complete WAL once (no compaction, so the file
-            // covers the whole stream).
+            // Write every shard's complete WAL once (no compaction, so
+            // the logs cover the whole stream).
             let dir = test_dir("sweep");
-            let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-            let cfg = DurableConfig {
-                batch: 5,
-                compact_every: u64::MAX,
-                record_scores: true,
-                ..DurableConfig::default()
-            };
-            let (mut writer, _) = DurableOnline::open(
-                &dir,
-                &lake,
-                &stores,
-                &registry,
-                Platform::IntelPurley,
-                OnlineConfig::default(),
-                cfg,
-            )
-            .unwrap();
+            let live = shard_stores(shards);
+            let (mut writer, _) = open_root(&dir, &lake, &live, &registry, traced()).unwrap();
             for out in &outs {
                 writer.push(*out).unwrap();
             }
             writer.flush().unwrap();
             drop(writer);
-            let image = fs::read(dir.join("wal.log")).unwrap();
-            let boundaries: Vec<usize> = {
-                let mut b = vec![HEADER_LEN];
-                let mut off = HEADER_LEN;
-                while off < image.len() {
-                    let plen = u32::from_be_bytes([
-                        image[off + 9],
-                        image[off + 10],
-                        image[off + 11],
-                        image[off + 12],
-                    ]) as usize;
-                    off += RECORD_HEADER_LEN + plen + 4;
-                    b.push(off);
-                }
-                b
-            };
+            // Tear the longest log; its siblings stay whole.
+            let wal_of = |s| shard_dir(&dir, s).join("wal.log");
+            let victim = (0..shards)
+                .max_by_key(|&s| fs::metadata(wal_of(s)).unwrap().len())
+                .unwrap();
+            let image = fs::read(wal_of(victim)).unwrap();
+            let boundaries = record_boundaries(&image);
             // Crash at every record boundary plus torn offsets sampled
             // across the whole file (densely for the single-shard config,
             // sparsely for the rest — torn-tail handling is
@@ -1778,38 +1508,26 @@ mod tests {
             cuts.dedup();
             for cut in cuts {
                 let crash_dir = test_dir("sweep_cut");
-                fs::write(crash_dir.join("wal.log"), &image[..cut]).unwrap();
-                let (mut resumed, report) = DurableOnline::open(
-                    &crash_dir,
-                    &lake,
-                    &stores,
-                    &registry,
-                    Platform::IntelPurley,
-                    OnlineConfig::default(),
-                    cfg,
-                )
-                .unwrap();
-                let m = report.outputs_replayed as usize;
-                assert!(m <= outs.len());
+                copy_root(&dir, &crash_dir, shards);
+                fs::write(shard_dir(&crash_dir, victim).join("wal.log"), &image[..cut]).unwrap();
+                let restore = shard_stores(shards);
+                let (mut resumed, reports) =
+                    open_root(&crash_dir, &lake, &restore, &registry, traced()).unwrap();
                 if cut > 0 && boundaries.binary_search(&cut).is_err() {
-                    assert!(report.torn_tail_bytes > 0, "mid-record cut at {cut}");
+                    assert!(
+                        reports[victim].torn_tail_bytes > 0,
+                        "mid-record cut at {cut}"
+                    );
                 }
-                for out in &outs[m..] {
+                for out in &outs {
                     resumed.push(*out).unwrap();
                 }
                 resumed.finish(end).unwrap();
-                assert_eq!(
-                    resumed.alarms(),
-                    ref_alarms,
-                    "{shards} shards, crash at byte {cut}: alarms diverged"
-                );
-                assert_eq!(
-                    resumed.scores(),
-                    ref_scores,
-                    "{shards} shards, crash at byte {cut}: scores diverged"
-                );
-                assert_eq!(resumed.scored(), ref_scored);
-                assert_eq!(resumed.applied(), outs.len() as u64);
+                let at = format!("{shards} shards, crash at byte {cut} of shard {victim}");
+                assert_eq!(resumed.alarms(), ref_alarms, "{at}: alarms diverged");
+                assert_eq!(resumed.scores(), ref_scores, "{at}: scores diverged");
+                assert_eq!(resumed.scored(), ref_scored, "{at}: scored diverged");
+                assert_eq!(resumed.consumed(), outs.len() as u64);
                 let _ = fs::remove_dir_all(&crash_dir);
             }
             let _ = fs::remove_dir_all(&dir);
@@ -1826,55 +1544,46 @@ mod tests {
         let (ref_alarms, _, ref_scored) = oracle(&lake, &registry, &outs, end);
 
         let dir = test_dir("compact");
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
+        let live = shard_stores(2);
         let cfg = DurableConfig {
             batch: 5,
             compact_every: 4,
             fsync: true,
             ..DurableConfig::default()
         };
-        let (mut durable, _) = DurableOnline::open(
-            &dir,
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            cfg,
-        )
-        .unwrap();
+        let (mut durable, _) = open_root(&dir, &lake, &live, &registry, cfg).unwrap();
         for out in &outs {
             durable.push(*out).unwrap();
         }
         durable.flush().unwrap();
         drop(durable);
-        assert!(
-            dir.join("checkpoint.bin").exists(),
-            "compaction must checkpoint"
-        );
-        let wal_len = fs::metadata(dir.join("wal.log")).unwrap().len();
-        assert!(
-            wal_len < 2_000,
-            "compaction must bound the log (got {wal_len} bytes)"
-        );
+        for s in 0..2 {
+            let sdir = shard_dir(&dir, s);
+            assert!(
+                sdir.join("checkpoint.bin").exists(),
+                "shard {s}: compaction must checkpoint"
+            );
+            let wal_len = fs::metadata(sdir.join("wal.log")).unwrap().len();
+            assert!(
+                wal_len < 2_000,
+                "shard {s}: compaction must bound the log (got {wal_len} bytes)"
+            );
+        }
 
         // Crash after the stream: reopen, finish, compare.
-        let restore_stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let (mut resumed, report) = DurableOnline::open(
-            &dir,
-            &lake,
-            &restore_stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            cfg,
-        )
-        .unwrap();
-        assert!(report.checkpoint_applied > 0);
+        let restore = shard_stores(2);
+        let (mut resumed, reports) = open_root(&dir, &lake, &restore, &registry, cfg).unwrap();
+        assert!(reports.iter().all(|r| r.checkpoint_applied > 0));
         assert_eq!(
-            report.checkpoint_applied + report.outputs_replayed,
+            reports
+                .iter()
+                .map(|r| r.checkpoint_applied + r.outputs_replayed)
+                .sum::<u64>(),
             outs.len() as u64
         );
+        for out in &outs {
+            resumed.push(*out).unwrap();
+        }
         resumed.finish(end).unwrap();
         assert_eq!(resumed.alarms(), ref_alarms);
         assert_eq!(resumed.scored(), ref_scored);
@@ -1884,65 +1593,55 @@ mod tests {
     #[test]
     fn replay_skips_outputs_the_checkpoint_already_covers() {
         // Simulate a crash between the checkpoint rename and the WAL
-        // reset: pair a *full* WAL with a checkpoint that covers all of
-        // it. Replay must skip, not double-apply.
+        // reset: pair every shard's *full* WAL with a checkpoint that
+        // covers all of it. Replay must skip, not double-apply.
         let lake = DataLake::new();
         let registry = ModelRegistry::new();
         let dimms = setup(&lake, &registry);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
-        let (ref_alarms, _, ref_scored) = oracle(&lake, &registry, &outs, end);
+        let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
 
-        // Full WAL, no compaction.
+        // Full WALs, no compaction.
         let wal_dir = test_dir("skipsrc");
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let nocompact = DurableConfig {
-            batch: 5,
-            compact_every: u64::MAX,
-            ..DurableConfig::default()
-        };
-        let (mut writer, _) = DurableOnline::open(
-            &wal_dir,
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            nocompact,
-        )
-        .unwrap();
+        let crash_dir = test_dir("skip");
+        let live = shard_stores(2);
+        let (mut writer, _) = open_root(&wal_dir, &lake, &live, &registry, traced()).unwrap();
         for out in &outs {
             writer.push(*out).unwrap();
         }
         writer.flush().unwrap();
-        // Checkpoint covering the whole stream, taken from the live
-        // engine (what compaction writes just before resetting the WAL).
-        let cp = ServeCheckpoint::capture(writer.engine(), &stores);
-        let ckpt = encode_durable_checkpoint(outs.len() as u64, &cp);
+        copy_root(&wal_dir, &crash_dir, 2);
+        // Checkpoints covering each whole log, taken from the live shards
+        // (what compaction writes just before resetting the WAL).
+        for (s, store) in live.iter().enumerate() {
+            let shard = writer.shard(s);
+            let cp = OnlineCheckpoint::capture(shard.predictor(), store);
+            let ckpt = encode_durable_envelope(shard.durable(), &cp.encode());
+            fs::write(shard_dir(&crash_dir, s).join("checkpoint.bin"), ckpt).unwrap();
+        }
         drop(writer);
 
-        let crash_dir = test_dir("skip");
-        fs::copy(wal_dir.join("wal.log"), crash_dir.join("wal.log")).unwrap();
-        fs::write(crash_dir.join("checkpoint.bin"), &ckpt).unwrap();
-        let restore_stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let (mut resumed, report) = DurableOnline::open(
-            &crash_dir,
-            &lake,
-            &restore_stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            nocompact,
-        )
-        .unwrap();
-        assert_eq!(report.checkpoint_applied, outs.len() as u64);
+        let restore = shard_stores(2);
+        let (mut resumed, reports) =
+            open_root(&crash_dir, &lake, &restore, &registry, traced()).unwrap();
+        for (s, r) in reports.iter().enumerate() {
+            assert_eq!(
+                r.outputs_replayed, 0,
+                "shard {s}: covered outputs must be skipped"
+            );
+            assert_eq!(r.outputs_skipped, r.checkpoint_applied);
+        }
         assert_eq!(
-            report.outputs_replayed, 0,
-            "covered outputs must be skipped"
+            reports.iter().map(|r| r.outputs_skipped).sum::<u64>(),
+            outs.len() as u64
         );
-        assert_eq!(report.outputs_skipped, outs.len() as u64);
+        for out in &outs {
+            resumed.push(*out).unwrap();
+        }
         resumed.finish(end).unwrap();
         assert_eq!(resumed.alarms(), ref_alarms);
+        assert_eq!(resumed.scores(), ref_scores);
         assert_eq!(resumed.scored(), ref_scored);
         let _ = fs::remove_dir_all(&wal_dir);
         let _ = fs::remove_dir_all(&crash_dir);
@@ -1953,36 +1652,20 @@ mod tests {
         let lake = DataLake::new();
         let registry = ModelRegistry::new();
         let _ = setup(&lake, &registry);
-        let dir = test_dir("badckpt");
-        fs::write(
-            dir.join("checkpoint.bin"),
-            b"MFD1\x01garbage-that-is-long-enough....",
-        )
-        .unwrap();
-        let stores = make_stores(1, ProblemConfig::default(), FaultThresholds::default());
-        let err = DurableOnline::open(
-            &dir,
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            DurableConfig::default(),
-        )
-        .err()
-        .expect("corrupt checkpoint must not restore");
-        assert!(matches!(err, WalError::Checkpoint(_)), "got {err}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    // ------------------------------------------------------ MFW2 tests --
-
-    fn traced() -> DurableConfig {
-        DurableConfig {
-            batch: 5,
-            compact_every: u64::MAX,
-            record_scores: true,
-            ..DurableConfig::default()
+        // A torn container, and a sealed container around a payload that
+        // is not MFC1.
+        for bytes in [
+            b"MFD1\x01garbage-that-is-long-enough....".to_vec(),
+            encode_durable_envelope(0, b"not a checkpoint"),
+        ] {
+            let dir = test_dir("badckpt");
+            fs::create_dir_all(shard_dir(&dir, 0)).unwrap();
+            fs::write(shard_dir(&dir, 0).join("checkpoint.bin"), bytes).unwrap();
+            let one = shard_stores(1);
+            let err = open_root(&dir, &lake, &one, &registry, DurableConfig::default())
+                .expect_err("corrupt checkpoint must not restore");
+            assert!(matches!(err, WalError::Checkpoint(_)), "got {err}");
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 
@@ -1995,19 +1678,20 @@ mod tests {
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
 
-        for shards in [1usize, 2, 4] {
+        // Compaction off, and on with the default budget (it then runs
+        // only at shutdown).
+        let compacting = DurableConfig {
+            batch: 7,
+            record_scores: true,
+            ..DurableConfig::default()
+        };
+        for (shards, cfg) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|n| [(n, traced()), (n, compacting)])
+        {
             let dir = test_dir("mfw2clean");
-            let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-            let (mut sd, reports) = ShardedDurable::open(
-                &dir,
-                &lake,
-                &stores,
-                &registry,
-                Platform::IntelPurley,
-                OnlineConfig::default(),
-                traced(),
-            )
-            .unwrap();
+            let stores = shard_stores(shards);
+            let (mut sd, reports) = open_root(&dir, &lake, &stores, &registry, cfg).unwrap();
             assert_eq!(reports.len(), shards);
             for r in &reports {
                 assert_eq!(*r, RecoveryReport::default());
@@ -2016,8 +1700,8 @@ mod tests {
                 sd.push(*out).unwrap();
             }
             sd.finish(end).unwrap();
-            assert_eq!(sd.alarms(), ref_alarms, "{shards} shards: alarms");
-            assert_eq!(sd.scores(), ref_scores, "{shards} shards: scores");
+            assert_eq!(sd.alarms(), ref_alarms, "{shards} shards, {cfg:?}: alarms");
+            assert_eq!(sd.scores(), ref_scores, "{shards} shards, {cfg:?}: scores");
             assert_eq!(sd.scored(), ref_scored);
             assert_eq!(sd.consumed(), outs.len() as u64);
             // Every shard got its own directory with its own log.
@@ -2047,17 +1731,8 @@ mod tests {
             [1.0, 1.0, 0.01, 0.99],
         ] {
             let dir = test_dir("mfw2cut");
-            let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-            let (mut sd, _) = ShardedDurable::open(
-                &dir,
-                &lake,
-                &stores,
-                &registry,
-                Platform::IntelPurley,
-                OnlineConfig::default(),
-                traced(),
-            )
-            .unwrap();
+            let stores = shard_stores(shards);
+            let (mut sd, _) = open_root(&dir, &lake, &stores, &registry, traced()).unwrap();
             for out in &outs {
                 sd.push(*out).unwrap();
             }
@@ -2071,17 +1746,9 @@ mod tests {
                 fs::write(&path, &image[..keep]).unwrap();
             }
 
-            let restore = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-            let (mut resumed, reports) = ShardedDurable::open(
-                &dir,
-                &lake,
-                &restore,
-                &registry,
-                Platform::IntelPurley,
-                OnlineConfig::default(),
-                traced(),
-            )
-            .unwrap();
+            let restore = shard_stores(shards);
+            let (mut resumed, reports) =
+                open_root(&dir, &lake, &restore, &registry, traced()).unwrap();
             let replayed: u64 = reports.iter().map(|r| r.outputs_replayed).sum();
             assert!(replayed <= outs.len() as u64);
             for out in &outs {
@@ -2104,17 +1771,8 @@ mod tests {
         let shards = 2usize;
 
         let dir = test_dir("sibling");
-        let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-        let (mut sd, _) = ShardedDurable::open(
-            &dir,
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            traced(),
-        )
-        .unwrap();
+        let stores = shard_stores(shards);
+        let (mut sd, _) = open_root(&dir, &lake, &stores, &registry, traced()).unwrap();
         for out in &outs {
             sd.push(*out).unwrap();
         }
@@ -2182,8 +1840,7 @@ mod tests {
             1,
             &mut guard3,
         )
-        .err()
-        .expect("vandalized shard 1 must fail to open");
+        .expect_err("vandalized shard 1 must fail to open");
         assert!(
             matches!(err, WalError::BadHeader | WalError::Checkpoint(_)),
             "got {err}"
@@ -2197,34 +1854,16 @@ mod tests {
         let registry = ModelRegistry::new();
         let _ = setup(&lake, &registry);
         let dir = test_dir("meta");
-        let two = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let (sd, _) = ShardedDurable::open(
-            &dir,
-            &lake,
-            &two,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            traced(),
-        )
-        .unwrap();
+        let two = shard_stores(2);
+        let (sd, _) = open_root(&dir, &lake, &two, &registry, traced()).unwrap();
         assert_eq!(sd.shard_count(), 2);
         drop(sd);
 
         // Reopening with a different shard count is a typed refusal, not
         // silent re-partitioning (per-shard seqs would be garbage).
-        let three = make_stores(3, ProblemConfig::default(), FaultThresholds::default());
-        let err = ShardedDurable::open(
-            &dir,
-            &lake,
-            &three,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            traced(),
-        )
-        .err()
-        .expect("shard-count mismatch must not open");
+        let three = shard_stores(3);
+        let err = open_root(&dir, &lake, &three, &registry, traced())
+            .expect_err("shard-count mismatch must not open");
         assert!(
             matches!(
                 err,
@@ -2238,17 +1877,8 @@ mod tests {
 
         // A corrupt meta file is corrupt data, not a panic.
         fs::write(dir.join("meta.bin"), b"MFW2junk.....").unwrap();
-        let err = ShardedDurable::open(
-            &dir,
-            &lake,
-            &two,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            traced(),
-        )
-        .err()
-        .expect("corrupt meta must not open");
+        let err = open_root(&dir, &lake, &two, &registry, traced())
+            .expect_err("corrupt meta must not open");
         assert!(matches!(err, WalError::BadMeta(_)), "got {err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -2263,23 +1893,14 @@ mod tests {
         let (ref_alarms, _, ref_scored) = oracle(&lake, &registry, &outs, end);
 
         let dir = test_dir("shutdown");
-        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
+        let live = shard_stores(2);
         let cfg = DurableConfig {
             batch: 4,
             compact_every: 64, // would never trigger mid-stream here
             fsync: true,
             ..DurableConfig::default()
         };
-        let (mut durable, _) = DurableOnline::open(
-            &dir,
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            cfg,
-        )
-        .unwrap();
+        let (mut durable, _) = open_root(&dir, &lake, &live, &registry, cfg).unwrap();
         for out in &outs {
             durable.push(*out).unwrap();
         }
@@ -2288,25 +1909,21 @@ mod tests {
 
         // Kill-at-shutdown: the process dies right after finish returns.
         // The shutdown compaction must have folded EVERYTHING into the
-        // checkpoint — reopen restores it with zero replay work.
-        let restore = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
-        let (mut resumed, report) = DurableOnline::open(
-            &dir,
-            &lake,
-            &restore,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            cfg,
-        )
-        .unwrap();
+        // shard checkpoints — reopen restores them with zero replay work.
+        let restore = shard_stores(2);
+        let (mut resumed, reports) = open_root(&dir, &lake, &restore, &registry, cfg).unwrap();
         assert_eq!(
-            report.checkpoint_applied,
+            reports.iter().map(|r| r.checkpoint_applied).sum::<u64>(),
             outs.len() as u64,
             "all outputs checkpointed"
         );
-        assert_eq!(report.wal_records, 0, "WAL reset at shutdown");
-        assert_eq!(report.outputs_replayed, 0);
+        for r in &reports {
+            assert_eq!(r.wal_records, 0, "WAL reset at shutdown");
+            assert_eq!(r.outputs_replayed, 0);
+        }
+        for out in &outs {
+            resumed.push(*out).unwrap();
+        }
         resumed.finish(end).unwrap();
         assert_eq!(resumed.alarms(), ref_alarms);
         assert_eq!(resumed.scored(), ref_scored);

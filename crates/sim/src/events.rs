@@ -914,7 +914,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let events: Vec<MemEvent> = (0..buf.len())
             .map(|pos| {
-                t = t + SimDuration::secs(u64::from(buf.dt[pos]));
+                t += SimDuration::secs(u64::from(buf.dt[pos]));
                 buf.event_at(pos, t, plan.id)
             })
             .collect();

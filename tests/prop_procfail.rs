@@ -140,7 +140,7 @@ fn driblet_reads_with_leading_banner_recover_everything() {
                 reader.push(&bytes[pos..hi]);
                 pos = hi;
                 loop {
-                    match reader.next() {
+                    match reader.next_step() {
                         FrameStep::Frame(f) => got.push(f),
                         FrameStep::NeedMore => break,
                         FrameStep::Corrupt => panic!("clean stream read as corrupt"),

@@ -1,10 +1,11 @@
 //! Property tests of the hostile-telemetry path: ingestion normalization
 //! is idempotent, lossless chaos (duplicates + bounded reorder) never
 //! changes the online alarm sequence, crash/restore from a binary
-//! checkpoint is bit-identical to an uninterrupted run, and the sharded
-//! serving engine (`mfp_mlops::serve`) reproduces the sequential
-//! predictor — alarms and scores — at any shard count, including across
-//! its own sharded checkpoint format.
+//! checkpoint is bit-identical to an uninterrupted run, and the durable
+//! sharded engine (`mfp_mlops::wal::ShardedDurable`) reproduces the
+//! sequential predictor — alarms and scores — at any shard count,
+//! including across a crash it recovers from its per-shard checkpoints
+//! and logs.
 
 use mfp_dram::address::{CellAddr, DimmId};
 use mfp_dram::bus::ErrorTransfer;
@@ -20,6 +21,8 @@ use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_rng::StdRng;
 use mfp_sim::chaos::{inject_chaos, ChaosConfig};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 mod common;
 use common::{check, coin, vec_of, CASES};
@@ -97,9 +100,42 @@ fn random_stream(rng: &mut StdRng) -> Vec<MemEvent> {
         .collect()
 }
 
-/// Delivery-ordered stream -> hardened ingestion -> sharded serving;
-/// the sharded twin of [`run_hardened`], returning the merged alarm and
-/// score logs plus the scored count.
+/// A unique scratch directory per test invocation (parallel-safe).
+fn test_dir(tag: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    let d = std::env::temp_dir().join(format!(
+        "mfp_prop_resilience_{tag}_{}_{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::SeqCst)
+    ));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).expect("create scratch dir");
+    d
+}
+
+/// Opens (or recovers) the `MFW2` root at `dir` with one shard per store.
+fn open_root<'a>(
+    dir: &Path,
+    lake: &'a DataLake,
+    stores: &'a [FeatureStore],
+    registry: &'a ModelRegistry,
+    cfg: DurableConfig,
+) -> (ShardedDurable<'a>, Vec<RecoveryReport>) {
+    ShardedDurable::open(
+        dir,
+        lake,
+        stores,
+        registry,
+        Platform::IntelPurley,
+        OnlineConfig::default(),
+        cfg,
+    )
+    .expect("open durable root")
+}
+
+/// Delivery-ordered stream -> hardened ingestion -> durable sharded
+/// serving; the sharded twin of [`run_hardened`], returning the merged
+/// alarm and score logs plus the scored count.
 fn run_sharded(
     lake: &DataLake,
     registry: &ModelRegistry,
@@ -107,15 +143,13 @@ fn run_sharded(
     end: SimTime,
     shards: usize,
 ) -> (Vec<Alarm>, Vec<ScoreRecord>, u64) {
+    let dir = test_dir("sharded");
     let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-    let mut engine = ShardedOnline::new(
-        lake,
-        &stores,
-        registry,
-        Platform::IntelPurley,
-        OnlineConfig::default(),
-    );
-    engine.set_score_trace(true);
+    let cfg = DurableConfig {
+        record_scores: true,
+        ..DurableConfig::default()
+    };
+    let (mut engine, _) = open_root(&dir, lake, &stores, registry, cfg);
     let mut ingestor = Ingestor::new(
         lake,
         IngestConfig {
@@ -125,14 +159,16 @@ fn run_sharded(
     );
     for e in delivery {
         for released in ingestor.push(e) {
-            engine.observe(&released);
+            engine.push(IngestOutput::Released(released)).unwrap();
         }
     }
     for released in ingestor.flush() {
-        engine.observe(&released);
+        engine.push(IngestOutput::Released(released)).unwrap();
     }
-    engine.finish(end);
-    (engine.alarms(), engine.scores(), engine.scored())
+    engine.finish(end).unwrap();
+    let run = (engine.alarms(), engine.scores(), engine.scored());
+    let _ = std::fs::remove_dir_all(&dir);
+    run
 }
 
 /// Delivery-ordered stream -> hardened ingestion -> online prediction;
@@ -270,13 +306,15 @@ fn sharded_serving_matches_sequential() {
     });
 }
 
-/// Crash the sharded engine at any prefix, round-trip the sharded
-/// checkpoint through its wire format, replay the suffix: alarms and
-/// scored counts match the uninterrupted sequential run bit for bit.
+/// Crash the durable sharded engine at any prefix — losing whatever it
+/// buffered but had not logged yet — recover it from its `MFC1` shard
+/// checkpoints and WAL tails, re-feed the stream: alarms, scored and
+/// stale counts match the uninterrupted sequential run bit for bit.
 /// (Time-ordered delivery: the serving contract — per-shard
 /// watermarks only match the global one when no event is stale.)
 #[test]
 fn sharded_crash_restore_is_bit_identical() {
+    let mut restored_checkpoints = 0u32;
     check("sharded_crash_restore_is_bit_identical", CASES, |rng| {
         let events = random_stream(rng);
         let crash_frac = rng.random::<f64>();
@@ -296,29 +334,47 @@ fn sharded_crash_restore_is_bit_identical() {
         }
         reference.finish(end);
 
-        // Crashed sharded run: stop mid-stream, capture every shard,
-        // serialize, restore into fresh stores, replay the suffix.
-        let crash_at = ((events.len() as f64) * crash_frac) as usize;
+        // Crashed durable run: a small compaction budget, so most crashes
+        // land after a shard folded its log into a checkpoint. Stop
+        // mid-stream, drop the engine, reopen over fresh stores.
+        let durable = DurableConfig {
+            batch: 2,
+            compact_every: 2,
+            ..DurableConfig::default()
+        };
+        let outs: Vec<IngestOutput> = events.iter().map(|e| IngestOutput::Released(*e)).collect();
+        let crash_at = ((outs.len() as f64) * crash_frac) as usize;
+        let dir = test_dir("crash");
         let stores_a = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-        let mut first = ShardedOnline::new(&lake, &stores_a, &registry, Platform::IntelPurley, cfg);
-        for e in &events[..crash_at] {
-            first.observe(e);
+        let (mut first, _) = open_root(&dir, &lake, &stores_a, &registry, durable);
+        for out in &outs[..crash_at] {
+            first.push(*out).unwrap();
         }
-        let wire = ServeCheckpoint::capture(&first, &stores_a).encode();
         drop(first);
 
-        let decoded = ServeCheckpoint::decode(&wire).expect("sharded checkpoint round-trip");
         let stores_b = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-        let mut resumed = decoded.restore(&lake, &stores_b, &registry);
-        for e in &events[crash_at..] {
-            resumed.observe(e);
+        let (mut resumed, reports) = open_root(&dir, &lake, &stores_b, &registry, durable);
+        if reports.iter().any(|r| r.checkpoint_applied > 0) {
+            restored_checkpoints += 1;
         }
-        resumed.finish(end);
+        for out in &outs {
+            resumed.push(*out).unwrap();
+        }
+        resumed.finish(end).unwrap();
 
         assert_alarms_bit_identical(reference.alarms(), &resumed.alarms());
         assert_eq!(reference.scored(), resumed.scored());
-        assert_eq!(reference.stale_rejected(), resumed.stale_rejected());
+        let stale: u64 = (0..resumed.shard_count())
+            .map(|s| resumed.shard(s).predictor().stale_rejected())
+            .sum();
+        assert_eq!(reference.stale_rejected(), stale);
+        assert_eq!(resumed.consumed(), outs.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
     });
+    assert!(
+        restored_checkpoints > CASES / 4,
+        "only {restored_checkpoints} of {CASES} crashes restored a shard checkpoint"
+    );
 }
 
 /// Crash anywhere, restore from the binary checkpoint, replay the

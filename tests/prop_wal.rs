@@ -1,9 +1,10 @@
 //! Property tests of the durability layer (`mfp_mlops::wal`): for
 //! randomized event streams, shard counts, batch sizes and compaction
-//! budgets, a crash at an arbitrary WAL byte offset recovers to a state
-//! that — after resuming the remainder of the stream — is bit-identical
-//! to an uncrashed sequential run. Also checks the `MFW1` record format
-//! round-trips and that a truncated image never yields phantom records.
+//! budgets, a crash that tears every shard's WAL at its own arbitrary
+//! byte offset recovers to a state that — after re-feeding the stream —
+//! is bit-identical to an uncrashed sequential run. Also checks the
+//! `MFW1` record format round-trips and that a truncated image never
+//! yields phantom records.
 
 use mfp_dram::address::{CellAddr, DimmId};
 use mfp_dram::bus::ErrorTransfer;
@@ -17,9 +18,9 @@ use mfp_ml::metrics::{Confusion, Evaluation};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
-use mfp_mlops::wal::{encode_record, scan, WalPayload, WalRecord};
+use mfp_mlops::wal::{encode_record, scan, shard_dir, WalPayload, WalRecord};
 use mfp_rng::StdRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 mod common;
@@ -129,6 +130,26 @@ fn oracle(
     (p.alarms().to_vec(), p.scored())
 }
 
+/// Opens (or recovers) the `MFW2` root at `dir` with one shard per store.
+fn open_root<'a>(
+    dir: &Path,
+    lake: &'a DataLake,
+    stores: &'a [FeatureStore],
+    registry: &'a ModelRegistry,
+    cfg: DurableConfig,
+) -> (ShardedDurable<'a>, Vec<RecoveryReport>) {
+    ShardedDurable::open(
+        dir,
+        lake,
+        stores,
+        registry,
+        Platform::IntelPurley,
+        OnlineConfig::default(),
+        cfg,
+    )
+    .unwrap()
+}
+
 /// `MFW1` records round-trip through encode/scan, and truncating the
 /// image at an arbitrary byte yields exactly the record prefix that
 /// fits — never a phantom or corrupted record.
@@ -185,7 +206,8 @@ fn wal_image_scan_is_a_prefix_decoder() {
 
 /// Crash anywhere, recover, resume: alarms and model-invocation
 /// counts match the uncrashed oracle for arbitrary streams, shard
-/// counts, batch sizes and compaction budgets.
+/// counts, batch sizes and compaction budgets, with every shard's log
+/// torn at its own offset.
 #[test]
 fn crash_recovery_resumes_bit_identically() {
     check("crash_recovery_resumes_bit_identically", 8, |rng| {
@@ -197,7 +219,7 @@ fn crash_recovery_resumes_bit_identically() {
         } else {
             rng.random_range(2u64..32)
         };
-        let cut_frac = rng.random::<f64>();
+        let cut_fracs: Vec<f64> = (0..shards).map(|_| rng.random::<f64>()).collect();
         let lake = DataLake::new();
         let registry = ModelRegistry::new();
         let dimms = setup(&lake, &registry, 6);
@@ -205,8 +227,8 @@ fn crash_recovery_resumes_bit_identically() {
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scored) = oracle(&lake, &registry, &outs, end);
 
-        // Run the full stream durably, then crash by truncating the WAL
-        // at an arbitrary byte offset.
+        // Run the full stream durably, then crash by truncating each
+        // shard's WAL at an arbitrary byte offset.
         let dir = test_dir("crash");
         let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
         let cfg = DurableConfig {
@@ -214,45 +236,30 @@ fn crash_recovery_resumes_bit_identically() {
             compact_every,
             ..DurableConfig::default()
         };
-        let (mut writer, fresh) = DurableOnline::open(
-            &dir,
-            &lake,
-            &stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            cfg,
-        )
-        .unwrap();
-        assert_eq!(fresh, RecoveryReport::default());
+        let (mut writer, fresh) = open_root(&dir, &lake, &stores, &registry, cfg);
+        assert!(fresh.iter().all(|r| *r == RecoveryReport::default()));
         for out in &outs {
             writer.push(*out).unwrap();
         }
         writer.flush().unwrap();
         drop(writer);
+        for (s, frac) in cut_fracs.iter().enumerate() {
+            let wal_path = shard_dir(&dir, s).join("wal.log");
+            let image = std::fs::read(&wal_path).unwrap();
+            let cut = (image.len() as f64 * frac) as usize;
+            std::fs::write(&wal_path, &image[..cut]).unwrap();
+        }
 
-        let wal_path = dir.join("wal.log");
-        let image = std::fs::read(&wal_path).unwrap();
-        let cut = (image.len() as f64 * cut_frac) as usize;
-        std::fs::write(&wal_path, &image[..cut]).unwrap();
-
-        // Recover and resume the suffix the crash lost.
+        // Recover, then re-feed the stream: each shard skips the prefix
+        // it recovered and resumes from the first output the crash lost.
         let restore_stores =
             make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
-        let (mut resumed, report) = DurableOnline::open(
-            &dir,
-            &lake,
-            &restore_stores,
-            &registry,
-            Platform::IntelPurley,
-            OnlineConfig::default(),
-            cfg,
-        )
-        .unwrap();
-        let covered = resumed.applied();
-        assert!(covered <= outs.len() as u64);
-        assert!(covered >= report.checkpoint_applied);
-        for out in &outs[covered as usize..] {
+        let (mut resumed, reports) = open_root(&dir, &lake, &restore_stores, &registry, cfg);
+        for (s, report) in reports.iter().enumerate() {
+            assert!(resumed.shard(s).consumed() >= report.checkpoint_applied);
+        }
+        assert!(resumed.consumed() <= outs.len() as u64);
+        for out in &outs {
             resumed.push(*out).unwrap();
         }
         resumed.finish(end).unwrap();
@@ -263,7 +270,7 @@ fn crash_recovery_resumes_bit_identically() {
             ref_scored,
             "model invocations after recovery"
         );
-        assert_eq!(resumed.applied(), outs.len() as u64);
+        assert_eq!(resumed.consumed(), outs.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
