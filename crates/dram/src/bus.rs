@@ -195,15 +195,18 @@ impl ErrorTransfer {
         }
     }
 
-    /// Iterates over all erroneous `(beat, dq)` positions.
+    /// Iterates over all erroneous `(beat, dq)` positions, beat-major and
+    /// then by ascending lane. Walks each beat's set lanes only, so a
+    /// sparse burst costs its bit count rather than all 576 positions.
     pub fn iter_bits(&self) -> impl Iterator<Item = (u8, u8)> + '_ {
         self.beats.iter().enumerate().flat_map(|(beat, &lanes)| {
-            (0..BUS_BITS).filter_map(move |dq| {
-                if (lanes >> dq) & 1 == 1 {
-                    Some((beat as u8, dq))
-                } else {
-                    None
-                }
+            let mut rest = lanes;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let dq = rest.trailing_zeros() as u8;
+                    rest &= rest - 1;
+                    (beat as u8, dq)
+                })
             })
         })
     }
@@ -320,12 +323,78 @@ mod tests {
         assert!(a.get(0, 0) && a.get(7, 71));
     }
 
+    /// Every erroneous position by a double loop over [`ErrorTransfer::get`]:
+    /// the order `iter_bits` promises, beat-major then ascending lane.
+    fn naive_bits(t: &ErrorTransfer) -> Vec<(u8, u8)> {
+        let mut bits = Vec::new();
+        for beat in 0..BURST_BEATS {
+            for dq in 0..BUS_BITS {
+                if t.get(beat, dq) {
+                    bits.push((beat, dq));
+                }
+            }
+        }
+        bits
+    }
+
     #[test]
     fn iter_bits_visits_all() {
         let bits = vec![(0u8, 3u8), (2, 14), (7, 71)];
         let t = ErrorTransfer::from_bits(bits.iter().copied());
         let got: Vec<_> = t.iter_bits().collect();
         assert_eq!(got, bits);
+        assert_eq!(naive_bits(&t), bits);
+    }
+
+    #[test]
+    fn iter_bits_matches_naive_walk_on_every_single_bit() {
+        for beat in 0..BURST_BEATS {
+            for dq in 0..BUS_BITS {
+                let t = ErrorTransfer::from_bits([(beat, dq)]);
+                let got: Vec<_> = t.iter_bits().collect();
+                assert_eq!(got, vec![(beat, dq)]);
+                assert_eq!(got, naive_bits(&t));
+            }
+        }
+    }
+
+    #[test]
+    fn iter_bits_matches_naive_walk_on_random_bursts() {
+        // A fixed-seed LCG: mfp-dram has no dependencies to draw from.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut lanes = move || {
+            let mut half = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                u128::from(state)
+            };
+            (half() << 64 | half()) & ErrorTransfer::LANE_MASK
+        };
+        let (mut saw_lane_71, mut saw_beat_7) = (false, false);
+        for case in 0..500 {
+            let mut beats = [ErrorTransfer::LANE_MASK; BURST_BEATS as usize];
+            if case > 0 {
+                // Per beat: empty, sparse (about 1 lane in 8) or dense.
+                for b in &mut beats {
+                    *b = match lanes() % 4 {
+                        0 => 0,
+                        1 => lanes() & lanes() & lanes(),
+                        _ => lanes(),
+                    };
+                }
+            }
+            let t = ErrorTransfer::from_beats(beats);
+            let got: Vec<_> = t.iter_bits().collect();
+            assert_eq!(got, naive_bits(&t), "case {case}");
+            assert_eq!(got.len() as u32, t.bit_count());
+            saw_lane_71 |= got.iter().any(|&(_, dq)| dq == 71);
+            saw_beat_7 |= got.iter().any(|&(beat, _)| beat == 7);
+        }
+        assert!(
+            saw_lane_71 && saw_beat_7,
+            "draws must reach the last lane and beat"
+        );
     }
 
     #[test]

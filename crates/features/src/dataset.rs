@@ -98,6 +98,16 @@ impl SampleSet {
         self.times.push(time);
     }
 
+    /// An empty set with this set's schema and room for `samples` rows.
+    fn empty_like(&self, samples: usize) -> SampleSet {
+        let mut set = SampleSet {
+            schema: self.schema.clone(),
+            ..Default::default()
+        };
+        set.reserve(samples);
+        set
+    }
+
     /// Copies sample `i` of `src` onto the end of this set.
     ///
     /// # Panics
@@ -105,6 +115,12 @@ impl SampleSet {
     /// Panics if the schemas differ or `i` is out of range.
     pub fn push_from(&mut self, src: &SampleSet, i: usize) {
         assert_eq!(self.schema, src.schema, "schema mismatch");
+        self.copy_row(src, i);
+    }
+
+    /// [`Self::push_from`] for callers that built this set with `src`'s
+    /// schema, so the per-row schema comparison is skipped.
+    fn copy_row(&mut self, src: &SampleSet, i: usize) {
         self.features.extend_from_slice(src.row(i));
         self.labels.push(src.labels[i]);
         self.dimms.push(src.dimms[i]);
@@ -133,15 +149,15 @@ impl SampleSet {
     /// before `t` train, the rest test.
     pub fn split_by_time(&self, t: SimTime) -> (SampleSet, SampleSet) {
         let n_train = self.times.iter().filter(|&&s| s < t).count();
-        let mut train = SampleSet::with_capacity(n_train);
-        let mut test = SampleSet::with_capacity(self.len() - n_train);
+        let mut train = self.empty_like(n_train);
+        let mut test = self.empty_like(self.len() - n_train);
         for i in 0..self.len() {
             let target = if self.times[i] < t {
                 &mut train
             } else {
                 &mut test
             };
-            target.push_from(self, i);
+            target.copy_row(self, i);
         }
         (train, test)
     }
@@ -152,11 +168,11 @@ impl SampleSet {
         assert!(keep_every >= 1);
         let negatives = self.len() - self.positives();
         let kept = self.positives() + negatives.div_ceil(keep_every);
-        let mut out = SampleSet::with_capacity(kept);
+        let mut out = self.empty_like(kept);
         let mut neg_seen = 0usize;
         for i in 0..self.len() {
             if self.labels[i] || neg_seen.is_multiple_of(keep_every) {
-                out.push_from(self, i);
+                out.copy_row(self, i);
             }
             if !self.labels[i] {
                 neg_seen += 1;
@@ -430,6 +446,45 @@ mod tests {
             let negatives = set.len() - set.positives();
             assert_eq!(down.len(), set.positives() + negatives.div_ceil(keep_every));
         }
+    }
+
+    #[test]
+    fn splits_keep_a_non_standard_schema() {
+        // Regression: both splits built their outputs with the standard
+        // 62-name schema and panicked with "schema mismatch" on any other.
+        let mut set = SampleSet::new();
+        set.schema = vec!["a".into(), "b".into()];
+        for k in 0..6u32 {
+            let t = SimTime::from_secs(u64::from(k) * 100);
+            set.push(
+                vec![k as f32, -(k as f32)],
+                k % 3 == 0,
+                DimmId::new(k % 2, 0),
+                t,
+            );
+        }
+        let (train, test) = set.split_by_time(SimTime::from_secs(250));
+        for (part, rows) in [(&train, 0..3), (&test, 3..6)] {
+            assert_eq!(part.schema, set.schema);
+            assert_eq!(part.features, set.features[rows.start * 2..rows.end * 2]);
+            assert_eq!(part.labels, set.labels[rows.clone()]);
+            assert_eq!(part.dimms, set.dimms[rows.clone()]);
+            assert_eq!(part.times, set.times[rows]);
+        }
+        // Positives are samples 0 and 3; of the negatives 1, 2, 4, 5 every
+        // second one is kept, starting with the first.
+        let down = set.downsample_negatives(2);
+        assert_eq!(down.schema, set.schema);
+        let kept = [0usize, 1, 3, 4];
+        assert_eq!(
+            down.features,
+            kept.iter()
+                .flat_map(|&i| set.row(i).to_vec())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(down.labels, kept.map(|i| set.labels[i]));
+        assert_eq!(down.dimms, kept.map(|i| set.dimms[i]));
+        assert_eq!(down.times, kept.map(|i| set.times[i]));
     }
 
     #[test]

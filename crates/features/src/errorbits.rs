@@ -387,7 +387,9 @@ impl RollingErrorBitStats {
             s.mean_beat_count = self.beat_sum as f32 / s.events as f32;
         }
         s.total_devices = self.dev_presence.iter().filter(|&&c| c > 0).count() as u32;
-        for d in 0..self.n_dev {
+        // A device no live event touches has all-zero counts, which
+        // `fold_device_union` skips anyway.
+        for d in (0..self.n_dev).filter(|&d| self.dev_presence[d] > 0) {
             let dqm = counts_to_mask(&self.dev_dq_counts[d]);
             let bm = counts_to_mask(&self.dev_beat_counts[d]);
             fold_device_union(&mut s, dqm, bm);

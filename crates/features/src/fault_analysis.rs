@@ -8,11 +8,12 @@
 //! a *multi-device* fault. A DIMM can carry several labels at once, exactly
 //! as in the paper's Fig. 4 methodology.
 
+use crate::addr_counts::{AddrCounts, Moved};
 use crate::history::DimmHistory;
 use mfp_dram::address::CellAddr;
 use mfp_dram::event::CeEvent;
 use mfp_dram::geometry::DataWidth;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Thresholds for classifying fault modes from CEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,30 +141,22 @@ where
     }
 }
 
-/// Per-bank dispersion state of the rolling classifier.
-#[derive(Debug, Clone, Default)]
-struct BankDispersion {
-    rows: HashMap<u32, u32>,
-    cols: HashMap<u16, u32>,
-}
-
 /// Incremental fault-mode classification over a sliding CE window.
 ///
-/// Maintains the same spatial aggregations as [`classify_ces`] as multisets
-/// with eviction, plus counters of how many keys currently satisfy each
-/// threshold, so [`Self::classify`] is O(1) and insert/evict are O(1)
-/// hash-map updates. Thresholds must be >= 1 (the defaults are).
+/// Keeps the window's addresses as an [`AddrCounts`] multiset — the same
+/// spatial aggregations as [`classify_ces`], with eviction — plus
+/// counters of how many cells, rows, columns and banks currently satisfy
+/// each threshold, updated when a step crosses one. [`Self::classify`] is
+/// O(1) and insert/evict are O(1) hash-map updates. Thresholds must be
+/// >= 1 (the defaults are).
 #[derive(Debug, Clone)]
 pub struct RollingFaultClassifier {
     th: FaultThresholds,
     events: u32,
-    cells: HashMap<(u8, u8, u32, u16), u32>,
+    addrs: AddrCounts,
     cell_hits: u32,
-    row_cols: HashMap<(u8, u8, u32), HashMap<u16, u32>>,
     row_hits: u32,
-    col_rows: HashMap<(u8, u8, u16), HashMap<u32, u32>>,
     col_hits: u32,
-    banks: HashMap<(u8, u8), BankDispersion>,
     bank_hits: u32,
     device_events: [u32; 32],
     devices: u32,
@@ -182,13 +175,10 @@ impl RollingFaultClassifier {
         RollingFaultClassifier {
             th,
             events: 0,
-            cells: HashMap::new(),
+            addrs: AddrCounts::default(),
             cell_hits: 0,
-            row_cols: HashMap::new(),
             row_hits: 0,
-            col_rows: HashMap::new(),
             col_hits: 0,
-            banks: HashMap::new(),
             bank_hits: 0,
             device_events: [0; 32],
             devices: 0,
@@ -197,45 +187,13 @@ impl RollingFaultClassifier {
 
     /// Adds one CE (its cell address and device bitmask) to the window.
     pub fn insert(&mut self, addr: CellAddr, device_mask: u32) {
-        let th = self.th;
         self.events += 1;
-
-        let c = self
-            .cells
-            .entry((addr.rank, addr.bank, addr.row, addr.col))
-            .or_insert(0);
-        *c += 1;
-        if *c == th.cell_repeats {
-            self.cell_hits += 1;
-        }
-
-        let cols = self
-            .row_cols
-            .entry((addr.rank, addr.bank, addr.row))
-            .or_default();
-        let before = cols.len() as u32;
-        *cols.entry(addr.col).or_insert(0) += 1;
-        if before < th.row_distinct_cols && cols.len() as u32 >= th.row_distinct_cols {
-            self.row_hits += 1;
-        }
-
-        let rows = self
-            .col_rows
-            .entry((addr.rank, addr.bank, addr.col))
-            .or_default();
-        let before = rows.len() as u32;
-        *rows.entry(addr.row).or_insert(0) += 1;
-        if before < th.col_distinct_rows && rows.len() as u32 >= th.col_distinct_rows {
-            self.col_hits += 1;
-        }
-
-        let bank = self.banks.entry((addr.rank, addr.bank)).or_default();
-        let was_hit = bank_satisfies(bank, th.bank_distinct);
-        *bank.rows.entry(addr.row).or_insert(0) += 1;
-        *bank.cols.entry(addr.col).or_insert(0) += 1;
-        if !was_hit && bank_satisfies(bank, th.bank_distinct) {
-            self.bank_hits += 1;
-        }
+        let moved = self.addrs.insert(addr);
+        let [cell, row, col, bank] = self.crossings(moved);
+        self.cell_hits += u32::from(cell);
+        self.row_hits += u32::from(row);
+        self.col_hits += u32::from(col);
+        self.bank_hits += u32::from(bank);
 
         let mut m = device_mask;
         while m != 0 {
@@ -251,71 +209,13 @@ impl RollingFaultClassifier {
     /// Evicts one previously inserted CE from the window.
     pub fn remove(&mut self, addr: CellAddr, device_mask: u32) {
         debug_assert!(self.events > 0, "evicting from an empty window");
-        let th = self.th;
         self.events -= 1;
-
-        let cell_key = (addr.rank, addr.bank, addr.row, addr.col);
-        let c = self.cells.get_mut(&cell_key).expect("cell count present");
-        if *c == th.cell_repeats {
-            self.cell_hits -= 1;
-        }
-        *c -= 1;
-        if *c == 0 {
-            self.cells.remove(&cell_key);
-        }
-
-        let row_key = (addr.rank, addr.bank, addr.row);
-        let cols = self.row_cols.get_mut(&row_key).expect("row state present");
-        let before = cols.len() as u32;
-        let n = cols.get_mut(&addr.col).expect("col count present");
-        *n -= 1;
-        if *n == 0 {
-            cols.remove(&addr.col);
-        }
-        if before >= th.row_distinct_cols && (cols.len() as u32) < th.row_distinct_cols {
-            self.row_hits -= 1;
-        }
-        if cols.is_empty() {
-            self.row_cols.remove(&row_key);
-        }
-
-        let col_key = (addr.rank, addr.bank, addr.col);
-        let rows = self
-            .col_rows
-            .get_mut(&col_key)
-            .expect("column state present");
-        let before = rows.len() as u32;
-        let n = rows.get_mut(&addr.row).expect("row count present");
-        *n -= 1;
-        if *n == 0 {
-            rows.remove(&addr.row);
-        }
-        if before >= th.col_distinct_rows && (rows.len() as u32) < th.col_distinct_rows {
-            self.col_hits -= 1;
-        }
-        if rows.is_empty() {
-            self.col_rows.remove(&col_key);
-        }
-
-        let bank_key = (addr.rank, addr.bank);
-        let bank = self.banks.get_mut(&bank_key).expect("bank state present");
-        let was_hit = bank_satisfies(bank, th.bank_distinct);
-        let n = bank.rows.get_mut(&addr.row).expect("bank row present");
-        *n -= 1;
-        if *n == 0 {
-            bank.rows.remove(&addr.row);
-        }
-        let n = bank.cols.get_mut(&addr.col).expect("bank col present");
-        *n -= 1;
-        if *n == 0 {
-            bank.cols.remove(&addr.col);
-        }
-        if was_hit && !bank_satisfies(bank, th.bank_distinct) {
-            self.bank_hits -= 1;
-        }
-        if bank.rows.is_empty() && bank.cols.is_empty() {
-            self.banks.remove(&bank_key);
-        }
+        let moved = self.addrs.remove(addr);
+        let [cell, row, col, bank] = self.crossings(moved);
+        self.cell_hits -= u32::from(cell);
+        self.row_hits -= u32::from(row);
+        self.col_hits -= u32::from(col);
+        self.bank_hits -= u32::from(bank);
 
         let mut m = device_mask;
         while m != 0 {
@@ -326,6 +226,21 @@ impl RollingFaultClassifier {
                 self.devices -= 1;
             }
         }
+    }
+
+    /// Which of the cell, row, column and bank thresholds the step that
+    /// moved `m` crossed, in either direction.
+    fn crossings(&self, m: Moved) -> [bool; 4] {
+        let th = self.th;
+        let bank_hit =
+            |[rows, cols]: [u32; 2]| rows >= th.bank_distinct && cols >= th.bank_distinct;
+        [
+            m.cell == th.cell_repeats,
+            m.row == Some(th.row_distinct_cols),
+            m.col == Some(th.col_distinct_rows),
+            m.bank
+                .is_some_and(|(low, high)| bank_hit(high) && !bank_hit(low)),
+        ]
     }
 
     /// The fault modes evident in the current window, identical to
@@ -343,10 +258,6 @@ impl RollingFaultClassifier {
             multi_device: self.devices >= 2,
         }
     }
-}
-
-fn bank_satisfies(bank: &BankDispersion, th: u32) -> bool {
-    bank.rows.len() as u32 >= th && bank.cols.len() as u32 >= th
 }
 
 /// Classifies a DIMM's whole history up to (excluding) `before`.
@@ -471,26 +382,57 @@ mod tests {
 
     #[test]
     fn rolling_matches_batch_under_eviction() {
-        let ces = assorted_ces();
-        let th = FaultThresholds::default();
+        // Case 0 slides a length-4 window over the assorted CEs under the
+        // default thresholds. The others draw thresholds from 1 (every
+        // first event crosses) to above the defaults, a window length,
+        // and CEs packed into 2 ranks x 2 banks x 3 rows x 3 columns so
+        // cells, rows and columns repeat and empty out again.
         let width = DataWidth::X4;
-        let mut rolling = RollingFaultClassifier::new(th);
-        // Slide a length-4 window across the sequence, checking each step.
-        for hi in 0..ces.len() {
-            rolling.insert(ces[hi].addr, ces[hi].transfer.device_mask(width));
-            if hi >= 4 {
-                rolling.remove(ces[hi - 4].addr, ces[hi - 4].transfer.device_mask(width));
+        let mut rng = mfp_rng::StdRng::seed_from_u64(0xFA17);
+        for case in 0..400 {
+            let (th, len, ces) = if case == 0 {
+                (FaultThresholds::default(), 4, assorted_ces())
+            } else {
+                let th = FaultThresholds {
+                    cell_repeats: rng.random_range(1..=4),
+                    row_distinct_cols: rng.random_range(1..=4),
+                    col_distinct_rows: rng.random_range(1..=4),
+                    bank_distinct: rng.random_range(1..=4),
+                };
+                let len = rng.random_range(1..=12usize);
+                let ces: Vec<CeEvent> = (0..rng.random_range(1..60u64))
+                    .map(|t| CeEvent {
+                        addr: CellAddr::new(
+                            rng.random_range(0..2),
+                            rng.random_range(0..2),
+                            rng.random_range(0..3),
+                            rng.random_range(0..3),
+                        ),
+                        ..ce_at(t, 0, 0, 0, rng.random_range(0..18))
+                    })
+                    .collect();
+                (th, len, ces)
+            };
+            let mask = |ce: &CeEvent| ce.transfer.device_mask(width);
+            let mut rolling = RollingFaultClassifier::new(th);
+            // Slide the window across the sequence, then drain it back to
+            // the empty classification.
+            for hi in 0..ces.len() + len {
+                if hi < ces.len() {
+                    rolling.insert(ces[hi].addr, mask(&ces[hi]));
+                }
+                if hi >= len {
+                    rolling.remove(ces[hi - len].addr, mask(&ces[hi - len]));
+                }
+                let window = &ces[(hi + 1).saturating_sub(len)..(hi + 1).min(ces.len())];
+                assert_eq!(
+                    rolling.classify(),
+                    classify_ces(window, width, &th),
+                    "case {case}, step {hi}, window length {len}, {th:?}"
+                );
             }
-            let lo = (hi + 1).saturating_sub(4);
-            let batch = classify_ces(ces[lo..=hi].iter(), width, &th);
-            assert_eq!(rolling.classify(), batch, "window [{lo}, {hi}]");
+            assert_eq!(rolling.classify(), ObservedFaults::default());
         }
-        // Draining the window recovers the empty classification.
-        let lo = ces.len().saturating_sub(4);
-        for ce in &ces[lo..] {
-            rolling.remove(ce.addr, ce.transfer.device_mask(width));
-        }
-        assert_eq!(rolling.classify(), ObservedFaults::default());
     }
 
     #[test]

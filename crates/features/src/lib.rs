@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod addr_counts;
 pub mod dataset;
 pub mod errorbits;
 pub mod extract;

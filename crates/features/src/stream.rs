@@ -47,6 +47,7 @@
 //!   lets [`build_samples`](crate::dataset::build_samples) fan DIMMs out
 //!   across worker threads and still produce a bit-identical `SampleSet`.
 
+use crate::addr_counts::AddrCounts;
 use crate::errorbits::{CeBitProfile, RollingErrorBitStats, RollingMax};
 use crate::extract::{assemble_features, FeatureInputs};
 use crate::fault_analysis::{FaultThresholds, RollingFaultClassifier};
@@ -57,59 +58,33 @@ use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::DataWidth;
 use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
-/// Incremental spatial-dispersion state over the observation window:
-/// multiset counts per bank / row / column / cell with eviction, plus a
-/// rolling maximum of per-cell repeat counts.
+/// Incremental spatial-dispersion state over the observation window: the
+/// window's CE addresses as an [`AddrCounts`] multiset, plus a rolling
+/// maximum of per-cell repeat counts.
 #[derive(Debug, Clone, Default)]
 struct SpatialWindow {
-    banks: HashMap<(u8, u8), u32>,
-    rows: HashMap<(u8, u8, u32), u32>,
-    cols: HashMap<(u8, u8, u16), u32>,
-    cells: HashMap<(u8, u8, u32, u16), u32>,
+    addrs: AddrCounts,
     repeat: RollingMax,
 }
 
 impl SpatialWindow {
     fn insert(&mut self, a: CellAddr) {
-        *self.banks.entry((a.rank, a.bank)).or_insert(0) += 1;
-        *self.rows.entry((a.rank, a.bank, a.row)).or_insert(0) += 1;
-        *self.cols.entry((a.rank, a.bank, a.col)).or_insert(0) += 1;
-        let c = self
-            .cells
-            .entry((a.rank, a.bank, a.row, a.col))
-            .or_insert(0);
-        if *c > 0 {
-            self.repeat.remove(*c);
+        let cell = self.addrs.insert(a).cell;
+        if cell > 1 {
+            self.repeat.remove(cell - 1);
         }
-        *c += 1;
-        self.repeat.insert(*c);
+        self.repeat.insert(cell);
     }
 
     fn remove(&mut self, a: CellAddr) {
-        decrement(&mut self.banks, (a.rank, a.bank));
-        decrement(&mut self.rows, (a.rank, a.bank, a.row));
-        decrement(&mut self.cols, (a.rank, a.bank, a.col));
-        let key = (a.rank, a.bank, a.row, a.col);
-        let c = self.cells.get_mut(&key).expect("cell count present");
-        self.repeat.remove(*c);
-        *c -= 1;
-        if *c == 0 {
-            self.cells.remove(&key);
-        } else {
-            self.repeat.insert(*c);
+        let cell = self.addrs.remove(a).cell;
+        self.repeat.remove(cell);
+        if cell > 1 {
+            self.repeat.insert(cell - 1);
         }
-    }
-}
-
-/// Decrements a multiset count, dropping the key at zero.
-fn decrement<K: std::hash::Hash + Eq>(map: &mut HashMap<K, u32>, key: K) {
-    let c = map.get_mut(&key).expect("multiset count present");
-    *c -= 1;
-    if *c == 0 {
-        map.remove(&key);
     }
 }
 
@@ -478,10 +453,10 @@ impl FeatureStream {
                 .find(|e| e.event.as_ce().is_some())
                 .map(Entry::time),
             last_ce: w.last_ce,
-            banks: w.spatial.banks.len() as u32,
-            rows: w.spatial.rows.len() as u32,
-            cols: w.spatial.cols.len() as u32,
-            cells: w.spatial.cells.len() as u32,
+            banks: w.spatial.addrs.banks(),
+            rows: w.spatial.addrs.rows(),
+            cols: w.spatial.addrs.cols(),
+            cells: w.spatial.addrs.cells(),
             max_cell_repeat: w.spatial.repeat.max(),
             faults: w.faults.classify(),
             eb: w.eb_obs.stats(),

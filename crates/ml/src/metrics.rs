@@ -30,14 +30,19 @@ impl Confusion {
         assert_eq!(y_true.len(), y_pred.len());
         let mut c = Confusion::default();
         for (&t, &p) in y_true.iter().zip(y_pred) {
-            match (t, p) {
-                (true, true) => c.tp += 1,
-                (false, true) => c.fp += 1,
-                (true, false) => c.fn_ += 1,
-                (false, false) => c.tn += 1,
-            }
+            c.count(t, p);
         }
         c
+    }
+
+    /// Counts one (label, prediction) pair.
+    fn count(&mut self, truth: bool, pred: bool) {
+        match (truth, pred) {
+            (true, true) => self.tp += 1,
+            (false, true) => self.fp += 1,
+            (true, false) => self.fn_ += 1,
+            (false, false) => self.tn += 1,
+        }
     }
 
     /// Precision = TP / (TP + FP).
@@ -259,21 +264,84 @@ pub fn dimm_level_vote_with_gap(
     per_dimm.values().map(|&(t, _, p, _)| (t, p)).unzip()
 }
 
+/// Per DIMM of `set`, in DIMM order: whether any of its samples is
+/// labelled positive, and the highest threshold at which the voting rule
+/// of [`dimm_level_vote_with_gap`] fires it.
+///
+/// The rule fires at `th` exactly when some `votes` consecutive samples,
+/// each within `max_gap` of the one before, all score at or above `th`,
+/// that is when the lowest score of that run is at least `th`. So the
+/// firing threshold is the best such run's lowest score, with NaN (never
+/// at or above a threshold) read as `-inf`; a DIMM with no run of
+/// `votes` samples gets `-inf` and fires at no finite threshold.
+fn vote_firing_scores(
+    set: &SampleSet,
+    scores: &[f32],
+    votes: usize,
+    max_gap: SimDuration,
+) -> Vec<(bool, f32)> {
+    // Sample indices per DIMM, in set order like the rule's walk.
+    let mut by_dimm: BTreeMap<DimmId, Vec<usize>> = BTreeMap::new();
+    for (i, &dimm) in set.dimms.iter().enumerate() {
+        by_dimm.entry(dimm).or_default().push(i);
+    }
+    by_dimm
+        .values()
+        .map(|idx| {
+            let label = idx.iter().any(|&i| set.labels[i]);
+            let mut fire = f32::NEG_INFINITY;
+            // Position in `idx` where the current contiguous stretch began.
+            let mut stretch = 0;
+            for k in 0..idx.len() {
+                let contiguous = k == 0
+                    || set.times[idx[k]]
+                        .checked_duration_since(set.times[idx[k - 1]])
+                        .is_some_and(|gap| gap <= max_gap);
+                if !contiguous {
+                    stretch = k;
+                }
+                if k + 1 - stretch >= votes {
+                    let low = idx[k + 1 - votes..=k]
+                        .iter()
+                        .map(|&i| {
+                            if scores[i].is_nan() {
+                                f32::NEG_INFINITY
+                            } else {
+                                scores[i]
+                            }
+                        })
+                        .fold(f32::INFINITY, f32::min);
+                    fire = fire.max(low);
+                }
+            }
+            (label, fire)
+        })
+        .collect()
+}
+
 /// Picks the threshold maximizing DIMM-level F1 under the voting rule
 /// (same gap semantics as [`dimm_level_vote`]; the cadence is derived once
 /// and reused across candidates). Returns 0.5 when no finite score exists.
+///
+/// The samples are grouped by DIMM once, each DIMM reduced to the
+/// threshold at which its votes fire, and every candidate is swept over
+/// those; the choice is the one [`dimm_level_vote_with_gap`] per
+/// candidate would make.
 pub fn best_vote_threshold(set: &SampleSet, scores: &[f32], votes: usize) -> f32 {
     assert_eq!(set.len(), scores.len());
     let candidates = threshold_candidates(scores, 100);
     if candidates.is_empty() {
         return 0.5;
     }
-    let max_gap = derive_sample_gap(set);
+    let dimms = vote_firing_scores(set, scores, votes.max(1), derive_sample_gap(set));
     let mut scored: Vec<(f32, f64)> = Vec::with_capacity(candidates.len());
     let mut best_f1 = -1.0f64;
     for &th in &candidates {
-        let (y_true, y_pred) = dimm_level_vote_with_gap(set, scores, th, votes, max_gap);
-        let f1 = Confusion::from_predictions(&y_true, &y_pred).f1();
+        let mut c = Confusion::default();
+        for &(label, fire) in &dimms {
+            c.count(label, fire >= th);
+        }
+        let f1 = c.f1();
         scored.push((th, f1));
         best_f1 = best_f1.max(f1);
     }

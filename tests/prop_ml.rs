@@ -5,7 +5,10 @@ use mfp_dram::address::DimmId;
 use mfp_dram::time::SimTime;
 use mfp_features::dataset::SampleSet;
 use mfp_ml::binning::Binner;
-use mfp_ml::metrics::{best_f1_threshold, best_vote_threshold, dimm_level_vote, Confusion};
+use mfp_ml::metrics::{
+    best_f1_threshold, best_vote_threshold, derive_sample_gap, dimm_level_vote,
+    dimm_level_vote_with_gap, Confusion,
+};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_rng::StdRng;
 
@@ -100,6 +103,93 @@ fn vote_threshold_in_range() {
         let th = best_vote_threshold(&set, &scores, 2);
         assert!((0.0..=1.0).contains(&th));
     });
+}
+
+/// A validation-like set for the vote rule: up to five DIMMs whose
+/// samples interleave, each DIMM on an hourly grid with holes, repeated
+/// times and the odd step back, and scores drawn with ties, NaN and ±inf.
+fn vote_set(rng: &mut StdRng) -> (SampleSet, Vec<f32>) {
+    let dimms = rng.random_range(1..=5u32);
+    let mut clock = vec![0u64; dimms as usize];
+    let mut set = SampleSet::new();
+    set.schema = vec!["x".into()];
+    let mut scores = Vec::new();
+    for _ in 0..rng.random_range(1..120usize) {
+        let d = rng.random_range(0..dimms);
+        let t = &mut clock[d as usize];
+        *t = match rng.random_range(0..10u32) {
+            0 => t.saturating_sub(3600),
+            1 => *t,
+            2 | 3 => *t + 3600 * rng.random_range(2..5u64),
+            _ => *t + 3600,
+        };
+        let label = rng.random_range(0..4u32) == 0;
+        set.push(vec![0.0], label, DimmId::new(d, 0), SimTime::from_secs(*t));
+        scores.push(match rng.random_range(0..12u32) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            4 => 1.5,
+            5..=7 => [0.0, 0.25, 0.5, 0.75, 1.0][rng.random_range(0..5usize)],
+            _ => rng.random::<f32>(),
+        });
+    }
+    (set, scores)
+}
+
+/// The per-candidate sweep that [`best_vote_threshold`] replaced: the same
+/// candidates, one [`dimm_level_vote_with_gap`] pass each.
+fn best_vote_threshold_oracle(set: &SampleSet, scores: &[f32], votes: usize) -> f32 {
+    let mut sorted: Vec<f32> = scores.iter().copied().filter(|v| v.is_finite()).collect();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.dedup();
+    let candidates: Vec<f32> = if sorted.len() <= 100 {
+        sorted
+    } else {
+        (0..100)
+            .map(|k| sorted[k * (sorted.len() - 1) / 99])
+            .collect()
+    };
+    if candidates.is_empty() {
+        return 0.5;
+    }
+    let max_gap = derive_sample_gap(set);
+    let mut scored = Vec::new();
+    let mut best_f1 = -1.0f64;
+    for &th in &candidates {
+        let (y_true, y_pred) = dimm_level_vote_with_gap(set, scores, th, votes, max_gap);
+        let f1 = Confusion::from_predictions(&y_true, &y_pred).f1();
+        scored.push((th, f1));
+        best_f1 = best_f1.max(f1);
+    }
+    scored
+        .iter()
+        .filter(|&&(_, f1)| f1 >= best_f1 * 0.98)
+        .map(|&(th, _)| th)
+        .fold(f32::INFINITY, f32::min)
+        .min(1.0)
+}
+
+/// The group-once vote sweep picks the per-candidate oracle's threshold,
+/// bit for bit.
+#[test]
+fn vote_sweep_matches_per_candidate_oracle() {
+    check(
+        "vote_sweep_matches_per_candidate_oracle",
+        CASES * 4,
+        |rng| {
+            let (set, scores) = vote_set(rng);
+            let votes = rng.random_range(1..=3usize);
+            let got = best_vote_threshold(&set, &scores, votes);
+            let want = best_vote_threshold_oracle(&set, &scores, votes);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "votes {votes}: sweep {got}, oracle {want}"
+            );
+        },
+    );
 }
 
 /// Binning maps every value to a valid bin, monotonically.
