@@ -335,18 +335,14 @@ fn decode_addr(data: &mut &[u8]) -> Result<CellAddr, DecodeError> {
 }
 
 fn decode_transfer(data: &mut &[u8]) -> Result<ErrorTransfer, DecodeError> {
-    let mut t = ErrorTransfer::new();
-    for beat in 0..BURST_BEATS {
+    let mut beats = [0u128; BURST_BEATS as usize];
+    for lanes in &mut beats {
+        // 64 + 8 bits: every lane is below 72, so `from_beats` accepts it.
         let low = u64::from_be_bytes(take(data)?) as u128;
         let high = get_u8(data)? as u128;
-        let lanes = low | (high << 64);
-        for dq in 0..72u8 {
-            if (lanes >> dq) & 1 == 1 {
-                t.set(beat, dq);
-            }
-        }
+        *lanes = low | (high << 64);
     }
-    Ok(t)
+    Ok(ErrorTransfer::from_beats(beats))
 }
 
 /// Failure decoding a binary BMC log.
@@ -456,6 +452,81 @@ mod tests {
         let bytes = log.encode();
         let cut = &bytes[..bytes.len() - 3];
         assert_eq!(BmcLog::decode(cut), Err(DecodeError::Truncated));
+    }
+
+    /// The decoder before it read whole beats: one `set` per erroneous
+    /// lane, kept as the oracle of `decode_transfer`.
+    fn decode_transfer_per_lane(data: &mut &[u8]) -> Result<ErrorTransfer, DecodeError> {
+        let mut t = ErrorTransfer::new();
+        for beat in 0..BURST_BEATS {
+            let low = u64::from_be_bytes(take(data)?) as u128;
+            let high = get_u8(data)? as u128;
+            let lanes = low | (high << 64);
+            for dq in 0..72u8 {
+                if (lanes >> dq) & 1 == 1 {
+                    t.set(beat, dq);
+                }
+            }
+        }
+        Ok(t)
+    }
+
+    /// Encodes `t`, decodes it with both decoders and checks that both
+    /// return `t` and consume the whole encoding.
+    fn assert_decoders_agree(t: &ErrorTransfer) {
+        let mut buf = Vec::new();
+        encode_transfer(&mut buf, t);
+        let (mut fast, mut slow) = (buf.as_slice(), buf.as_slice());
+        let got = decode_transfer(&mut fast).unwrap();
+        assert_eq!(got, decode_transfer_per_lane(&mut slow).unwrap());
+        assert_eq!(got, *t);
+        assert!(fast.is_empty() && slow.is_empty());
+    }
+
+    #[test]
+    fn transfer_decoder_matches_per_lane_oracle_on_every_single_bit() {
+        for beat in 0..BURST_BEATS {
+            for dq in 0..72u8 {
+                assert_decoders_agree(&ErrorTransfer::from_bits([(beat, dq)]));
+            }
+        }
+        assert_decoders_agree(&ErrorTransfer::new());
+    }
+
+    #[test]
+    fn transfer_decoder_matches_per_lane_oracle_on_random_bursts() {
+        // A fixed-seed LCG: mfp-dram has no dependencies to draw from.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut word = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state
+        };
+        const ALL_LANES: u128 = (1 << 72) - 1;
+        for _ in 0..500 {
+            let mut beats = [0u128; BURST_BEATS as usize];
+            for b in &mut beats {
+                let lanes = (u128::from(word()) << 64 | u128::from(word())) & ALL_LANES;
+                // Per beat: empty, sparse or dense.
+                *b = match word() % 4 {
+                    0 => 0,
+                    1 => lanes & u128::from(word()),
+                    _ => lanes,
+                };
+            }
+            assert_decoders_agree(&ErrorTransfer::from_beats(beats));
+        }
+    }
+
+    #[test]
+    fn truncated_transfer_is_rejected_at_every_length() {
+        let mut buf = Vec::new();
+        encode_transfer(&mut buf, &ErrorTransfer::from_bits([(7, 71), (0, 0)]));
+        for len in 0..buf.len() {
+            let mut cut = &buf[..len];
+            assert_eq!(decode_transfer(&mut cut), Err(DecodeError::Truncated));
+        }
     }
 
     #[test]

@@ -214,6 +214,41 @@ fn stream_dimm_samples(
     }
 }
 
+/// One platform's events grouped per DIMM, in log order within a DIMM.
+struct PlatformEvents<'a> {
+    /// The platform's DIMM ids, sorted and distinct.
+    ids: Vec<DimmId>,
+    /// `groups[k]` holds the events of `ids[k]`.
+    groups: Vec<Vec<&'a MemEvent>>,
+}
+
+impl<'a> PlatformEvents<'a> {
+    /// The events of DIMM `id` (empty when it logged none or is not on
+    /// the platform).
+    fn of(&self, id: DimmId) -> &[&'a MemEvent] {
+        self.ids
+            .binary_search(&id)
+            .map_or(&[], |k| self.groups[k].as_slice())
+    }
+}
+
+/// Groups the events of `platform`'s DIMMs in one pass over the log,
+/// skipping every other platform's events. Gives each DIMM the events
+/// [`BmcLog::by_dimm`](mfp_dram::bmc::BmcLog::by_dimm) would, without
+/// building a map over the whole fleet.
+fn platform_events(fleet: &FleetResult, platform: Platform) -> PlatformEvents<'_> {
+    let mut ids: Vec<DimmId> = fleet.platform_dimms(platform).map(|d| d.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut groups = vec![Vec::new(); ids.len()];
+    for e in fleet.log.iter() {
+        if let Ok(k) = ids.binary_search(&e.dimm()) {
+            groups[k].push(e);
+        }
+    }
+    PlatformEvents { ids, groups }
+}
+
 /// Builds the labelled sample set for one platform from a simulated fleet.
 ///
 /// Only DIMMs with CE history produce samples; sudden-UE DIMMs contribute
@@ -245,10 +280,13 @@ pub fn build_samples_with_workers(
     thresholds: &FaultThresholds,
     workers: usize,
 ) -> SampleSet {
-    let by_dimm = fleet.log.by_dimm();
+    let groups = platform_events(fleet, platform);
     let dimms: Vec<_> = fleet
         .platform_dimms(platform)
-        .filter_map(|truth| by_dimm.get(&truth.id).map(|events| (truth, events)))
+        .filter_map(|truth| {
+            let events = groups.of(truth.id);
+            (!events.is_empty()).then_some((truth, events))
+        })
         .collect();
 
     let workers = workers.max(1);
@@ -273,7 +311,7 @@ pub fn build_samples_with_workers(
                         &mut part,
                         truth.id,
                         &truth.spec,
-                        events.as_slice(),
+                        events,
                         horizon,
                         cfg,
                         &mut stream,

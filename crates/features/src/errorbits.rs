@@ -127,6 +127,9 @@ fn fold_device_union(s: &mut ErrorBitStats, dqm: u8, bm: u8) {
     s.union_dev_dq_interval = s.union_dev_dq_interval.max(mask_span(dqm));
 }
 
+/// Most devices a rank has: 18 x4 devices.
+const MAX_DEVICES: usize = 18;
+
 /// Per-CE bit geometry derived once from the transfer, so sliding windows
 /// can insert/evict the event without re-walking its bitmap.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -143,40 +146,68 @@ pub struct CeBitProfile {
     pub beat_interval: Option<u32>,
     /// Bitmask of devices with at least one erroneous bit.
     pub device_mask: u32,
-    /// `(device, DQ mask within device, beat mask)` per touched device.
-    pub dev_bits: Vec<(u8, u8, u8)>,
+    /// The first `devices` entries are live; the rest stay zero.
+    dev_bits: [(u8, u8, u8); MAX_DEVICES],
+    devices: u8,
 }
 
 impl CeBitProfile {
-    /// Derives the profile of one transfer under the given device width.
+    /// Derives the profile of one transfer under the given device width,
+    /// in one pass over its 8 beats and without allocating: this runs once
+    /// per CE a feature stream holds.
     pub fn of(
         transfer: &mfp_dram::bus::ErrorTransfer,
         width: mfp_dram::geometry::DataWidth,
     ) -> Self {
-        let w = width.dq_per_device() as usize;
-        let n_dev = width.devices_per_rank() as usize;
-        // Stack scratch (a device mask has 32 bits): this runs once per
-        // CE a feature stream holds, so it stays off the allocator.
-        let mut dev_dq = [0u8; 32];
-        let mut dev_beats = [0u8; 32];
-        for (beat, dq) in transfer.iter_bits() {
-            let dev = (dq as usize / w).min(n_dev - 1);
-            dev_dq[dev] |= 1 << (dq as usize - dev * w);
-            dev_beats[dev] |= 1 << beat;
+        let w = u32::from(width.dq_per_device());
+        let last_dev = u32::from(width.devices_per_rank()) - 1;
+        let mut lanes_union = 0u128;
+        let mut beat_mask = 0u8;
+        let mut bit_count = 0u32;
+        let mut dev_dq = [0u8; MAX_DEVICES];
+        let mut dev_beats = [0u8; MAX_DEVICES];
+        let mut device_mask = 0u32;
+        for (beat, &lanes) in transfer.beats().iter().enumerate() {
+            if lanes == 0 {
+                continue;
+            }
+            lanes_union |= lanes;
+            beat_mask |= 1 << beat;
+            bit_count += lanes.count_ones();
+            let mut rest = lanes;
+            while rest != 0 {
+                let dq = rest.trailing_zeros();
+                rest &= rest - 1;
+                let dev = (dq / w).min(last_dev);
+                dev_dq[dev as usize] |= 1 << (dq - dev * w);
+                dev_beats[dev as usize] |= 1 << beat;
+                device_mask |= 1 << dev;
+            }
         }
-        let dev_bits = (0..n_dev)
-            .filter(|&d| dev_dq[d] != 0)
-            .map(|d| (d as u8, dev_dq[d], dev_beats[d]))
-            .collect();
-        CeBitProfile {
-            dq_count: transfer.dq_count(),
-            beat_count: transfer.beat_count(),
-            bit_count: transfer.bit_count(),
-            dq_interval: transfer.dq_interval(),
-            beat_interval: transfer.beat_interval(),
-            device_mask: transfer.device_mask(width),
-            dev_bits,
+        let mut profile = CeBitProfile {
+            dq_count: lanes_union.count_ones(),
+            beat_count: beat_mask.count_ones(),
+            bit_count,
+            dq_interval: (lanes_union != 0)
+                .then(|| 127 - lanes_union.leading_zeros() - lanes_union.trailing_zeros()),
+            beat_interval: (beat_mask != 0).then(|| mask_span(beat_mask)),
+            device_mask,
+            ..CeBitProfile::default()
+        };
+        let mut m = device_mask;
+        while m != 0 {
+            let d = m.trailing_zeros() as usize;
+            m &= m - 1;
+            profile.dev_bits[profile.devices as usize] = (d as u8, dev_dq[d], dev_beats[d]);
+            profile.devices += 1;
         }
+        profile
+    }
+
+    /// `(device, DQ mask within device, beat mask)` per touched device,
+    /// by ascending device.
+    pub fn dev_bits(&self) -> &[(u8, u8, u8)] {
+        &self.dev_bits[..self.devices as usize]
     }
 }
 
@@ -313,7 +344,7 @@ impl RollingErrorBitStats {
             m &= m - 1;
             self.dev_presence[d] += 1;
         }
-        for &(dev, dqm, bm) in &p.dev_bits {
+        for &(dev, dqm, bm) in p.dev_bits() {
             let d = dev as usize;
             for b in 0..8 {
                 self.dev_dq_counts[d][b] += u32::from((dqm >> b) & 1);
@@ -356,7 +387,7 @@ impl RollingErrorBitStats {
             m &= m - 1;
             self.dev_presence[d] -= 1;
         }
-        for &(dev, dqm, bm) in &p.dev_bits {
+        for &(dev, dqm, bm) in p.dev_bits() {
             let d = dev as usize;
             for b in 0..8 {
                 self.dev_dq_counts[d][b] -= u32::from((dqm >> b) & 1);
@@ -590,6 +621,6 @@ mod tests {
         assert_eq!(p.beat_count, 2);
         assert_eq!(p.beat_interval, Some(4));
         assert_eq!(p.device_mask, 1 << 5);
-        assert_eq!(p.dev_bits, vec![(5, 0b11, 0b0010_0010)]);
+        assert_eq!(p.dev_bits(), [(5, 0b11, 0b0010_0010)]);
     }
 }

@@ -60,21 +60,35 @@ impl ProblemConfig {
     }
 
     /// Evaluation times for one DIMM: a `sample_interval` grid starting at
-    /// its first CE, keeping only instants whose observation window holds
-    /// at least one CE and whose label is defined.
+    /// its first CE, keeping only instants whose observation window
+    /// `[t - observation, t)` holds at least one CE and whose label is
+    /// defined.
+    ///
+    /// One forward pass: a cursor over the history tracks the last CE
+    /// before `t`, and the window holds a CE exactly when that CE is at or
+    /// after the window's start.
     pub fn sample_times(&self, history: &DimmHistory<'_>, horizon: SimDuration) -> Vec<SimTime> {
         let Some(first_ce) = history.first_ce() else {
             return Vec::new();
         };
         let first_ue = history.first_ue();
+        let events = history.events();
         let end = SimTime::ZERO + horizon;
         let step = self.sample_interval.as_secs().max(60);
         let mut out = Vec::new();
+        let mut next = 0usize;
+        let mut last_ce: Option<SimTime> = None;
         // Start one step after the first CE so the observation window is
         // never empty at the first sample.
         let mut t = first_ce + SimDuration::secs(step);
         while t < end {
-            if history.ce_count_in_window(t, self.observation) > 0 {
+            while next < events.len() && events[next].time() < t {
+                if events[next].as_ce().is_some() {
+                    last_ce = Some(events[next].time());
+                }
+                next += 1;
+            }
+            if last_ce.is_some_and(|ce| ce >= t.saturating_sub(self.observation)) {
                 if let Some(_label) = self.label_at(t, first_ue) {
                     out.push(t);
                 } else {

@@ -11,6 +11,11 @@ use mfp_features::dataset::SampleSet;
 /// Maximum number of bins per feature.
 pub const MAX_BINS: usize = 255;
 
+/// Features whose histograms the tree learners build in one pass over a
+/// node's rows. Rows that share a bin form a chain of dependent adds;
+/// interleaving several features' chains keeps the adder busy.
+pub(crate) const HIST_GROUP: usize = 4;
+
 /// Per-feature quantile bin edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binner {
@@ -129,6 +134,53 @@ impl BinnedData {
     #[inline]
     pub fn code(&self, f: usize, i: usize) -> u8 {
         self.codes[f * self.n + i]
+    }
+
+    /// Bin codes of feature `f` for every sample.
+    pub(crate) fn column(&self, f: usize) -> &[u8] {
+        &self.codes[f * self.n..(f + 1) * self.n]
+    }
+
+    /// Builds the histograms of features `group` (at most [`HIST_GROUP`])
+    /// over the rows `indices` in one pass: `hist[k]` is reset over feature
+    /// `group[k]`'s bins, then for each row `i` in order, `add` folds
+    /// `row(i)` into the bin of `i` in each histogram. Each bin therefore
+    /// sees its rows in `indices` order, as a pass per feature would.
+    pub(crate) fn histograms<B: Copy + Default, R: Copy>(
+        &self,
+        indices: &[u32],
+        group: &[usize],
+        hist: &mut [[B; 256]],
+        row: impl Fn(usize) -> R,
+        add: impl Fn(&mut B, R),
+    ) {
+        fn fill<const K: usize, B, R: Copy>(
+            data: &BinnedData,
+            indices: &[u32],
+            group: &[usize],
+            hist: &mut [[B; 256]],
+            row: impl Fn(usize) -> R,
+            add: impl Fn(&mut B, R),
+        ) {
+            let cols: [&[u8]; K] = std::array::from_fn(|k| data.column(group[k]));
+            for &i in indices {
+                let i = i as usize;
+                let r = row(i);
+                for (col, h) in cols.iter().zip(hist.iter_mut()) {
+                    add(&mut h[col[i] as usize], r);
+                }
+            }
+        }
+        for (&f, h) in group.iter().zip(hist.iter_mut()) {
+            h[..self.binner.bins(f)].fill(B::default());
+        }
+        match group.len() {
+            4 => fill::<4, _, _>(self, indices, group, hist, row, add),
+            3 => fill::<3, _, _>(self, indices, group, hist, row, add),
+            2 => fill::<2, _, _>(self, indices, group, hist, row, add),
+            1 => fill::<1, _, _>(self, indices, group, hist, row, add),
+            n => unreachable!("a pass builds 1 to {HIST_GROUP} histograms, not {n}"),
+        }
     }
 }
 

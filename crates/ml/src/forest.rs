@@ -42,12 +42,25 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains a forest on the sample set.
+    /// Trains a forest on the sample set, one worker thread per available
+    /// core. The forest and its importances are the same for every core
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if `train` is empty.
     pub fn fit(train: &SampleSet, params: &ForestParams) -> Self {
+        let workers = std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(4);
+        RandomForest::fit_with_workers(train, params, workers)
+    }
+
+    /// [`Self::fit`] on `workers` threads. Worker `w` fits trees `w`,
+    /// `w + workers`, …; each tree records its split gains, and they are
+    /// folded into the importances in tree order, so every f64 sum is the
+    /// one a single worker adds.
+    fn fit_with_workers(train: &SampleSet, params: &ForestParams, workers: usize) -> Self {
         assert!(!train.is_empty(), "empty training set");
         let data = BinnedData::from_samples(train, params.max_bins);
         let labels = &train.labels;
@@ -57,58 +70,55 @@ impl RandomForest {
             tree_params.feature_subsample = (train.dim() as f64).sqrt().ceil() as usize;
         }
 
-        let workers = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(4)
-            .min(params.n_trees.max(1));
-        let mut trees: Vec<(usize, DecisionTree)> = Vec::with_capacity(params.n_trees);
+        let workers = workers.clamp(1, params.n_trees.max(1));
+        // (tree index, tree, its split gains in growth order)
+        let mut trees = Vec::with_capacity(params.n_trees);
         std::thread::scope(|s| {
             let data = &data;
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let seed = params.seed;
-                let tree_params = tree_params;
-                handles.push(s.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut importance = vec![0.0f64; data.d];
-                    let mut t = w;
-                    while t < params.n_trees {
-                        let mut rng = StdRng::seed_from_u64(seed ^ ((t as u64 + 1) * 0x9E37));
-                        // Bootstrap sample.
-                        let indices: Vec<u32> =
-                            (0..n).map(|_| rng.random_range(0..n) as u32).collect();
-                        let tree = DecisionTree::fit_with_importance(
-                            data,
-                            labels,
-                            &indices,
-                            &tree_params,
-                            &mut rng,
-                            &mut importance,
-                        );
-                        out.push((t, tree));
-                        t += workers;
-                    }
-                    (out, importance)
-                }));
-            }
-            let mut importance = vec![0.0f64; train.dim()];
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        for t in (w..params.n_trees).step_by(workers) {
+                            let mut rng =
+                                StdRng::seed_from_u64(params.seed ^ ((t as u64 + 1) * 0x9E37));
+                            // Bootstrap sample.
+                            let indices: Vec<u32> =
+                                (0..n).map(|_| rng.random_range(0..n) as u32).collect();
+                            let mut gains = Vec::new();
+                            let tree = DecisionTree::fit_recording(
+                                data,
+                                labels,
+                                &indices,
+                                &tree_params,
+                                &mut rng,
+                                &mut gains,
+                            );
+                            out.push((t, tree, gains));
+                        }
+                        out
+                    })
+                })
+                .collect();
             for h in handles {
-                let (part, imp) = h.join().expect("forest worker panicked");
-                trees.extend(part);
-                for (a, b) in importance.iter_mut().zip(imp) {
-                    *a += b;
-                }
+                trees.extend(h.join().expect("forest worker panicked"));
             }
-            trees.sort_by_key(|&(t, _)| t);
-            let total: f64 = importance.iter().sum();
-            if total > 0.0 {
-                importance.iter_mut().for_each(|v| *v /= total);
+        });
+        trees.sort_by_key(|&(t, _, _)| t);
+        let mut importance = vec![0.0f64; train.dim()];
+        for (_, _, gains) in &trees {
+            for &(f, gain) in gains {
+                importance[f as usize] += gain;
             }
-            RandomForest {
-                trees: trees.into_iter().map(|(_, t)| t).collect(),
-                importance,
-            }
-        })
+        }
+        let total: f64 = importance.iter().sum();
+        if total > 0.0 {
+            importance.iter_mut().for_each(|v| *v /= total);
+        }
+        RandomForest {
+            trees: trees.into_iter().map(|(_, t, _)| t).collect(),
+            importance,
+        }
     }
 
     /// Normalized Gini-gain feature importance (sums to 1).
@@ -131,8 +141,57 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::tests::{enum_walk, pack, random_row, random_tree};
     use mfp_dram::address::DimmId;
     use mfp_dram::time::SimTime;
+
+    #[test]
+    fn importance_does_not_depend_on_the_worker_count() {
+        // Regression: each worker summed its own trees' gains and the
+        // partial sums were added in worker order, so the f64 importances
+        // changed with the host's core count.
+        let train = noisy_set(9, 400);
+        let params = ForestParams {
+            n_trees: 24,
+            ..Default::default()
+        };
+        let one = RandomForest::fit_with_workers(&train, &params, 1);
+        let bits = |rf: &RandomForest| -> Vec<u64> {
+            rf.feature_importance()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for workers in [2, 3, 7] {
+            let many = RandomForest::fit_with_workers(&train, &params, workers);
+            assert_eq!(bits(&many), bits(&one), "{workers} workers");
+            assert_eq!(many.trees, one.trees, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn packed_forest_matches_enum_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xf0e);
+        for case in 0..100 {
+            let d = rng.random_range(1..6usize);
+            let n_trees = rng.random_range(0..6usize);
+            let trees: Vec<_> = (0..n_trees).map(|_| random_tree(&mut rng, d, 4)).collect();
+            let rf = RandomForest {
+                trees: trees
+                    .iter()
+                    .map(|t| DecisionTree::from_nodes(pack(t)))
+                    .collect(),
+                importance: vec![0.0; d],
+            };
+            for _ in 0..20 {
+                let row = random_row(&mut rng, d);
+                let sum: f32 = trees.iter().map(|t| enum_walk(t, &row)).sum();
+                let want = sum / trees.len().max(1) as f32;
+                let got = rf.predict_proba(&row);
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case}, row {row:?}");
+            }
+        }
+    }
 
     fn noisy_set(seed: u64, n: usize) -> SampleSet {
         // y = (x0 + x1 > 1) with a noisy third feature.

@@ -22,6 +22,7 @@ pub mod ft;
 pub mod gbdt;
 pub mod metrics;
 pub mod model;
+mod node;
 pub mod risky_ce;
 pub mod tree;
 pub mod tuning;

@@ -1,7 +1,8 @@
 //! CART decision trees on binned data (Gini impurity), the base learner of
 //! the Random Forest.
 
-use crate::binning::BinnedData;
+use crate::binning::{BinnedData, HIST_GROUP};
+use crate::node::{self, Node, LEAF};
 use mfp_rng::StdRng;
 
 /// Hyper-parameters for a classification tree.
@@ -25,23 +26,6 @@ impl Default for TreeParams {
     }
 }
 
-/// A tree node.
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf {
-        prob: f32,
-    },
-    Split {
-        feature: u16,
-        /// Raw-value threshold: `value <= threshold` goes left.
-        threshold: f32,
-        /// Bin cut used during training (`bin <= cut` goes left).
-        cut: u8,
-        left: u32,
-        right: u32,
-    },
-}
-
 /// A trained CART classifier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
@@ -59,54 +43,95 @@ impl DecisionTree {
         params: &TreeParams,
         rng: &mut StdRng,
     ) -> Self {
-        let mut unused = vec![0.0; data.d];
-        DecisionTree::fit_with_importance(data, labels, indices, params, rng, &mut unused)
+        DecisionTree::fit_recording(data, labels, indices, params, rng, &mut Vec::new())
     }
 
-    /// Fits a tree, accumulating each split's (weighted) Gini gain into
-    /// `importance[feature]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `importance.len() != data.d`.
-    pub fn fit_with_importance(
+    /// Fits a tree and appends each split's `(feature, gain * rows)` to
+    /// `gains` in growth order; the forest folds them into its Gini-gain
+    /// importances.
+    pub(crate) fn fit_recording(
         data: &BinnedData,
         labels: &[bool],
         indices: &[u32],
         params: &TreeParams,
         rng: &mut StdRng,
-        importance: &mut [f64],
+        gains: &mut Vec<(u16, f64)>,
     ) -> Self {
-        assert_eq!(importance.len(), data.d);
-        let mut tree = DecisionTree { nodes: Vec::new() };
-        let mut idx = indices.to_vec();
-        tree.grow(data, labels, &mut idx, params, 0, rng, importance);
-        tree
+        assert!(data.d < LEAF as usize, "too many features for a u16 index");
+        let mut grower = Grower {
+            data,
+            labels,
+            params,
+            rng,
+            gains,
+            nodes: Vec::new(),
+            hist: vec![[[0; 2]; 256]; HIST_GROUP],
+        };
+        grower.grow(&mut indices.to_vec(), 0);
+        DecisionTree {
+            nodes: grower.nodes,
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn grow(
-        &mut self,
-        data: &BinnedData,
-        labels: &[bool],
-        indices: &mut [u32],
-        params: &TreeParams,
-        depth: usize,
-        rng: &mut StdRng,
-        importance: &mut [f64],
-    ) -> u32 {
+    /// A tree of prepared nodes (root first).
+    #[cfg(test)]
+    pub(crate) fn from_nodes(nodes: Vec<Node>) -> Self {
+        DecisionTree { nodes }
+    }
+
+    /// Probability of the positive class for a raw feature row.
+    pub fn predict_proba(&self, row: &[f32]) -> f32 {
+        node::walk(&self.nodes, row)
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Depth of the tree.
+    pub fn depth(&self) -> usize {
+        node::depth(&self.nodes)
+    }
+}
+
+/// Recursive CART growth over one tree's rows.
+struct Grower<'a> {
+    data: &'a BinnedData,
+    labels: &'a [bool],
+    params: &'a TreeParams,
+    rng: &'a mut StdRng,
+    gains: &'a mut Vec<(u16, f64)>,
+    nodes: Vec<Node>,
+    /// Histogram scratch, one per feature of a pass.
+    hist: Vec<GiniHist>,
+}
+
+impl Grower<'_> {
+    /// Grows the subtree of `indices` (partitioned in place) in pre-order
+    /// and returns its root.
+    fn grow(&mut self, indices: &mut [u32], depth: usize) -> u32 {
+        let (data, params) = (self.data, self.params);
         let n = indices.len();
-        let pos = indices.iter().filter(|&&i| labels[i as usize]).count();
+        let pos = indices.iter().filter(|&&i| self.labels[i as usize]).count();
         let prob = pos as f32 / n.max(1) as f32;
         let node_id = self.nodes.len() as u32;
 
         if depth >= params.max_depth || n < 2 * params.min_samples_leaf || pos == 0 || pos == n {
-            self.nodes.push(Node::Leaf { prob });
+            self.nodes.push(Node::leaf(prob));
             return node_id;
         }
 
-        let Some((feature, cut, gain)) = best_gini_split(data, labels, indices, params, rng) else {
-            self.nodes.push(Node::Leaf { prob });
+        let Some((feature, cut, gain)) = best_gini_split(
+            data,
+            self.labels,
+            indices,
+            pos,
+            params,
+            self.rng,
+            &mut self.hist,
+        ) else {
+            self.nodes.push(Node::leaf(prob));
             return node_id;
         };
 
@@ -122,81 +147,46 @@ impl DecisionTree {
             }
         }
         if lo < params.min_samples_leaf || n - lo < params.min_samples_leaf {
-            self.nodes.push(Node::Leaf { prob });
+            self.nodes.push(Node::leaf(prob));
             return node_id;
         }
 
-        importance[feature as usize] += gain * n as f64;
-        self.nodes.push(Node::Leaf { prob }); // placeholder
+        self.gains.push((feature, gain * n as f64));
+        self.nodes.push(Node::leaf(prob)); // placeholder
         let (left_idx, right_idx) = indices.split_at_mut(lo);
-        let left = self.grow(data, labels, left_idx, params, depth + 1, rng, importance);
-        let right = self.grow(data, labels, right_idx, params, depth + 1, rng, importance);
-        self.nodes[node_id as usize] = Node::Split {
-            feature,
-            threshold: data.binner.threshold(feature as usize, cut),
-            cut,
-            left,
-            right,
-        };
+        let left = self.grow(left_idx, depth + 1);
+        let right = self.grow(right_idx, depth + 1);
+        let threshold = data.binner.threshold(feature as usize, cut);
+        self.nodes[node_id as usize] = Node::split(feature, threshold, cut, left, right);
         node_id
-    }
-
-    /// Probability of the positive class for a raw feature row.
-    pub fn predict_proba(&self, row: &[f32]) -> f32 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { prob } => return *prob,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    node = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Depth of the tree.
-    pub fn depth(&self) -> usize {
-        fn depth_of(nodes: &[Node], id: usize) -> usize {
-            match &nodes[id] {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => {
-                    1 + depth_of(nodes, *left as usize).max(depth_of(nodes, *right as usize))
-                }
-            }
-        }
-        depth_of(&self.nodes, 0)
     }
 }
 
+/// Class counts per bin of one feature over a node's rows:
+/// `[rows, positive rows]` per bin.
+type GiniHist = [[u32; 2]; 256];
+
 /// Finds the best Gini split over (subsampled) features; returns
-/// `(feature, bin cut, gain)`.
+/// `(feature, bin cut, gain)`. `total_pos` counts the positive rows of
+/// `indices`; `hist` holds [`HIST_GROUP`] scratch histograms.
+///
+/// Features are scanned in their subsampled order and a cut replaces the
+/// best only on a strictly larger gain, so ties go to the first feature
+/// and the first cut.
 fn best_gini_split(
     data: &BinnedData,
     labels: &[bool],
     indices: &[u32],
+    total_pos: usize,
     params: &TreeParams,
     rng: &mut StdRng,
+    hist: &mut [GiniHist],
 ) -> Option<(u16, u8, f64)> {
     let n = indices.len() as f64;
-    let total_pos = indices.iter().filter(|&&i| labels[i as usize]).count() as f64;
+    let total_pos = total_pos as f64;
     let parent_gini = gini(total_pos, n);
 
-    let features: Vec<usize> =
+    let mut features: Vec<usize> =
         if params.feature_subsample == 0 || params.feature_subsample >= data.d {
             (0..data.d).collect()
         } else {
@@ -209,39 +199,48 @@ fn best_gini_split(
             all.truncate(params.feature_subsample);
             all
         };
+    features.retain(|&f| data.binner.bins(f) >= 2);
 
     let mut best: Option<(u16, u8, f64)> = None;
-    let mut count_hist = [0u32; 256];
-    let mut pos_hist = [0u32; 256];
-    for &f in &features {
-        let bins = data.binner.bins(f);
-        if bins < 2 {
-            continue;
-        }
-        count_hist[..bins].fill(0);
-        pos_hist[..bins].fill(0);
-        for &i in indices {
-            let b = data.code(f, i as usize) as usize;
-            count_hist[b] += 1;
-            pos_hist[b] += labels[i as usize] as u32;
-        }
-        let mut left_n = 0f64;
-        let mut left_pos = 0f64;
-        for cut in 0..bins - 1 {
-            left_n += count_hist[cut] as f64;
-            left_pos += pos_hist[cut] as f64;
-            let right_n = n - left_n;
-            if left_n < params.min_samples_leaf as f64 || right_n < params.min_samples_leaf as f64 {
-                continue;
-            }
-            let right_pos = total_pos - left_pos;
-            let weighted =
-                (left_n / n) * gini(left_pos, left_n) + (right_n / n) * gini(right_pos, right_n);
-            let gain = parent_gini - weighted;
-            // Zero-gain splits are allowed (XOR-like interactions have no
-            // first-order gain); growth is bounded by depth and leaf size.
-            if gain > -1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((f as u16, cut as u8, gain));
+    for group in features.chunks(HIST_GROUP) {
+        data.histograms(
+            indices,
+            group,
+            hist,
+            |i| u32::from(labels[i]),
+            |bin, y| {
+                bin[0] += 1;
+                bin[1] += y;
+            },
+        );
+        for (&f, h) in group.iter().zip(hist.iter()) {
+            let mut left_n = 0f64;
+            let mut left_pos = 0f64;
+            for (cut, &[count, pos]) in h[..data.binner.bins(f) - 1].iter().enumerate() {
+                // A cut over an empty bin leaves the same rows on each side
+                // as the cut before it, so its gain repeats that cut's and
+                // the strict `gain > g` below cannot take it. Cut 0 has no
+                // predecessor.
+                if count == 0 && cut > 0 {
+                    continue;
+                }
+                left_n += count as f64;
+                left_pos += pos as f64;
+                let right_n = n - left_n;
+                if left_n < params.min_samples_leaf as f64
+                    || right_n < params.min_samples_leaf as f64
+                {
+                    continue;
+                }
+                let right_pos = total_pos - left_pos;
+                let weighted = (left_n / n) * gini(left_pos, left_n)
+                    + (right_n / n) * gini(right_pos, right_n);
+                let gain = parent_gini - weighted;
+                // Zero-gain splits are allowed (XOR-like interactions have no
+                // first-order gain); growth is bounded by depth and leaf size.
+                if gain > -1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
+                    best = Some((f as u16, cut as u8, gain));
+                }
             }
         }
     }
@@ -257,7 +256,7 @@ fn gini(pos: f64, n: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::binning::BinnedData;
     use mfp_dram::address::DimmId;
@@ -290,6 +289,139 @@ mod tests {
             }
         }
         make_set(rows)
+    }
+
+    /// `best_gini_split` before grouped histograms and the empty-bin skip:
+    /// one feature's histogram per pass, every cut evaluated. The oracle of
+    /// the grouped search.
+    fn best_gini_split_per_feature(
+        data: &BinnedData,
+        labels: &[bool],
+        indices: &[u32],
+        params: &TreeParams,
+        rng: &mut StdRng,
+    ) -> Option<(u16, u8, f64)> {
+        let n = indices.len() as f64;
+        let total_pos = indices.iter().filter(|&&i| labels[i as usize]).count() as f64;
+        let parent_gini = gini(total_pos, n);
+        let features: Vec<usize> =
+            if params.feature_subsample == 0 || params.feature_subsample >= data.d {
+                (0..data.d).collect()
+            } else {
+                let mut all: Vec<usize> = (0..data.d).collect();
+                for k in 0..params.feature_subsample {
+                    let j = rng.random_range(k..all.len());
+                    all.swap(k, j);
+                }
+                all.truncate(params.feature_subsample);
+                all
+            };
+        let mut best: Option<(u16, u8, f64)> = None;
+        let mut count_hist = [0u32; 256];
+        let mut pos_hist = [0u32; 256];
+        for &f in &features {
+            let bins = data.binner.bins(f);
+            if bins < 2 {
+                continue;
+            }
+            count_hist[..bins].fill(0);
+            pos_hist[..bins].fill(0);
+            for &i in indices {
+                let b = data.code(f, i as usize) as usize;
+                count_hist[b] += 1;
+                pos_hist[b] += labels[i as usize] as u32;
+            }
+            let mut left_n = 0f64;
+            let mut left_pos = 0f64;
+            for cut in 0..bins - 1 {
+                left_n += count_hist[cut] as f64;
+                left_pos += pos_hist[cut] as f64;
+                let right_n = n - left_n;
+                if left_n < params.min_samples_leaf as f64
+                    || right_n < params.min_samples_leaf as f64
+                {
+                    continue;
+                }
+                let right_pos = total_pos - left_pos;
+                let weighted = (left_n / n) * gini(left_pos, left_n)
+                    + (right_n / n) * gini(right_pos, right_n);
+                let gain = parent_gini - weighted;
+                if gain > -1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
+                    best = Some((f as u16, cut as u8, gain));
+                }
+            }
+        }
+        best
+    }
+
+    /// Random binned data for split-search oracles: a mix of few-valued
+    /// columns (row subsets leave many of their bins empty), continuous
+    /// columns and duplicated columns (tied gains), with random labels.
+    pub(crate) fn random_binned(rng: &mut StdRng) -> (SampleSet, BinnedData) {
+        let d = rng.random_range(1..12usize);
+        let n = rng.random_range(1..300usize);
+        let kinds: Vec<u32> = (0..d).map(|_| rng.random_range(0..4u32)).collect();
+        let pos_rate = rng.random::<f32>();
+        let mut rows: Vec<(Vec<f32>, bool)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut row = Vec::with_capacity(d);
+            for (f, &kind) in kinds.iter().enumerate() {
+                row.push(match kind {
+                    0 => rng.random_range(0..3u32) as f32,
+                    1 => rng.random_range(0..40u32) as f32,
+                    2 if f > 0 => row[f - 1],
+                    _ => rng.random::<f32>(),
+                });
+            }
+            rows.push((row, rng.random::<f32>() < pos_rate));
+        }
+        let set = make_set(rows);
+        let max_bins = [2, 4, 16, 64, 255][rng.random_range(0..5usize)];
+        let data = BinnedData::from_samples(&set, max_bins);
+        (set, data)
+    }
+
+    /// Row indices of a node: a random multiset of rows in random order
+    /// (bootstrap samples repeat rows).
+    pub(crate) fn random_rows(rng: &mut StdRng, n: usize) -> Vec<u32> {
+        let len = rng.random_range(1..=2 * n);
+        let span = rng.random_range(1..=n);
+        (0..len).map(|_| rng.random_range(0..span) as u32).collect()
+    }
+
+    #[test]
+    fn grouped_gini_search_matches_per_feature_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x617a1);
+        let mut hist = vec![[[0; 2]; 256]; HIST_GROUP];
+        let mut found = 0;
+        for case in 0..600 {
+            let (set, data) = random_binned(&mut rng);
+            let params = TreeParams {
+                max_depth: 8,
+                min_samples_leaf: [0, 1, 5, 80][rng.random_range(0..4usize)],
+                feature_subsample: rng.random_range(0..=data.d + 1),
+            };
+            let indices = random_rows(&mut rng, set.len());
+            let pos = indices.iter().filter(|&&i| set.labels[i as usize]).count();
+            let seed = rng.next_u64();
+            let (mut r_new, mut r_old) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let got = best_gini_split(
+                &data,
+                &set.labels,
+                &indices,
+                pos,
+                &params,
+                &mut r_new,
+                &mut hist,
+            );
+            let want =
+                best_gini_split_per_feature(&data, &set.labels, &indices, &params, &mut r_old);
+            let bits = |s: Option<(u16, u8, f64)>| s.map(|(f, c, g)| (f, c, g.to_bits()));
+            assert_eq!(bits(got), bits(want), "case {case}, {params:?}");
+            assert_eq!(r_new.next_u64(), r_old.next_u64(), "case {case}: rng drift");
+            found += usize::from(got.is_some());
+        }
+        assert!(found > 200, "only {found} cases found a split");
     }
 
     #[test]

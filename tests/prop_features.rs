@@ -9,6 +9,7 @@ use mfp_dram::event::{CeEvent, CeStormEvent, MemEvent, UeEvent};
 use mfp_dram::geometry::{DataWidth, Platform};
 use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::{SimDuration, SimTime};
+use mfp_features::errorbits::CeBitProfile;
 use mfp_features::prelude::*;
 use mfp_mlops::prelude::{DataLake, FeatureStore};
 use mfp_rng::StdRng;
@@ -461,5 +462,180 @@ fn store_traffic_cases() {
                 last_now = Some(now);
             }
         }
+    });
+}
+
+/// `ProblemConfig::sample_times` before its forward cursor: a binary
+/// search over the history at every grid step.
+fn sample_times_per_step(
+    cfg: &ProblemConfig,
+    history: &DimmHistory<'_>,
+    horizon: SimDuration,
+) -> Vec<SimTime> {
+    let Some(first_ce) = history.first_ce() else {
+        return Vec::new();
+    };
+    let first_ue = history.first_ue();
+    let end = SimTime::ZERO + horizon;
+    let step = cfg.sample_interval.as_secs().max(60);
+    let mut out = Vec::new();
+    let mut t = first_ce + SimDuration::secs(step);
+    while t < end {
+        if history.ce_count_in_window(t, cfg.observation) > 0 {
+            if cfg.label_at(t, first_ue).is_some() {
+                out.push(t);
+            } else {
+                break;
+            }
+        }
+        t += SimDuration::secs(step);
+    }
+    out
+}
+
+/// The one-pass sample grid equals the per-step oracle on random histories
+/// with storms, UEs, and CEs exactly on grid instants `t` and on their
+/// window starts `t - observation`.
+#[test]
+fn sample_times_match_the_per_step_oracle() {
+    check("sample_times_match_the_per_step_oracle", CASES, |rng| {
+        let hour = 3_600u64;
+        let cfg = ProblemConfig {
+            observation: SimDuration::secs(rng.random_range(1..6 * 24) * hour),
+            lead: SimDuration::secs(rng.random_range(0..6) * hour),
+            prediction: SimDuration::secs(rng.random_range(1..40) * 24 * hour),
+            sample_interval: SimDuration::secs(match rng.random_range(0u32..3) {
+                0 => rng.random_range(0..120),
+                1 => rng.random_range(1..48) * hour,
+                _ => 24 * hour,
+            }),
+        };
+        let step = cfg.sample_interval.as_secs().max(60);
+        let first = rng.random_range(0..20 * 24 * hour);
+        let on_grid = |r: &mut StdRng| first + r.random_range(0u64..200) * step;
+        let mut raw = vec_of(rng, 1..40, |r| {
+            let t = match r.random_range(0u32..4) {
+                0 => on_grid(r),
+                1 => on_grid(r).saturating_sub(cfg.observation.as_secs()),
+                _ => first + r.random_range(0..100 * 24 * hour),
+            };
+            (t, r.random_range(0u32..10))
+        });
+        // The earliest event is a CE at `first`, so the grid is anchored.
+        raw.push((first, 9));
+        raw.sort_by_key(|&(t, _)| t);
+        let dimm = DimmId::new(3, 1);
+        let events: Vec<MemEvent> = raw
+            .into_iter()
+            .map(|(t, kind)| {
+                let time = SimTime::from_secs(t);
+                let addr = CellAddr::new(0, 1, 2, 3);
+                match kind {
+                    0 => MemEvent::Ue(UeEvent {
+                        time,
+                        dimm,
+                        addr,
+                        transfer: ErrorTransfer::from_bits([(0, 0), (0, 1)]),
+                    }),
+                    1 => MemEvent::Storm(CeStormEvent {
+                        time,
+                        dimm,
+                        count: 20,
+                    }),
+                    _ => MemEvent::Ce(CeEvent {
+                        time,
+                        dimm,
+                        addr,
+                        transfer: ErrorTransfer::from_bits([(1, 5)]),
+                    }),
+                }
+            })
+            .collect();
+        let refs: Vec<&MemEvent> = events.iter().collect();
+        let h = DimmHistory::new(&refs);
+        let horizon = SimDuration::secs(first + rng.random_range(0..150 * 24 * hour));
+        assert_eq!(
+            cfg.sample_times(&h, horizon),
+            sample_times_per_step(&cfg, &h, horizon)
+        );
+    });
+}
+
+/// The fields of a [`CeBitProfile`], device list included.
+type ProfileFields = (
+    u32,
+    u32,
+    u32,
+    Option<u32>,
+    Option<u32>,
+    u32,
+    Vec<(u8, u8, u8)>,
+);
+
+fn fields(p: &CeBitProfile) -> ProfileFields {
+    (
+        p.dq_count,
+        p.beat_count,
+        p.bit_count,
+        p.dq_interval,
+        p.beat_interval,
+        p.device_mask,
+        p.dev_bits().to_vec(),
+    )
+}
+
+/// `CeBitProfile::of` before its one-pass rewrite: each statistic from its
+/// own walk of the transfer, and the device list from the set bits.
+fn bit_profile_multi_pass(t: &ErrorTransfer, width: DataWidth) -> ProfileFields {
+    let w = width.dq_per_device() as usize;
+    let n_dev = width.devices_per_rank() as usize;
+    let mut dev_dq = [0u8; 32];
+    let mut dev_beats = [0u8; 32];
+    for (beat, dq) in t.iter_bits() {
+        let dev = (dq as usize / w).min(n_dev - 1);
+        dev_dq[dev] |= 1 << (dq as usize - dev * w);
+        dev_beats[dev] |= 1 << beat;
+    }
+    let dev_bits = (0..n_dev)
+        .filter(|&d| dev_dq[d] != 0)
+        .map(|d| (d as u8, dev_dq[d], dev_beats[d]))
+        .collect();
+    (
+        t.dq_count(),
+        t.beat_count(),
+        t.bit_count(),
+        t.dq_interval(),
+        t.beat_interval(),
+        t.device_mask(width),
+        dev_bits,
+    )
+}
+
+fn assert_profile_matches_oracle(t: &ErrorTransfer) {
+    for width in [DataWidth::X4, DataWidth::X8] {
+        assert_eq!(
+            fields(&CeBitProfile::of(t, width)),
+            bit_profile_multi_pass(t, width),
+            "{t:?}, {width:?}"
+        );
+    }
+}
+
+/// The one-pass bit profile equals the multi-pass oracle on all 576
+/// single-bit transfers, on the clean transfer, and on random bursts.
+#[test]
+fn bit_profile_matches_the_multi_pass_oracle() {
+    assert_profile_matches_oracle(&ErrorTransfer::new());
+    for beat in 0..8u8 {
+        for dq in 0..72u8 {
+            assert_profile_matches_oracle(&ErrorTransfer::from_bits([(beat, dq)]));
+        }
+    }
+    check("bit_profile_matches_the_multi_pass_oracle", CASES, |rng| {
+        let dense = coin(rng);
+        let bits = vec_of(rng, 1..if dense { 300 } else { 6 }, |r| {
+            (r.random_range(0u8..8), r.random_range(0u8..72))
+        });
+        assert_profile_matches_oracle(&ErrorTransfer::from_bits(bits));
     });
 }
