@@ -259,12 +259,11 @@ impl RollingMax {
 }
 
 /// Incremental [`ErrorBitStats`] over a sliding event window: insertion and
-/// eviction are O(bits of the event); [`Self::stats`] reconstructs the exact
-/// batch aggregate, including per-device union masks, from per-bit
-/// occurrence counts.
-#[derive(Debug, Clone)]
+/// eviction are O(bits of the event); [`Self::stats`] reads the exact
+/// batch aggregate, including per-device union masks, off masks that
+/// insertion and eviction keep current.
+#[derive(Debug, Clone, Default)]
 pub struct RollingErrorBitStats {
-    n_dev: usize,
     events: u32,
     dq_sum: u64,
     beat_sum: u64,
@@ -278,37 +277,23 @@ pub struct RollingErrorBitStats {
     max_dq_interval: RollingMax,
     max_beat_interval: RollingMax,
     max_devices: RollingMax,
-    /// Events touching each device (windowed union of `device_mask`).
-    dev_presence: Vec<u32>,
-    /// Per-device, per-DQ-bit live-occurrence counts.
-    dev_dq_counts: Vec<[u32; 8]>,
-    /// Per-device, per-beat live-occurrence counts.
-    dev_beat_counts: Vec<[u32; 8]>,
+    /// Devices some live event touches (the windowed union of
+    /// `device_mask`): exactly those whose DQ union mask is non-zero.
+    devices: u32,
+    /// Per-device union of the live events' DQ and beat masks.
+    dev_dq: [u8; MAX_DEVICES],
+    dev_beats: [u8; MAX_DEVICES],
+    /// Per-device live-occurrence counts of each DQ bit (`[d][0]`) and
+    /// beat (`[d][1]`): a mask bit clears when its count returns to zero.
+    /// Boxed, because only insertion and eviction read them.
+    dev_bit_counts: Box<[[[u32; 8]; 2]; MAX_DEVICES]>,
 }
 
 impl RollingErrorBitStats {
-    /// An empty window for the given device width.
-    pub fn new(width: mfp_dram::geometry::DataWidth) -> Self {
-        let n_dev = width.devices_per_rank() as usize;
-        RollingErrorBitStats {
-            n_dev,
-            events: 0,
-            dq_sum: 0,
-            beat_sum: 0,
-            complex_events: 0,
-            interval4_events: 0,
-            wide_dq_events: 0,
-            many_beat_events: 0,
-            max_dq: RollingMax::new(),
-            max_beat: RollingMax::new(),
-            max_bits: RollingMax::new(),
-            max_dq_interval: RollingMax::new(),
-            max_beat_interval: RollingMax::new(),
-            max_devices: RollingMax::new(),
-            dev_presence: vec![0; n_dev],
-            dev_dq_counts: vec![[0; 8]; n_dev],
-            dev_beat_counts: vec![[0; 8]; n_dev],
-        }
+    /// An empty window. Every array is sized for the widest rank, so the
+    /// device width matters only to the profiles inserted.
+    pub fn new() -> Self {
+        RollingErrorBitStats::default()
     }
 
     /// Adds one CE's profile to the window.
@@ -338,18 +323,12 @@ impl RollingErrorBitStats {
             self.many_beat_events += 1;
         }
         self.max_devices.insert(p.device_mask.count_ones());
-        let mut m = p.device_mask;
-        while m != 0 {
-            let d = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.dev_presence[d] += 1;
-        }
         for &(dev, dqm, bm) in p.dev_bits() {
             let d = dev as usize;
-            for b in 0..8 {
-                self.dev_dq_counts[d][b] += u32::from((dqm >> b) & 1);
-                self.dev_beat_counts[d][b] += u32::from((bm >> b) & 1);
-            }
+            self.devices |= 1 << d;
+            let [dq_counts, beat_counts] = &mut self.dev_bit_counts[d];
+            self.dev_dq[d] |= add_bits(dq_counts, dqm);
+            self.dev_beats[d] |= add_bits(beat_counts, bm);
         }
     }
 
@@ -381,17 +360,13 @@ impl RollingErrorBitStats {
             self.many_beat_events -= 1;
         }
         self.max_devices.remove(p.device_mask.count_ones());
-        let mut m = p.device_mask;
-        while m != 0 {
-            let d = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.dev_presence[d] -= 1;
-        }
         for &(dev, dqm, bm) in p.dev_bits() {
             let d = dev as usize;
-            for b in 0..8 {
-                self.dev_dq_counts[d][b] -= u32::from((dqm >> b) & 1);
-                self.dev_beat_counts[d][b] -= u32::from((bm >> b) & 1);
+            let [dq_counts, beat_counts] = &mut self.dev_bit_counts[d];
+            self.dev_dq[d] &= !sub_bits(dq_counts, dqm);
+            self.dev_beats[d] &= !sub_bits(beat_counts, bm);
+            if self.dev_dq[d] == 0 {
+                self.devices &= !(1 << d);
             }
         }
     }
@@ -411,33 +386,53 @@ impl RollingErrorBitStats {
             wide_dq_events: self.wide_dq_events,
             many_beat_events: self.many_beat_events,
             max_devices: self.max_devices.max(),
+            total_devices: self.devices.count_ones(),
             ..ErrorBitStats::default()
         };
         if s.events > 0 {
             s.mean_dq_count = self.dq_sum as f32 / s.events as f32;
             s.mean_beat_count = self.beat_sum as f32 / s.events as f32;
         }
-        s.total_devices = self.dev_presence.iter().filter(|&&c| c > 0).count() as u32;
-        // A device no live event touches has all-zero counts, which
-        // `fold_device_union` skips anyway.
-        for d in (0..self.n_dev).filter(|&d| self.dev_presence[d] > 0) {
-            let dqm = counts_to_mask(&self.dev_dq_counts[d]);
-            let bm = counts_to_mask(&self.dev_beat_counts[d]);
-            fold_device_union(&mut s, dqm, bm);
+        let mut m = self.devices;
+        while m != 0 {
+            let d = m.trailing_zeros() as usize;
+            m &= m - 1;
+            fold_device_union(&mut s, self.dev_dq[d], self.dev_beats[d]);
         }
         s
     }
 }
 
-/// Collapses per-bit live counts back into the union bitmask.
-fn counts_to_mask(counts: &[u32; 8]) -> u8 {
-    let mut m = 0u8;
-    for (b, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            m |= 1 << b;
+/// Counts one occurrence of every set bit of `mask`; returns the bits
+/// whose count left zero.
+fn add_bits(counts: &mut [u32; 8], mask: u8) -> u8 {
+    let mut entered = 0;
+    let mut m = mask;
+    while m != 0 {
+        let b = m.trailing_zeros() as usize;
+        m &= m - 1;
+        if counts[b] == 0 {
+            entered |= 1 << b;
+        }
+        counts[b] += 1;
+    }
+    entered
+}
+
+/// Drops one occurrence of every set bit of `mask`; returns the bits
+/// whose count returned to zero.
+fn sub_bits(counts: &mut [u32; 8], mask: u8) -> u8 {
+    let mut left = 0;
+    let mut m = mask;
+    while m != 0 {
+        let b = m.trailing_zeros() as usize;
+        m &= m - 1;
+        counts[b] -= 1;
+        if counts[b] == 0 {
+            left |= 1 << b;
         }
     }
-    m
+    left
 }
 
 /// Distance between the lowest and highest set bit of a non-zero mask.
@@ -559,7 +554,7 @@ mod tests {
     fn rolling_matches_batch_on_every_prefix() {
         for width in [DataWidth::X4, DataWidth::X8] {
             let events = assorted_events();
-            let mut rolling = RollingErrorBitStats::new(width);
+            let mut rolling = RollingErrorBitStats::new();
             for k in 0..=events.len() {
                 let batch = ErrorBitStats::from_ces(events[..k].iter(), width);
                 assert_eq!(rolling.stats(), batch, "prefix {k} ({width:?})");
@@ -579,7 +574,7 @@ mod tests {
                 .map(|e| CeBitProfile::of(&e.transfer, width))
                 .collect();
             // Slide a length-3 window across the sequence.
-            let mut rolling = RollingErrorBitStats::new(width);
+            let mut rolling = RollingErrorBitStats::new();
             for hi in 0..events.len() {
                 rolling.insert(&profiles[hi]);
                 if hi >= 3 {
@@ -595,6 +590,55 @@ mod tests {
                 rolling.remove(p);
             }
             assert_eq!(rolling.stats(), ErrorBitStats::default());
+        }
+        // Random multisets: inserts and removals of arbitrary live members
+        // (not first in, first out), repeats included, so every per-bit
+        // count and union-mask bit goes up and back down in any order.
+        for width in [DataWidth::X4, DataWidth::X8] {
+            let w = width.dq_per_device();
+            for seed in 0..64u64 {
+                let mut rng = mfp_rng::StdRng::seed_from_u64(seed);
+                let pool: Vec<CeEvent> = (0..12)
+                    .map(|_| {
+                        // Mostly one device's lanes, sometimes any lane.
+                        let dev = rng.random_range(0..width.devices_per_rank());
+                        let n = rng.random_range(1..6);
+                        let bits: Vec<(u8, u8)> = (0..n)
+                            .map(|_| {
+                                let dq = if rng.random_range(0..4) == 0 {
+                                    rng.random_range(0..72u8)
+                                } else {
+                                    dev * w + rng.random_range(0..w)
+                                };
+                                (rng.random_range(0..8u8), dq)
+                            })
+                            .collect();
+                        ce(&bits)
+                    })
+                    .collect();
+                let mut rolling = RollingErrorBitStats::new();
+                let mut live: Vec<usize> = Vec::new();
+                for step in 0..200 {
+                    if live.is_empty() || rng.random_range(0..5) < 3 {
+                        let k = rng.random_range(0..pool.len());
+                        rolling.insert(&CeBitProfile::of(&pool[k].transfer, width));
+                        live.push(k);
+                    } else {
+                        let k = live.swap_remove(rng.random_range(0..live.len()));
+                        rolling.remove(&CeBitProfile::of(&pool[k].transfer, width));
+                    }
+                    let batch = ErrorBitStats::from_ces(live.iter().map(|&k| &pool[k]), width);
+                    assert_eq!(
+                        rolling.stats(),
+                        batch,
+                        "seed {seed}, step {step} ({width:?})"
+                    );
+                }
+                for k in live.drain(..) {
+                    rolling.remove(&CeBitProfile::of(&pool[k].transfer, width));
+                }
+                assert_eq!(rolling.stats(), ErrorBitStats::default());
+            }
         }
     }
 

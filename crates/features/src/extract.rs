@@ -142,7 +142,9 @@ pub fn extract_features(
     thresholds: &FaultThresholds,
 ) -> Vec<f32> {
     let inputs = batch_inputs(history, spec, t, cfg, thresholds);
-    assemble_features(&inputs, spec, t, cfg)
+    let mut row = Vec::with_capacity(FEATURE_DIM);
+    assemble_features(&inputs, spec, t, cfg, &mut row);
+    row
 }
 
 /// Gathers [`FeatureInputs`] by re-scanning the history at `t` — the batch
@@ -193,15 +195,17 @@ fn batch_inputs(
     }
 }
 
-/// Assembles the feature vector from windowed aggregates — the single place
-/// any f32 arithmetic happens, shared by batch and streaming extraction.
+/// Assembles the feature vector from windowed aggregates into `f`,
+/// replacing its contents — the single place any f32 arithmetic happens,
+/// shared by batch and streaming extraction.
 pub(crate) fn assemble_features(
     inp: &FeatureInputs,
     spec: &DimmSpec,
     t: SimTime,
     cfg: &ProblemConfig,
-) -> Vec<f32> {
-    let mut f = Vec::with_capacity(FEATURE_DIM);
+    f: &mut Vec<f32>,
+) {
+    f.clear();
 
     // Temporal CE statistics.
     let obs_days = (cfg.observation.as_days_f64()).max(1.0) as f32;
@@ -325,7 +329,6 @@ pub(crate) fn assemble_features(
     f.push(spec.ranks as f32);
 
     debug_assert_eq!(f.len(), FEATURE_DIM);
-    f
 }
 
 #[cfg(test)]

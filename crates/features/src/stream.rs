@@ -93,13 +93,16 @@ impl SpatialWindow {
 /// without re-walking its bitmap.
 #[derive(Debug, Clone)]
 struct Entry {
+    /// `event.time()`, read by every cursor step without matching on the
+    /// event's kind.
+    time: SimTime,
     event: MemEvent,
     profile: Option<CeBitProfile>,
 }
 
 impl Entry {
     fn time(&self) -> SimTime {
-        self.event.time()
+        self.time
     }
 
     /// The CE's address and bit profile; `None` for storms and UEs. Only
@@ -179,7 +182,7 @@ struct Windows {
 }
 
 impl Windows {
-    fn new(width: DataWidth, thresholds: FaultThresholds) -> Self {
+    fn new(thresholds: FaultThresholds) -> Self {
         Windows {
             w15m: Counted::default(),
             w1h: Counted::default(),
@@ -190,8 +193,8 @@ impl Windows {
             last_ce: None,
             fault: WindowCursor::new(),
             spatial: SpatialWindow::default(),
-            eb_obs: RollingErrorBitStats::new(width),
-            eb_1d: RollingErrorBitStats::new(width),
+            eb_obs: RollingErrorBitStats::new(),
+            eb_1d: RollingErrorBitStats::new(),
             faults: RollingFaultClassifier::new(thresholds),
         }
     }
@@ -352,7 +355,7 @@ impl FeatureStream {
             thresholds,
             spec: None,
             events: VecDeque::new(),
-            win: Windows::new(DataWidth::X4, thresholds),
+            win: Windows::new(thresholds),
             last_t: None,
         }
     }
@@ -363,7 +366,7 @@ impl FeatureStream {
     pub fn reset(&mut self, spec: DimmSpec) {
         self.events.clear();
         self.spec = Some(spec);
-        self.win = Windows::new(spec.width, self.thresholds);
+        self.win = Windows::new(self.thresholds);
         self.last_t = None;
     }
 
@@ -392,12 +395,16 @@ impl FeatureStream {
         if self.last_t.is_some_and(|prev| t < prev) {
             self.rewind();
         }
-        let profile = self.spec.and_then(|s| profile_of(&event, s.width));
+        let entry = Entry {
+            time: t,
+            event,
+            profile: self.spec.and_then(|s| profile_of(&event, s.width)),
+        };
         if self.events.back().is_none_or(|e| e.time() <= t) {
-            self.events.push_back(Entry { event, profile });
+            self.events.push_back(entry);
         } else {
             let pos = self.events.partition_point(|e| e.time() <= t);
-            self.events.insert(pos, Entry { event, profile });
+            self.events.insert(pos, entry);
         }
     }
 
@@ -425,6 +432,19 @@ impl FeatureStream {
     ///
     /// Panics if the DIMM's spec was never set.
     pub fn features_at(&mut self, t: SimTime) -> Vec<f32> {
+        let mut row = Vec::with_capacity(crate::extract::FEATURE_DIM);
+        self.features_into(t, &mut row);
+        row
+    }
+
+    /// [`Self::features_at`] into `row`, replacing its contents: a caller
+    /// serving many streams reuses one buffer instead of allocating a row
+    /// per query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DIMM's spec was never set.
+    pub fn features_into(&mut self, t: SimTime, row: &mut Vec<f32>) {
         let spec = self
             .spec
             .expect("FeatureStream::features_at needs the DIMM spec");
@@ -462,12 +482,18 @@ impl FeatureStream {
             eb: w.eb_obs.stats(),
             eb1: w.eb_1d.stats(),
         };
-        assemble_features(&inputs, &spec, t, &self.cfg)
+        assemble_features(&inputs, &spec, t, &self.cfg, row);
     }
 
     /// Time of the last held CE stamped strictly before `t`, if any.
     pub fn last_ce_before(&self, t: SimTime) -> Option<SimTime> {
-        let end = self.events.partition_point(|e| e.time() < t);
+        // The online tick asks after every held event, so the search is
+        // usually skipped.
+        let end = if self.latest().is_some_and(|l| l < t) {
+            self.events.len()
+        } else {
+            self.events.partition_point(|e| e.time() < t)
+        };
         self.events
             .range(..end)
             .rev()
@@ -498,8 +524,7 @@ impl FeatureStream {
             // telemetry handle here keeps the hot path untouched.
             mfp_obs::counter("features_stream_rewinds", &[]).incr();
         }
-        let width = self.spec.map_or(DataWidth::X4, |s| s.width);
-        self.win = Windows::new(width, self.thresholds);
+        self.win = Windows::new(self.thresholds);
     }
 }
 

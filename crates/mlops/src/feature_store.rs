@@ -10,7 +10,10 @@
 //! Online serving keeps one owned [`FeatureStream`] per DIMM alive between
 //! prediction ticks, so a tick costs O(active DIMMs + events entering or
 //! leaving windows) instead of a rebuild of every active DIMM's window.
-//! The oracle it is checked against is
+//! A tick serves every active DIMM in one pass
+//! ([`FeatureStore::serve_active`]); [`FeatureStore::active_dimms`] and
+//! [`FeatureStore::serve`] answer the same questions one DIMM at a time.
+//! The oracle serving is checked against is
 //! [`extract_features`] over [`FeatureStore::export_streams`].
 
 use crate::lake::DataLake;
@@ -218,6 +221,42 @@ impl FeatureStore {
         let (_, spec) = lake.dimm_info(dimm)?;
         s.set_spec(spec);
         Some(s.features_at(now))
+    }
+
+    /// **Serving, one pass per tick**: hands `serve` every DIMM with at
+    /// least one CE in the observation window ending at `now` — the
+    /// candidates the online predictor re-scores — in ascending order,
+    /// with its current feature row, or `None` when the lake catalog does
+    /// not know the DIMM. Equivalent to [`Self::active_dimms`] followed by
+    /// [`Self::serve`] per DIMM, but walks the streams once under one
+    /// store lock and one catalog read lock (taken in `serve`'s order),
+    /// and fills every row into the caller's reused `row` buffer.
+    ///
+    /// `serve` runs under both locks, so it must not call back into this
+    /// store or the lake.
+    pub fn serve_active(
+        &self,
+        lake: &DataLake,
+        now: SimTime,
+        row: &mut Vec<f32>,
+        mut serve: impl FnMut(DimmId, Option<&[f32]>),
+    ) {
+        let from = now.saturating_sub(self.problem.observation);
+        let mut streams = self.streams.lock().expect(POISONED);
+        let catalog = lake.catalog();
+        for (&dimm, s) in streams.iter_mut() {
+            // An active stream holds a CE, so it is never empty.
+            if s.last_ce_before(now).is_none_or(|t| t < from) {
+                continue;
+            }
+            let Some(&(_, spec)) = catalog.get(&dimm) else {
+                serve(dimm, None);
+                continue;
+            };
+            s.set_spec(spec);
+            s.features_into(now, row);
+            serve(dimm, Some(row));
+        }
     }
 
     /// DIMMs with at least one CE in the observation window ending at

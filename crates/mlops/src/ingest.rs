@@ -10,8 +10,10 @@
 //! 1. **Schema/range validation** against the lake's DIMM catalog and the
 //!    module's device geometry, with per-reason rejection counters in
 //!    `mfp-obs` ([`RejectReason`]).
-//! 2. **Dedup** via a bounded FIFO of recently seen events (exact
-//!    equality, so distinct events are never dropped by collision).
+//! 2. **Dedup** over a bounded window of recently admitted events: each
+//!    event is fingerprinted once with a keyed hash, and a fingerprint
+//!    hit is confirmed by comparing whole events, so distinct events are
+//!    never dropped by collision.
 //! 3. **Watermark re-sequencing**: admitted events are buffered and
 //!    released in timestamp order once the watermark (max admitted
 //!    timestamp minus the configured lateness bound) passes them; events
@@ -33,7 +35,9 @@ use crate::lake::DataLake;
 use mfp_dram::address::DimmId;
 use mfp_dram::event::MemEvent;
 use mfp_dram::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Why an event was rejected at the validation stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -175,6 +179,121 @@ impl IngestMetrics {
     }
 }
 
+/// Hashes a `u64` fingerprint to itself. Fingerprints are SipHash under a
+/// secret per-process key, so a sender cannot steer them into one bucket,
+/// and hashing them again would only cost time.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach the index (`write_u64`); folding bytes in
+        // keeps any other key of up to eight bytes lossless too.
+        for &b in bytes {
+            self.0 = self.0 << 8 | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One event the dedup window remembers.
+#[derive(Debug)]
+struct Seen {
+    event: MemEvent,
+    fingerprint: u64,
+    /// Sequence number of the next older remembered event with the same
+    /// fingerprint; stale once it falls behind the ring's front.
+    older: Option<u64>,
+}
+
+/// Exact dedup over the last `window` admitted events.
+///
+/// Each event is fingerprinted once with a per-process random SipHash key.
+/// The ring holds every remembered event once, in admission order, and
+/// the index maps each fingerprint to the newest remembered event that
+/// has it. Distinct events sharing a fingerprint are chained newest to
+/// oldest through [`Seen::older`], a hit counts only when the whole event
+/// is equal, and eviction finds the index entry by the stored
+/// fingerprint instead of hashing the event again.
+#[derive(Debug)]
+struct DedupWindow {
+    keys: RandomState,
+    ring: VecDeque<Seen>,
+    /// Sequence number of `ring[0]`; the n-th event ever remembered has
+    /// sequence number n.
+    front: u64,
+    newest: HashMap<u64, u64, BuildHasherDefault<Prehashed>>,
+    window: usize,
+    /// Test hook: ANDed into every fingerprint, so zero makes every event
+    /// collide.
+    #[cfg(test)]
+    fingerprint_mask: u64,
+}
+
+impl DedupWindow {
+    fn new(window: usize) -> Self {
+        DedupWindow {
+            keys: RandomState::new(),
+            ring: VecDeque::new(),
+            front: 0,
+            newest: HashMap::default(),
+            window: window.max(1),
+            #[cfg(test)]
+            fingerprint_mask: u64::MAX,
+        }
+    }
+
+    #[cfg(not(test))]
+    fn fingerprint(&self, event: &MemEvent) -> u64 {
+        self.keys.hash_one(event)
+    }
+
+    #[cfg(test)]
+    fn fingerprint(&self, event: &MemEvent) -> u64 {
+        self.keys.hash_one(event) & self.fingerprint_mask
+    }
+
+    /// Remembers `event`, evicting the oldest remembered event past the
+    /// window; returns false, remembering nothing, when an equal event is
+    /// already remembered.
+    fn insert(&mut self, event: &MemEvent) -> bool {
+        let fingerprint = self.fingerprint(event);
+        let older = self.newest.get(&fingerprint).copied();
+        let mut link = older;
+        while let Some(s) = link.filter(|&s| s >= self.front) {
+            let seen = &self.ring[(s - self.front) as usize];
+            if seen.event == *event {
+                return false;
+            }
+            link = seen.older;
+        }
+        let seq = self.front + self.ring.len() as u64;
+        self.newest.insert(fingerprint, seq);
+        self.ring.push_back(Seen {
+            event: *event,
+            fingerprint,
+            older,
+        });
+        if self.ring.len() > self.window {
+            let old = self.ring.pop_front().expect("ring holds more than one");
+            // A newer event with the same fingerprint keeps the entry; its
+            // chain link to `old` is stale from here on.
+            if self.newest.get(&old.fingerprint) == Some(&self.front) {
+                self.newest.remove(&old.fingerprint);
+            }
+            self.front += 1;
+        }
+        true
+    }
+}
+
 /// Streaming normalizer from a hostile event stream to a clean one.
 #[derive(Debug)]
 pub struct Ingestor<'a> {
@@ -186,9 +305,7 @@ pub struct Ingestor<'a> {
     seq: u64,
     /// Maximum admitted timestamp; `watermark() = high_water - lateness`.
     high_water: SimTime,
-    /// Bounded exact-equality dedup set + its FIFO eviction order.
-    seen: HashSet<MemEvent>,
-    seen_order: VecDeque<MemEvent>,
+    dedup: DedupWindow,
     /// Last released timestamp per DIMM, for gap detection.
     last_seen: BTreeMap<DimmId, SimTime>,
     gaps: Vec<GapRecord>,
@@ -206,8 +323,7 @@ impl<'a> Ingestor<'a> {
             buffer: BTreeMap::new(),
             seq: 0,
             high_water: SimTime::ZERO,
-            seen: HashSet::new(),
-            seen_order: VecDeque::new(),
+            dedup: DedupWindow::new(cfg.dedup_window),
             last_seen: BTreeMap::new(),
             gaps: Vec::new(),
             quarantine: Vec::new(),
@@ -267,16 +383,10 @@ impl<'a> Ingestor<'a> {
             self.metrics.reject(reason);
             return Vec::new();
         }
-        if !self.seen.insert(*event) {
+        if !self.dedup.insert(event) {
             self.stats.duplicates += 1;
             self.metrics.duplicates.incr();
             return Vec::new();
-        }
-        self.seen_order.push_back(*event);
-        while self.seen_order.len() > self.cfg.dedup_window.max(1) {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen.remove(&old);
-            }
         }
         if event.time() < self.watermark() {
             self.stats.quarantined += 1;
@@ -301,13 +411,11 @@ impl<'a> Ingestor<'a> {
     fn drain_released(&mut self) -> Vec<MemEvent> {
         let bound = self.watermark();
         let mut out = Vec::new();
-        while let Some((&(t, s), _)) = self.buffer.iter().next() {
-            if t > bound {
+        while let Some(first) = self.buffer.first_entry() {
+            if first.key().0 > bound {
                 break;
             }
-            if let Some(e) = self.buffer.remove(&(t, s)) {
-                out.push(e);
-            }
+            out.push(first.remove());
         }
         self.note_released(&out);
         out
@@ -628,6 +736,45 @@ mod tests {
         let (out, stats) = normalize(&lake, cfg, &events);
         assert_eq!(stats.duplicates, 0, "evicted fingerprints cannot match");
         assert_eq!(out.len(), 11);
+    }
+
+    #[test]
+    fn fingerprint_collisions_keep_distinct_events_apart() {
+        let id = DimmId::new(1, 0);
+        let lake = lake_with(&[id]);
+        for window in [2, 3, 64] {
+            let cfg = IngestConfig {
+                dedup_window: window,
+                lateness: SimDuration::days(300),
+                ..IngestConfig::default()
+            };
+            let mut ing = Ingestor::new(&lake, cfg);
+            // Every event now has fingerprint 0.
+            ing.dedup.fingerprint_mask = 0;
+            let (a, b) = (ce(100, id), ce(200, id));
+            assert_ne!(a, b);
+            for e in [a, b, a, b, b, a] {
+                ing.push(&e);
+            }
+            let released = ing.flush();
+            assert_eq!(released, [a, b], "window {window}: both survive once");
+            assert_eq!(ing.stats().duplicates, 4, "window {window}");
+        }
+        // Past the window, an evicted collider no longer matches, and the
+        // index entry a newer collider owns survives the eviction.
+        let cfg = IngestConfig {
+            dedup_window: 2,
+            lateness: SimDuration::days(300),
+            ..IngestConfig::default()
+        };
+        let mut ing = Ingestor::new(&lake, cfg);
+        ing.dedup.fingerprint_mask = 0;
+        let (a, b, c) = (ce(100, id), ce(200, id), ce(300, id));
+        for e in [a, b, c, c, b, a] {
+            ing.push(&e);
+        }
+        assert_eq!(ing.stats().duplicates, 2, "c and b are remembered");
+        assert_eq!(ing.flush(), [a, a, b, c]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// Lock-poisoning panic message: a writer panicked mid-update.
 const POISONED: &str = "data lake lock poisoned by a panicked writer";
@@ -52,6 +52,12 @@ impl DataLake {
     /// Looks up a DIMM's platform and spec.
     pub fn dimm_info(&self, id: DimmId) -> Option<(Platform, DimmSpec)> {
         self.catalog.read().expect(POISONED).get(&id).copied()
+    }
+
+    /// The catalog under its read lock, for a batch of lookups that
+    /// should not take the lock once per DIMM.
+    pub(crate) fn catalog(&self) -> RwLockReadGuard<'_, BTreeMap<DimmId, (Platform, DimmSpec)>> {
+        self.catalog.read().expect(POISONED)
     }
 
     /// Number of catalogued DIMMs.

@@ -120,6 +120,11 @@ pub struct OnlinePredictor<'a> {
     /// Optional per-invocation score log (diagnostic only, not part of
     /// the checkpointed state); `None` unless tracing was enabled.
     pub(crate) trace: Option<Vec<ScoreRecord>>,
+    /// Scratch reused by every tick: the live DIMMs with their scores
+    /// (`None` for a DIMM the catalog does not know), and the row buffer
+    /// the store serves into.
+    live: Vec<(DimmId, Option<f32>)>,
+    row: Vec<f32>,
     metrics: OnlineMetrics,
 }
 
@@ -147,6 +152,8 @@ impl<'a> OnlinePredictor<'a> {
             stale_rejected: 0,
             last_good: BTreeMap::new(),
             trace: None,
+            live: Vec::new(),
+            row: Vec::new(),
             metrics: OnlineMetrics::for_platform(platform),
         }
     }
@@ -214,33 +221,41 @@ impl<'a> OnlinePredictor<'a> {
         };
         let _span = self.metrics.tick_seconds.time();
         self.metrics.ticks.incr();
-        // `active_dimms` walks a BTreeMap, so the Vec is already sorted and
-        // deduplicated — membership below is a binary search, and the merged
-        // walk over (live, degraded) preserves the old set-union order
-        // without materializing the union.
-        let active = self.store.active_dimms(now);
         // Degraded mode: DIMMs whose stream went quiet keep their last
         // successfully served feature row for `degraded_grace` and stay
         // scoreable — a collector outage must not blind the predictor to
         // a module that was trending towards failure.
         let grace = self.cfg.degraded_grace;
-        let mut degraded: Vec<DimmId> = Vec::new();
         if grace > SimDuration::ZERO {
             self.last_good.retain(|_, (t, _)| now <= *t + grace);
-            degraded.extend(
-                self.last_good
-                    .keys()
-                    .copied()
-                    .filter(|d| active.binary_search(d).is_err()),
-            );
         }
+        // One pass over the store scores every live DIMM, in ascending
+        // order, and caches its row for degraded mode in the cached row's
+        // own buffer. Caching first changes nothing below: a live DIMM is
+        // never degraded, and its streak survives either way.
+        let model = &production.model;
+        let (live, last_good) = (&mut self.live, &mut self.last_good);
+        live.clear();
+        self.store
+            .serve_active(self.lake, now, &mut self.row, |dimm, row| {
+                let score = row.map(|row| {
+                    if grace > SimDuration::ZERO {
+                        let (t, cached) = last_good.entry(dimm).or_default();
+                        *t = now;
+                        cached.clear();
+                        cached.extend_from_slice(row);
+                    }
+                    model.predict_proba(row)
+                });
+                live.push((dimm, score));
+            });
+        let is_live = |d: &DimmId| live.binary_search_by_key(d, |&(l, _)| l).is_ok();
         // A DIMM that went quiet since the last tick produced no score, so
         // its votes are no longer consecutive — the streak must restart
         // from zero when (if) it comes back.
         let before = self.streaks.len();
-        let last_good = &self.last_good;
         self.streaks
-            .retain(|d, _| active.binary_search(d).is_ok() || last_good.contains_key(d));
+            .retain(|d, _| is_live(d) || last_good.contains_key(d));
         self.metrics
             .streaks_reset
             .add((before - self.streaks.len()) as u64);
@@ -253,41 +268,30 @@ impl<'a> OnlinePredictor<'a> {
         self.metrics
             .entries_pruned
             .add((before - self.last_alarm.len()) as u64);
-        // Sorted merge of the live and degraded candidate lists (both
+        // Sorted merge of the live DIMMs and the degraded ones — quiet
+        // DIMMs inside the grace window, scored on their cached
+        // last-known-good row rather than a half-empty window (both
         // sorted, disjoint by construction).
-        let mut live_iter = active.iter().peekable();
-        let mut degraded_iter = degraded.iter().peekable();
+        let mut live_iter = live.iter().peekable();
+        let mut degraded_iter = last_good
+            .iter()
+            .filter(|&(d, _)| grace > SimDuration::ZERO && !is_live(d))
+            .peekable();
         loop {
-            let live = match (live_iter.peek(), degraded_iter.peek()) {
+            let (dimm, score) = match (live_iter.peek(), degraded_iter.peek()) {
                 (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(a), Some(d)) => a < d,
-            };
-            let dimm = if live {
-                *live_iter.next().expect("peeked")
-            } else {
-                *degraded_iter.next().expect("peeked")
-            };
-            let score = if live {
-                let Some(row) = self.store.serve(self.lake, dimm, now) else {
-                    continue;
-                };
-                let score = production.model.predict_proba(&row);
-                if grace > SimDuration::ZERO {
-                    // Move the served row into the cache — no clone.
-                    self.last_good.insert(dimm, (now, row));
+                (Some(&&(l, score)), d) if d.is_none_or(|&(d, _)| l < *d) => {
+                    live_iter.next();
+                    let Some(score) = score else {
+                        continue;
+                    };
+                    (l, score)
                 }
-                score
-            } else {
-                // Quiet DIMM inside the grace window: score the cached
-                // last-known-good row (borrowed in place) rather than a
-                // half-empty window.
-                let Some((_, row)) = self.last_good.get(&dimm) else {
-                    continue;
-                };
-                self.metrics.degraded_scores.incr();
-                production.model.predict_proba(row)
+                _ => {
+                    let (&d, (_, row)) = degraded_iter.next().expect("peeked");
+                    self.metrics.degraded_scores.incr();
+                    (d, model.predict_proba(row))
+                }
             };
             self.scored += 1;
             self.metrics.scores.incr();
@@ -385,9 +389,11 @@ impl<'a> OnlinePredictor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::IngestOutput;
     use mfp_dram::address::CellAddr;
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::CeEvent;
+    use mfp_dram::geometry::DataWidth;
     use mfp_dram::spec::DimmSpec;
     use mfp_features::fault_analysis::FaultThresholds;
     use mfp_features::labeling::ProblemConfig;
@@ -662,6 +668,286 @@ mod tests {
         // consecutive.
         p.note_gap(id);
         assert!(!p.streaks.contains_key(&id));
+    }
+
+    /// The tick as it ran before the one-pass store walk:
+    /// `FeatureStore::active_dimms`, then one `FeatureStore::serve` call
+    /// per live DIMM. Only tests keep it, as the oracle of the tick.
+    fn legacy_tick(p: &mut OnlinePredictor<'_>, now: SimTime) {
+        // The tick consumes every window ending at `now`; later events
+        // stamped before it would silently rewrite served history, so the
+        // watermark advances even when no model is in production.
+        p.watermark = now;
+        let Some(production) = p.registry.production(p.platform) else {
+            return;
+        };
+        let _span = p.metrics.tick_seconds.time();
+        p.metrics.ticks.incr();
+        // `active_dimms` walks a BTreeMap, so the Vec is already sorted and
+        // deduplicated — membership below is a binary search, and the merged
+        // walk over (live, degraded) preserves the old set-union order
+        // without materializing the union.
+        let active = p.store.active_dimms(now);
+        // Degraded mode: DIMMs whose stream went quiet keep their last
+        // successfully served feature row for `degraded_grace` and stay
+        // scoreable — a collector outage must not blind the predictor to
+        // a module that was trending towards failure.
+        let grace = p.cfg.degraded_grace;
+        let mut degraded: Vec<DimmId> = Vec::new();
+        if grace > SimDuration::ZERO {
+            p.last_good.retain(|_, (t, _)| now <= *t + grace);
+            degraded.extend(
+                p.last_good
+                    .keys()
+                    .copied()
+                    .filter(|d| active.binary_search(d).is_err()),
+            );
+        }
+        // A DIMM that went quiet since the last tick produced no score, so
+        // its votes are no longer consecutive — the streak must restart
+        // from zero when (if) it comes back.
+        let before = p.streaks.len();
+        let last_good = &p.last_good;
+        p.streaks
+            .retain(|d, _| active.binary_search(d).is_ok() || last_good.contains_key(d));
+        p.metrics
+            .streaks_reset
+            .add((before - p.streaks.len()) as u64);
+        // Expired cooldown entries can never suppress again; dropping them
+        // keeps the map bounded by the fleet's recently-alarmed set rather
+        // than growing for the life of the process.
+        let before = p.last_alarm.len();
+        p.last_alarm.retain(|_, t| now < *t + p.cfg.alarm_cooldown);
+        p.metrics
+            .entries_pruned
+            .add((before - p.last_alarm.len()) as u64);
+        // Sorted merge of the live and degraded candidate lists (both
+        // sorted, disjoint by construction).
+        let mut live_iter = active.iter().peekable();
+        let mut degraded_iter = degraded.iter().peekable();
+        loop {
+            let live = match (live_iter.peek(), degraded_iter.peek()) {
+                (None, None) => break,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(a), Some(d)) => a < d,
+            };
+            let dimm = if live {
+                *live_iter.next().expect("peeked")
+            } else {
+                *degraded_iter.next().expect("peeked")
+            };
+            let score = if live {
+                let Some(row) = p.store.serve(p.lake, dimm, now) else {
+                    continue;
+                };
+                let score = production.model.predict_proba(&row);
+                if grace > SimDuration::ZERO {
+                    // Move the served row into the cache — no clone.
+                    p.last_good.insert(dimm, (now, row));
+                }
+                score
+            } else {
+                // Quiet DIMM inside the grace window: score the cached
+                // last-known-good row (borrowed in place) rather than a
+                // half-empty window.
+                let Some((_, row)) = p.last_good.get(&dimm) else {
+                    continue;
+                };
+                p.metrics.degraded_scores.incr();
+                production.model.predict_proba(row)
+            };
+            p.scored += 1;
+            p.metrics.scores.incr();
+            if let Some(trace) = &mut p.trace {
+                trace.push(ScoreRecord {
+                    time: now,
+                    dimm,
+                    score,
+                });
+            }
+            let streak = p.streaks.entry(dimm).or_insert(0);
+            if score >= production.threshold {
+                *streak += 1;
+            } else {
+                *streak = 0;
+            }
+            if *streak as usize >= p.cfg.votes {
+                let cooling = p
+                    .last_alarm
+                    .get(&dimm)
+                    .is_some_and(|&t| now < t + p.cfg.alarm_cooldown);
+                if cooling {
+                    p.metrics.cooldown_suppressed.incr();
+                } else {
+                    p.alarms.push(Alarm {
+                        dimm,
+                        time: now,
+                        score,
+                    });
+                    p.last_alarm.insert(dimm, now);
+                    p.metrics.alarms.incr();
+                }
+            }
+        }
+    }
+
+    /// [`OnlinePredictor::apply`] over a time-ordered stream, ticking
+    /// through [`legacy_tick`].
+    fn legacy_apply(p: &mut OnlinePredictor<'_>, out: &IngestOutput) {
+        let t = match out {
+            IngestOutput::Released(e) => e.time(),
+            IngestOutput::Gap(g) => g.to,
+        };
+        while t >= p.next_tick {
+            let tick = p.next_tick;
+            legacy_tick(p, tick);
+            p.next_tick += p.cfg.prediction_interval;
+        }
+        match out {
+            IngestOutput::Released(e) => p.store.stream_ingest(e),
+            IngestOutput::Gap(g) => p.note_gap(g.dimm),
+        }
+    }
+
+    /// [`OnlinePredictor::finish`], ticking through [`legacy_tick`].
+    fn legacy_finish(p: &mut OnlinePredictor<'_>, until: SimTime) {
+        while p.next_tick <= until {
+            let tick = p.next_tick;
+            legacy_tick(p, tick);
+            p.next_tick += p.cfg.prediction_interval;
+        }
+    }
+
+    /// Every `online_*` counter of `reg`, by series.
+    fn online_counters(reg: &mfp_obs::Registry) -> Vec<(String, u64)> {
+        reg.snapshot()
+            .counters
+            .into_iter()
+            .filter(|c| c.name.starts_with("online_"))
+            .map(|c| (mfp_obs::series_name(&c.name, &c.labels), c.value))
+            .collect()
+    }
+
+    /// The one-pass tick equals the per-DIMM oracle on random streams of
+    /// risky and benign CEs over five DIMMs, one of them unknown to the
+    /// catalog: with degraded grace 0, 6 h and 1 d, silences that empty
+    /// the observation window, collection gaps, cooldowns short enough to
+    /// suppress repeat alarms, and DIMMs re-registered with the other
+    /// device width between ticks. Scores match by `to_bits`; alarms,
+    /// streaks, cooldowns, cached rows and every `online_*` counter are
+    /// equal.
+    #[test]
+    fn one_pass_tick_matches_the_per_dimm_oracle() {
+        let graces = [
+            SimDuration::ZERO,
+            SimDuration::hours(6),
+            SimDuration::days(1),
+        ];
+        let watched = [
+            "online_degraded_scores",
+            "online_cooldown_suppressed",
+            "online_gap_streak_resets",
+            "online_streaks_reset",
+        ];
+        let mut exercised = [0u64; 4];
+        let mut rewidened = 0;
+        for case in 0..96u64 {
+            let mut rng = mfp_rng::StdRng::seed_from_u64(case);
+            let lake = DataLake::new();
+            let registry = ModelRegistry::new();
+            setup(&lake, &registry);
+            let dimms: Vec<DimmId> = (1..5).map(|s| DimmId::new(s, 0)).collect();
+            for &d in &dimms[1..] {
+                lake.register_dimm(d, Platform::IntelPurley, DimmSpec::default());
+            }
+            let cfg = OnlineConfig {
+                degraded_grace: graces[case as usize % 3],
+                alarm_cooldown: SimDuration::days(rng.random_range(1u64..4)),
+                ..OnlineConfig::default()
+            };
+            let problem = ProblemConfig {
+                observation: SimDuration::hours(rng.random_range(4u64..72)),
+                ..ProblemConfig::default()
+            };
+            let th = FaultThresholds::default();
+            let (store, old_store) = (
+                FeatureStore::new(problem, th),
+                FeatureStore::new(problem, th),
+            );
+            let (reg, old_reg) = (mfp_obs::Registry::new(), mfp_obs::Registry::new());
+            let predictor = |store| {
+                let mut p =
+                    OnlinePredictor::new(&lake, store, &registry, Platform::IntelPurley, cfg);
+                p.set_score_trace(true);
+                p
+            };
+            let mut new = mfp_obs::with_registry(&reg, || predictor(&store));
+            let mut old = mfp_obs::with_registry(&old_reg, || predictor(&old_store));
+            let mut t = 0u64;
+            for _ in 0..rng.random_range(20..150) {
+                t += if rng.random_range(0..8) == 0 {
+                    rng.random_range(86_400u64..4 * 86_400)
+                } else {
+                    rng.random_range(60u64..10_000)
+                };
+                let dimm = dimms[rng.random_range(0..dimms.len())];
+                let out = match rng.random_range(0..20) {
+                    0 => IngestOutput::Gap(crate::ingest::GapRecord {
+                        dimm,
+                        from: SimTime::from_secs(t / 2),
+                        to: SimTime::from_secs(t),
+                    }),
+                    1 => {
+                        let (platform, spec) = lake.dimm_info(dimm).expect("catalogued");
+                        let width = match spec.width {
+                            DataWidth::X4 => DataWidth::X8,
+                            DataWidth::X8 => DataWidth::X4,
+                        };
+                        lake.register_dimm(dimm, platform, DimmSpec { width, ..spec });
+                        rewidened += 1;
+                        continue;
+                    }
+                    2 => IngestOutput::Released(risky_ce(t, DimmId::new(9, 0), true)),
+                    _ => IngestOutput::Released(risky_ce(t, dimm, rng.random_range(0..3) > 0)),
+                };
+                assert!(new.apply(&out), "case {case}: the stream is time-ordered");
+                legacy_apply(&mut old, &out);
+            }
+            let end = SimTime::from_secs(t) + SimDuration::days(3);
+            new.finish(end);
+            legacy_finish(&mut old, end);
+
+            let bits = |r: &ScoreRecord| (r.time, r.dimm, r.score.to_bits());
+            let got: Vec<_> = new.score_trace().iter().map(bits).collect();
+            let want: Vec<_> = old.score_trace().iter().map(bits).collect();
+            assert_eq!(got, want, "case {case}: score trace");
+            let bits = |a: &Alarm| (a.time, a.dimm, a.score.to_bits());
+            let got: Vec<_> = new.alarms().iter().map(bits).collect();
+            let want: Vec<_> = old.alarms().iter().map(bits).collect();
+            assert_eq!(got, want, "case {case}: alarms");
+            assert_eq!(new.streaks, old.streaks, "case {case}: streaks");
+            assert_eq!(new.last_alarm, old.last_alarm, "case {case}: cooldowns");
+            let rows = |p: &OnlinePredictor<'_>| -> Vec<(DimmId, SimTime, Vec<u32>)> {
+                p.last_good
+                    .iter()
+                    .map(|(d, (t, row))| (*d, *t, row.iter().map(|x| x.to_bits()).collect()))
+                    .collect()
+            };
+            assert_eq!(rows(&new), rows(&old), "case {case}: last_good");
+            assert_eq!(new.scored(), old.scored(), "case {case}: scored");
+            assert_eq!(new.watermark(), old.watermark());
+            let counters = online_counters(&reg);
+            assert_eq!(counters, online_counters(&old_reg), "case {case}");
+            let snapshot = reg.snapshot();
+            for (n, name) in watched.iter().enumerate() {
+                exercised[n] += snapshot.counter(name);
+            }
+        }
+        for (name, total) in watched.iter().zip(exercised) {
+            assert!(total > 0, "no case incremented {name}");
+        }
+        assert!(rewidened > 0, "no case re-registered a DIMM");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use mfp_dram::geometry::Platform;
 use mfp_dram::time::SimTime;
 use mfp_ml::metrics::Evaluation;
 use mfp_ml::model::{Algorithm, Model};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Lock-poisoning panic message: a writer panicked mid-update.
 const POISONED: &str = "model registry lock poisoned by a panicked writer";
@@ -39,8 +39,9 @@ pub struct ModelEntry {
     pub threshold: f32,
     /// Lifecycle stage.
     pub stage: Stage,
-    /// The model itself.
-    pub model: Model,
+    /// The model itself, shared: every lookup clones the entry, which then
+    /// only bumps a reference count instead of copying every tree.
+    pub model: Arc<Model>,
 }
 
 /// Thread-safe model registry.
@@ -75,7 +76,7 @@ impl ModelRegistry {
             benchmark,
             threshold,
             stage: Stage::Staging,
-            model,
+            model: Arc::new(model),
         });
         id
     }

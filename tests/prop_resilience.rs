@@ -21,6 +21,7 @@ use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_rng::StdRng;
 use mfp_sim::chaos::{inject_chaos, ChaosConfig};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -432,4 +433,182 @@ fn crash_restore_is_bit_identical() {
         assert_eq!(reference.stale_rejected(), resumed.stale_rejected());
         assert_eq!(reference.watermark(), resumed.watermark());
     });
+}
+
+/// The ingestor as it deduplicated before fingerprinting: a `HashSet` of
+/// whole events plus their FIFO eviction order, in front of the same
+/// `(time, seq)` reorder buffer, watermark and gap detection. Only this
+/// test keeps it, as the oracle of `Ingestor`.
+struct SetIngestor<'a> {
+    /// Validation only: `Ingestor::validate` reads the catalog and config.
+    validator: Ingestor<'a>,
+    cfg: IngestConfig,
+    buffer: BTreeMap<(SimTime, u64), MemEvent>,
+    seq: u64,
+    high_water: SimTime,
+    seen: HashSet<MemEvent>,
+    seen_order: VecDeque<MemEvent>,
+    last_seen: BTreeMap<DimmId, SimTime>,
+    gaps: Vec<GapRecord>,
+    quarantine: Vec<MemEvent>,
+    stats: IngestStats,
+}
+
+impl<'a> SetIngestor<'a> {
+    fn new(lake: &'a DataLake, cfg: IngestConfig) -> Self {
+        SetIngestor {
+            validator: Ingestor::new(lake, cfg),
+            cfg,
+            buffer: BTreeMap::new(),
+            seq: 0,
+            high_water: SimTime::ZERO,
+            seen: HashSet::new(),
+            seen_order: VecDeque::new(),
+            last_seen: BTreeMap::new(),
+            gaps: Vec::new(),
+            quarantine: Vec::new(),
+            stats: IngestStats::default(),
+        }
+    }
+
+    fn watermark(&self) -> SimTime {
+        self.high_water.saturating_sub(self.cfg.lateness)
+    }
+
+    fn push(&mut self, event: &MemEvent) -> Vec<MemEvent> {
+        self.stats.received += 1;
+        if self.validator.validate(event).is_err() {
+            self.stats.rejected += 1;
+            return Vec::new();
+        }
+        if !self.seen.insert(*event) {
+            self.stats.duplicates += 1;
+            return Vec::new();
+        }
+        self.seen_order.push_back(*event);
+        while self.seen_order.len() > self.cfg.dedup_window.max(1) {
+            if let Some(old) = self.seen_order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+        if event.time() < self.watermark() {
+            self.stats.quarantined += 1;
+            self.quarantine.push(*event);
+            return Vec::new();
+        }
+        self.buffer.insert((event.time(), self.seq), *event);
+        self.seq += 1;
+        self.high_water = self.high_water.max(event.time());
+        let bound = self.watermark();
+        let mut out = Vec::new();
+        while let Some((&(t, s), _)) = self.buffer.iter().next() {
+            if t > bound {
+                break;
+            }
+            out.extend(self.buffer.remove(&(t, s)));
+        }
+        self.note_released(&out);
+        out
+    }
+
+    fn flush(&mut self) -> Vec<MemEvent> {
+        let out: Vec<MemEvent> = std::mem::take(&mut self.buffer).into_values().collect();
+        self.note_released(&out);
+        out
+    }
+
+    fn note_released(&mut self, released: &[MemEvent]) {
+        self.stats.released += released.len() as u64;
+        let Some(threshold) = self.cfg.gap_threshold else {
+            return;
+        };
+        for e in released {
+            let t = e.time();
+            if let Some(&prev) = self.last_seen.get(&e.dimm()) {
+                if t.checked_duration_since(prev).unwrap_or(SimDuration::ZERO) > threshold {
+                    self.gaps.push(GapRecord {
+                        dimm: e.dimm(),
+                        from: prev,
+                        to: t,
+                    });
+                    self.stats.gaps += 1;
+                }
+            }
+            self.last_seen.insert(e.dimm(), t);
+        }
+    }
+}
+
+/// A stream rich in what dedup and re-sequencing must get right: equal
+/// timestamps on one DIMM and across DIMMs, exact duplicates in the
+/// source itself, silences long enough to count as gaps, and events of a
+/// DIMM the catalog does not know.
+fn dedup_stream(rng: &mut StdRng) -> Vec<MemEvent> {
+    let mut t = 1_000u64;
+    let mut out = Vec::new();
+    for _ in 0..rng.random_range(10..80) {
+        match rng.random_range(0..4) {
+            0 => {}
+            1 => t += rng.random_range(1u64..600),
+            _ => t += rng.random_range(600u64..20_000),
+        }
+        let dimm = DimmId::new(rng.random_range(0..NDIMMS + 1), 0);
+        let e = ce(t, dimm, coin(rng));
+        out.push(e);
+        if rng.random_range(0..5) == 0 {
+            out.push(e);
+        }
+    }
+    out
+}
+
+/// The fingerprint-indexed ingestor equals the whole-event `HashSet`
+/// oracle push for push on chaotic streams with duplicates, reorder
+/// within and beyond the lateness bound, equal timestamps, quarantines
+/// and gap detection, under dedup windows of 1 to 8 events, so eviction
+/// runs on nearly every push: same releases, gaps, quarantine list and
+/// counters.
+#[test]
+fn fingerprint_dedup_matches_the_set_oracle() {
+    let mut totals = IngestStats::default();
+    check("fingerprint_dedup_matches_the_set_oracle", CASES, |rng| {
+        let events = dedup_stream(rng);
+        let seed = rng.random_range(0u64..1_000);
+        let chaos = if coin(rng) {
+            ChaosConfig::lossless(seed)
+        } else {
+            ChaosConfig::hostile_at(seed, rng.random::<f64>())
+        };
+        let (delivery, _) = inject_chaos(&events, &chaos);
+        let cfg = IngestConfig {
+            lateness: SimDuration::minutes(rng.random_range(0u64..120)),
+            dedup_window: rng.random_range(1usize..=8),
+            max_timestamp: None,
+            gap_threshold: Some(SimDuration::secs(rng.random_range(600u64..30_000))),
+        };
+        let lake = lake_with_dimms();
+        let mut ing = Ingestor::new(&lake, cfg);
+        let mut oracle = SetIngestor::new(&lake, cfg);
+        for (i, e) in delivery.iter().enumerate() {
+            assert_eq!(ing.push(e), oracle.push(e), "releases at push {i}");
+            assert_eq!(
+                ing.take_gaps(),
+                std::mem::take(&mut oracle.gaps),
+                "gaps at push {i}"
+            );
+        }
+        assert_eq!(ing.flush(), oracle.flush(), "flush");
+        assert_eq!(ing.take_gaps(), oracle.gaps, "gaps at flush");
+        assert_eq!(ing.quarantined(), oracle.quarantine.as_slice());
+        assert_eq!(ing.stats(), oracle.stats);
+        let s = ing.stats();
+        totals.rejected += s.rejected;
+        totals.duplicates += s.duplicates;
+        totals.quarantined += s.quarantined;
+        totals.gaps += s.gaps;
+    });
+    assert!(totals.rejected > 0, "no case rejected an event");
+    assert!(totals.duplicates > 0, "no case caught a duplicate");
+    assert!(totals.quarantined > 0, "no case quarantined an event");
+    assert!(totals.gaps > 0, "no case detected a gap");
 }
