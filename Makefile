@@ -26,7 +26,8 @@ e2e:
 	cargo run --release -p mfp-bench --bin mlops_e2e
 
 # Sharded serving matrix: bit-identity gate against the sequential
-# predictor, plus the tick/event engine matrix of the fleet simulator;
+# predictor, plus the event engine matrix of the fleet simulator against
+# its sequential tick oracle;
 # refreshes the BENCH_serve.json / BENCH_fleet.json baselines.
 serve:
 	scripts/smoke.sh serve fleet

@@ -230,10 +230,11 @@ fn sample_assembly(filter: Option<&str>) {
 }
 
 fn fleet_scale(filter: Option<&str>) {
-    // Sequential vs. sharded whole-fleet simulation at fixed shard and
-    // worker counts. The default fleet is deliberately modest so the group
-    // runs everywhere; set MFP_BENCH_FLEET_SCALE (a `calibrated` divisor,
-    // e.g. 50) to benchmark a bigger fleet on a real multi-core host.
+    // The sequential tick oracle vs. the event-driven engine at fixed
+    // shard and worker counts. The default fleet is deliberately modest so
+    // the group runs everywhere; set MFP_BENCH_FLEET_SCALE (a `calibrated`
+    // divisor, e.g. 50) to benchmark a bigger fleet on a real multi-core
+    // host.
     let scale: f64 = std::env::var("MFP_BENCH_FLEET_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -241,33 +242,17 @@ fn fleet_scale(filter: Option<&str>) {
     let cfg = FleetConfig::calibrated(scale.max(1.0), 7);
 
     let g = Group::new("fleet_scale", 10, filter);
-    g.bench_function("sequential", || simulate_fleet(black_box(&cfg)));
+    g.bench_function("sequential_tick", || simulate_fleet_tick(black_box(&cfg)));
     for workers in [1usize, 2, 4] {
-        let scfg = ShardConfig::new(8, workers);
-        g.bench_function(format!("sharded_8x{workers}w"), || {
-            simulate_fleet_sharded(black_box(&cfg), &scfg)
-        });
-    }
-    // Streaming merge without materializing the result: the shape the
-    // bounded-ingest bridge sees.
-    let planned = ShardedFleet::plan(&cfg);
-    let scfg = ShardConfig::new(8, 2);
-    g.bench_function("sharded_8x2w_stream", || {
-        let mut n = 0u64;
-        planned.run_stream(&scfg, |e| {
-            n += black_box(&e).is_ue() as u64;
-        });
-        n
-    });
-    // The event-driven engine over the same fleet: identical stream
-    // (gated elsewhere), but quiet time is skipped instead of ticked.
-    for workers in [1usize, 4] {
         let scfg = ShardConfig::new(8, workers);
         g.bench_function(format!("event_8x{workers}w"), || {
             simulate_fleet_events(black_box(&cfg), &scfg)
         });
     }
+    // Streaming merge without materializing the result: the shape the
+    // bounded-ingest bridge sees.
     let planned = EventFleet::plan(&cfg);
+    let scfg = ShardConfig::new(8, 2);
     g.bench_function("event_8x2w_stream", || {
         let mut n = 0u64;
         planned.run_stream(&scfg, |e| {

@@ -10,12 +10,7 @@
 //! reproduce the baseline alarms bit-for-bit.
 //!
 //! `cargo run --release -p mfp-bench --bin chaos_e2e -- \
-//!     [--rates 0.0,0.1,0.3] [--min-recall 0.65] [--seed 23] \
-//!     [--shards N [--workers M]]`
-//!
-//! With `--shards N` the fleet is produced by the sharded simulator
-//! (`mfp_sim::sharded`) on `M` workers — the output is bit-identical to
-//! the sequential path, so every downstream number must be unchanged.
+//!     [--rates 0.0,0.1,0.3] [--min-recall 0.65] [--seed 23]`
 //!
 //! Exits non-zero if any stage fails or any swept rate's alarm recall
 //! drops below the floor.
@@ -31,7 +26,6 @@ use mfp_mlops::prelude::*;
 use mfp_sim::chaos::{inject_chaos, ChaosConfig};
 use mfp_sim::config::FleetConfig;
 use mfp_sim::fleet::simulate_fleet;
-use mfp_sim::sharded::{simulate_fleet_sharded, ShardConfig};
 use std::collections::BTreeSet;
 
 fn check(name: &str, ok: bool) {
@@ -115,8 +109,6 @@ fn main() {
     let mut rates = vec![0.0f64, 0.1, 0.3];
     let mut min_recall = 0.65f64;
     let mut seed = 23u64;
-    let mut shards = 0usize;
-    let mut workers = ShardConfig::default().workers;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let value = |args: &mut dyn Iterator<Item = String>| {
@@ -144,14 +136,6 @@ fn main() {
             "--seed" => {
                 seed = value(&mut args).parse().expect("--seed takes an integer");
             }
-            "--shards" => {
-                shards = value(&mut args).parse().expect("--shards takes an integer");
-            }
-            "--workers" => {
-                workers = value(&mut args)
-                    .parse()
-                    .expect("--workers takes an integer");
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -161,12 +145,7 @@ fn main() {
 
     let platform = Platform::IntelPurley;
     let fleet_cfg = FleetConfig::calibrated(50.0, seed);
-    let fleet = if shards > 0 {
-        println!("      fleet: sharded simulator ({shards} shards, {workers} workers)");
-        simulate_fleet_sharded(&fleet_cfg, &ShardConfig::new(shards, workers))
-    } else {
-        simulate_fleet(&fleet_cfg)
-    };
+    let fleet = simulate_fleet(&fleet_cfg);
     let split = SimTime::ZERO + SimDuration::days(188);
     let end = SimTime::ZERO + SimDuration::days(270);
 

@@ -3,13 +3,13 @@
 //!
 //! `cargo run --release -p mfp-bench --bin mlops_e2e -- [--shards N [--workers M]]`
 //!
-//! With `--shards N` the fleet comes from the sharded simulator
-//! (`mfp_sim::sharded`): the DIMM catalog is registered from the plan
-//! before any event exists, historical events stream straight into the
-//! data lake in bounded batches (the merged log never materializes), and
-//! only the online window is retained for replay. The event stream is
-//! bit-identical to the sequential path, so every downstream check and
-//! number must be unchanged.
+//! With `--shards N` the fleet is streamed from a planned
+//! `mfp_sim::events::EventFleet`: the DIMM catalog is registered from the
+//! plan before any event exists, historical events stream straight into
+//! the data lake in bounded batches (the merged log never materializes),
+//! and only the online window is retained for replay. The event stream
+//! is bit-identical to the materialized `simulate_fleet` path, so every
+//! downstream check and number must be unchanged.
 
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
@@ -19,8 +19,9 @@ use mfp_features::labeling::ProblemConfig;
 use mfp_ml::model::Algorithm;
 use mfp_mlops::prelude::*;
 use mfp_sim::config::FleetConfig;
+use mfp_sim::events::EventFleet;
 use mfp_sim::fleet::{simulate_fleet, DimmTruth};
-use mfp_sim::sharded::{ShardConfig, ShardedFleet};
+use mfp_sim::sharded::ShardConfig;
 use std::collections::BTreeMap;
 
 fn check(name: &str, ok: bool) {
@@ -95,7 +96,7 @@ fn main() {
     // historical events into the lake as they merge and keeps only the
     // online window in memory.
     let (truths, online): (Vec<DimmTruth>, Vec<MemEvent>) = if shards > 0 {
-        let planned = ShardedFleet::plan(&fleet_cfg);
+        let planned = EventFleet::plan(&fleet_cfg);
         for (id, p, spec) in planned.catalog() {
             lake.register_dimm(id, p, spec);
         }
@@ -110,12 +111,11 @@ fn main() {
         });
         loader.flush();
         println!(
-            "      sharded fleet: {} dimms, {} events over {} shards x {} workers (peak queue {})",
+            "      sharded fleet: {} dimms, {} events over {} shards x {} workers",
             planned.dimm_count(),
             outcome.stats.merged_events,
             outcome.stats.shards,
             outcome.stats.workers,
-            outcome.stats.max_queue_depth,
         );
         check(
             "lake ingests the sharded stream",
@@ -250,7 +250,7 @@ fn main() {
     dashboard.import_telemetry(&snap);
     check(
         "telemetry dashboard sees all pipeline layers",
-        snap.counter("sim_fleet_runs") + snap.counter("sim_sharded_runs") >= 1
+        snap.counter("sim_event_runs") >= 1
             && snap.counter("features_samples_assembled") > 0
             && snap.counter("ml_train_runs") >= 1
             && snap.counter("online_ticks") > 0,

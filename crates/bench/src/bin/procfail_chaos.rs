@@ -29,7 +29,8 @@ use mfp_ml::model::{Algorithm, Model};
 use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_sim::config::FleetConfig;
-use mfp_sim::sharded::{ShardConfig, ShardedFleet};
+use mfp_sim::events::EventFleet;
+use mfp_sim::sharded::ShardConfig;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -124,7 +125,7 @@ fn main() {
     ));
 
     // One simulated, hardened-ingested output stream shared by all runs.
-    let planned = ShardedFleet::plan(&fleet_cfg);
+    let planned = EventFleet::plan(&fleet_cfg);
     let lake = DataLake::new();
     let mut catalog: Vec<(DimmId, DimmSpec)> = Vec::new();
     for (id, p, spec) in planned.catalog() {

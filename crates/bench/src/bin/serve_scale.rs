@@ -31,7 +31,8 @@ use mfp_ml::model::{Algorithm, Model};
 use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_sim::config::FleetConfig;
-use mfp_sim::sharded::{ShardConfig, ShardedFleet};
+use mfp_sim::events::EventFleet;
+use mfp_sim::sharded::ShardConfig;
 use std::time::Instant;
 
 /// The calibrated Purley sub-fleet rescaled to roughly `dimms` DIMMs.
@@ -115,7 +116,7 @@ fn main() {
 
     // One simulated event stream, shared by every run: the catalog comes
     // from the plan, the events from the deterministic sharded merge.
-    let planned = ShardedFleet::plan(&fleet_cfg);
+    let planned = EventFleet::plan(&fleet_cfg);
     let lake = DataLake::new();
     for (id, p, spec) in planned.catalog() {
         lake.register_dimm(id, p, spec);

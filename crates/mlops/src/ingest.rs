@@ -499,7 +499,8 @@ impl IngestOutput {
 
 /// Couples an event producer to an [`Ingestor`] through a **bounded
 /// channel**, so an arbitrarily large stream (e.g. a fleet-scale
-/// [`mfp_sim::sharded`] run) is normalized in constant memory.
+/// [`EventFleet`](mfp_sim::events::EventFleet) run) is normalized in
+/// constant memory.
 ///
 /// `producer` runs on its own thread and pushes events through the
 /// emitter it is handed; events travel to the calling thread in batches
@@ -523,7 +524,7 @@ impl IngestOutput {
 ///     c.horizon = mfp_dram::time::SimDuration::days(30);
 ///     c
 /// };
-/// let fleet = ShardedFleet::plan(&cfg);
+/// let fleet = EventFleet::plan(&cfg);
 /// let lake = DataLake::new();
 /// for (id, platform, spec) in fleet.catalog() {
 ///     lake.register_dimm(id, platform, spec);
@@ -888,12 +889,13 @@ mod tests {
     #[test]
     fn bounded_bridge_streams_a_sharded_fleet_in_order() {
         use mfp_sim::config::FleetConfig;
-        use mfp_sim::fleet::simulate_fleet_with_workers;
-        use mfp_sim::sharded::{ShardConfig, ShardedFleet};
+        use mfp_sim::events::EventFleet;
+        use mfp_sim::fleet::simulate_fleet_tick;
+        use mfp_sim::sharded::ShardConfig;
 
         let mut cfg = FleetConfig::smoke(31);
         cfg.horizon = SimDuration::days(45);
-        let fleet = ShardedFleet::plan(&cfg);
+        let fleet = EventFleet::plan(&cfg);
         let lake = DataLake::new();
         for (id, platform, spec) in fleet.catalog() {
             lake.register_dimm(id, platform, spec);
@@ -918,8 +920,8 @@ mod tests {
         assert_eq!(stats.released as usize, released.len());
         assert!(released.windows(2).all(|w| w[0].time() <= w[1].time()));
         // The bridge over the sharded stream equals one-shot
-        // normalization of the sequential simulator's log.
-        let seq = simulate_fleet_with_workers(&cfg, 1);
+        // normalization of the sequential tick oracle's log.
+        let seq = simulate_fleet_tick(&cfg);
         let (oracle, _) = normalize(&lake, IngestConfig::default(), seq.log.events());
         assert_eq!(released, oracle);
     }

@@ -76,7 +76,8 @@ thread_local! {
 /// Runs `f` with this thread's handle lookups ([`counter`], [`gauge`],
 /// [`histogram`], [`latency`], [`sizes`]) resolving in `reg` instead of
 /// the global registry, then restores the previous scope (also when `f`
-/// panics). Threads spawned inside `f` still record globally.
+/// panics). Threads spawned inside `f` still record globally unless they
+/// enter the scope themselves with [`current`].
 ///
 /// ```
 /// let reg = mfp_obs::Registry::new();
@@ -94,6 +95,32 @@ pub fn with_registry<R>(reg: &Registry, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(SCOPED.with(|s| s.replace(Some(reg.clone()))));
     f()
+}
+
+/// The registry this thread's lookups resolve in: the one
+/// [`with_registry`] scoped it to, else (a clone of) the global one.
+/// A spawned thread records where its spawner does when it runs its body
+/// under `with_registry(&current, ..)`.
+///
+/// ```
+/// let reg = mfp_obs::Registry::new();
+/// mfp_obs::with_registry(&reg, || {
+///     let current = mfp_obs::current();
+///     std::thread::scope(|s| {
+///         s.spawn(|| {
+///             mfp_obs::with_registry(&current, || {
+///                 mfp_obs::counter("current_doc_counter", &[]).incr()
+///             })
+///         });
+///     });
+/// });
+/// assert_eq!(reg.snapshot().counter("current_doc_counter"), 1);
+/// assert_eq!(mfp_obs::global().snapshot().counter("current_doc_counter"), 0);
+/// ```
+pub fn current() -> Registry {
+    SCOPED
+        .with(|s| s.borrow().clone())
+        .unwrap_or_else(|| global().clone())
 }
 
 /// Resolves a handle in this thread's scoped registry, else the global one.

@@ -141,17 +141,6 @@ pub struct FleetConfig {
     /// into the benign population instead; turn it on for the RAS
     /// ablation.
     pub ras: Option<RasPolicy>,
-    /// Upper bound on the worker threads `simulate_fleet` auto-selects
-    /// from `available_parallelism` (clamped to at least 1). Memory per
-    /// worker is one shard-sized `BmcLog` plus the decode cache, so an
-    /// unbounded thread count on a many-core host trades little wall
-    /// clock for a lot of resident memory; 16 is where the calibrated
-    /// fleets stop scaling. Explicit worker counts
-    /// (`simulate_fleet_with_workers`, `ShardConfig::workers`) are never
-    /// capped by this. When the cap bites, `simulate_fleet` records it on
-    /// the `sim_fleet_workers_capped` counter and the chosen count on the
-    /// `sim_fleet_workers` gauge.
-    pub max_auto_workers: usize,
 }
 
 impl FleetConfig {
@@ -174,7 +163,6 @@ impl FleetConfig {
             storm_threshold: 10,
             storm_suppression: SimDuration::hours(1),
             ras: None,
-            max_auto_workers: 16,
         }
     }
 

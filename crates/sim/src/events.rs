@@ -1,13 +1,15 @@
-//! Event-driven fleet simulation: skip quiet time, keep the bit-identity
-//! oracle.
+//! Event-driven fleet simulation: the one engine behind
+//! [`simulate_fleet`](crate::fleet::simulate_fleet), pinned bit for bit
+//! to the sequential tick walk
+//! [`simulate_fleet_tick`](crate::fleet::simulate_fleet_tick).
 //!
-//! The tick-path engines ([`fleet`](crate::fleet) / [`sharded`](crate::sharded))
-//! walk every DIMM through [`simulate_dimm_ras`](crate::dimm::simulate_dimm_ras)
-//! and materialize each event as a 152-byte [`MemEvent`] that is then
-//! sorted and k-way merged. On a sparse fleet — the production regime the
-//! paper studies, where most DIMMs log nothing for months — almost all of
-//! that work is bookkeeping around quiet time. This module replaces the
-//! execution strategy while keeping the *event stream* bit-identical:
+//! The tick walk plays every DIMM through
+//! [`simulate_dimm_ras`](crate::dimm::simulate_dimm_ras) and materializes
+//! each event as a 152-byte [`MemEvent`] that is then sorted. On a sparse
+//! fleet — the production regime the paper studies, where most DIMMs log
+//! nothing for months — almost all of that work is bookkeeping around
+//! quiet time. This engine replaces the execution strategy while keeping
+//! the *event stream* bit-identical:
 //!
 //! * **Scheduled transitions, not ticks.** Each fault's Poisson hit times
 //!   are drawn once (the same draws, in the same order, from the same
@@ -15,14 +17,15 @@
 //!   transition events. A DIMM with no in-horizon transition never enters
 //!   any queue; after a UE, its remaining scheduled transitions are
 //!   dropped without being simulated — quiet time costs nothing.
+//! * **Shards on a worker pool.** The planned fleet is cut into
+//!   [`ShardConfig::shards`] contiguous sub-fleets that
+//!   [`ShardConfig::workers`] threads simulate; each worker hands its
+//!   finished shards back through its join handle.
 //! * **A two-level `(time, dimm_id, seq)` event queue.** Per shard,
 //!   transitions are placed into a *calendar queue* (fixed-width time
 //!   buckets over the horizon); each small bucket is sorted by the total
-//!   key `(time, stream, seq)`, which equals the oracle's stable
-//!   `(time, dimm_id, push order)` because streams are laid out in plan
-//!   (= ascending `DimmId`) order. Across shards, a k-way heap of shard
-//!   heads merges on `(time, dimm_id)` exactly like the sharded engine —
-//!   a DIMM lives in one shard, so the key is total.
+//!   key `(time, stream, seq)`. Across shards, a k-way heap of shard heads
+//!   merges on `(time, dimm_id)`.
 //! * **SoA event buffers with delta-encoded timestamps.** Events live in
 //!   struct-of-arrays form: a kind byte, a `u32` delta from the DIMM's
 //!   previous event, a packed address-or-count word, and the transfer's
@@ -34,16 +37,46 @@
 //!   (hit lists, storm windows, fault-active flags) is arena-reused
 //!   across a worker's DIMMs.
 //!
-//! # Why the tick path stays the oracle
+//! # Determinism scheme
+//!
+//! Every DIMM's RNG stream is seeded by SplitMix64 from
+//! `(master_seed, platform_index, dimm_index)` — stable *plan
+//! coordinates* fixed during the sequential planning phase, before any
+//! shard or worker exists. Worker identity and shard identity never enter
+//! the derivation, so the set of generated events is a pure function of
+//! the [`FleetConfig`]. (A naive "seed per shard, stream within shard"
+//! scheme would make the events themselves depend on the shard count;
+//! deriving per-DIMM streams from plan coordinates is what lets the shard
+//! count be a pure execution detail.)
+//!
+//! # Merge ordering key
+//!
+//! The oracle orders events by a stable time sort over plan-major push
+//! order. Because every plan owns a distinct, strictly increasing server
+//! id, that order is exactly `(time, dimm_id, within-DIMM push
+//! sequence)`. Streams are laid out in plan (= ascending `DimmId`) order,
+//! so each shard's bucket sort on `(time, stream, seq)` yields that order
+//! within the shard, and the k-way merge compares `(time, dimm_id)`
+//! across shard heads — a DIMM lives in exactly one shard, so the
+//! composite key is total.
+//!
+//! # Memory
+//!
+//! A shard's earliest event is unknowable until the shard finishes, so
+//! every shard's SoA buffer is resident when the merge starts. The merged
+//! stream itself is never materialized: [`EventFleet::run_stream`] hands
+//! each reconstructed event to the sink and drops it.
+//!
+//! # Why the tick walk stays the oracle
 //!
 //! The event engine re-derives the oracle's behaviour from the same RNG
 //! streams but shares none of its execution code — decode goes through a
 //! different cache, events through a different container, ordering
 //! through a different queue. [`tests`] and `tests/prop_events.rs` pin
-//! the two engines against each other across seeds, shard counts and
-//! worker counts; a refactor that breaks any replicated invariant
-//! (draw order, storm bookkeeping, merge key) shows up as a stream
-//! mismatch instead of silently shipping.
+//! the two against each other across seeds, shard counts, worker counts,
+//! CE storms and RAS policies (ADDDC included); a refactor that breaks
+//! any replicated invariant (draw order, storm bookkeeping, merge key)
+//! shows up as a stream mismatch instead of silently shipping.
 
 use crate::config::FleetConfig;
 use crate::dimm::{DimmOutcome, StormPolicy};
@@ -60,10 +93,9 @@ use mfp_dram::time::{SimDuration, SimTime};
 use mfp_ecc::platforms::BeatMemoEcc;
 use mfp_ecc::scheme::DecodeOutcome;
 use mfp_rng::StdRng;
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 
 use crate::sharded::{ShardConfig, ShardStats, ShardedOutcome, ShardedStats};
 
@@ -497,45 +529,12 @@ fn simulate_event_shard(
     }
 }
 
-/// Head of one shard's stream in the cross-shard merge heap; reversed
-/// `Ord` pops the minimum `(time, dimm, shard)` first, exactly like the
-/// sharded engine's merge.
-struct EvHead {
-    time: SimTime,
-    dimm: DimmId,
-    shard: usize,
-}
-
-impl EvHead {
-    fn key(&self) -> (SimTime, DimmId, usize) {
-        (self.time, self.dimm, self.shard)
-    }
-}
-
-impl PartialEq for EvHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for EvHead {}
-
-impl PartialOrd for EvHead {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EvHead {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other.key().cmp(&self.key())
-    }
-}
-
-/// A planned fleet ready for event-driven execution — the event engine's
-/// counterpart of [`ShardedFleet`](crate::sharded::ShardedFleet), sharing
-/// its planning phase, [`ShardConfig`] knobs and [`ShardedOutcome`]
-/// result shape so the two engines are drop-in interchangeable.
+/// A planned fleet ready for event-driven execution.
+///
+/// Planning is sequential and cheap; it fixes every DIMM's identity,
+/// spec, faults and RNG seed. The plan can be inspected (e.g. to register
+/// the DIMM catalog with a data lake *before* events start flowing) and
+/// then executed with any [`ShardConfig`].
 #[derive(Debug, Clone)]
 pub struct EventFleet {
     cfg: FleetConfig,
@@ -544,7 +543,7 @@ pub struct EventFleet {
 
 impl EventFleet {
     /// Runs the (sequential, deterministic) planning phase — identical to
-    /// the tick engines'.
+    /// the tick oracle's.
     pub fn plan(cfg: &FleetConfig) -> Self {
         let plans = plan_fleet(cfg);
         debug_assert!(
@@ -574,9 +573,9 @@ impl EventFleet {
     /// stream to `sink` one event at a time.
     ///
     /// The stream is bit-identical to
-    /// [`simulate_fleet`](crate::fleet::simulate_fleet) and to
-    /// [`ShardedFleet::run_stream`](crate::sharded::ShardedFleet::run_stream)
-    /// for the same `FleetConfig`, whatever the shard and worker counts.
+    /// [`simulate_fleet_tick`](crate::fleet::simulate_fleet_tick) for the
+    /// same `FleetConfig`, whatever the shard and worker counts. Workers
+    /// record telemetry into the caller's registry ([`mfp_obs::current`]).
     pub fn run_stream<F: FnMut(MemEvent)>(
         &self,
         scfg: &ShardConfig,
@@ -588,8 +587,6 @@ impl EventFleet {
             "event engine delta timestamps cap the horizon at u32::MAX seconds (~136 years)"
         );
         let shards = scfg.shards.max(1);
-        let workers = scfg.workers.max(1);
-        let capacity = scfg.channel_capacity.max(1);
         let storm = StormPolicy {
             threshold: self.cfg.storm_threshold,
             suppression: self.cfg.storm_suppression,
@@ -598,56 +595,47 @@ impl EventFleet {
         let chunk = self.plans.len().div_ceil(shards).max(1);
         let slices: Vec<&[PlannedDimm]> = self.plans.chunks(chunk).collect();
         let shard_count = slices.len();
+        let workers = scfg.workers.clamp(1, shard_count.max(1));
 
+        // Workers pull shard indexes from a shared counter and return
+        // their finished shards through their join handles.
         let next = AtomicUsize::new(0);
-        let queued = AtomicUsize::new(0);
-        let depth_gauge = mfp_obs::gauge("sim_event_queue_depth", &[]);
-        let (tx, rx) = sync_channel::<EventShard>(capacity);
-
-        let mut outputs: Vec<EventShard> = Vec::with_capacity(shard_count);
-        let mut max_queue_depth = 0usize;
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(shard_count.max(1)) {
-                let tx = tx.clone();
-                let next = &next;
-                let queued = &queued;
-                let depth_gauge = &depth_gauge;
-                let slices = &slices;
-                let cfg = &self.cfg;
-                s.spawn(move || {
-                    // One beat-level decode memo and one scratch arena per
-                    // worker, reused across all its shards (decode is pure,
-                    // so sharing never leaks into outcomes).
-                    let mut memo = BeatMemoEcc::new();
-                    let mut scratch = DimmScratch::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= slices.len() {
-                            break;
-                        }
-                        let out =
-                            simulate_event_shard(i, slices[i], cfg, storm, &mut memo, &mut scratch);
-                        depth_gauge.set(queued.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
-                        if tx.send(out).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok(out) = rx.recv() {
-                let depth = queued.fetch_sub(1, Ordering::Relaxed);
-                max_queue_depth = max_queue_depth.max(depth);
-                depth_gauge.set(depth.saturating_sub(1) as f64);
-                outputs.push(out);
-            }
+        let registry = mfp_obs::current();
+        let mut outputs: Vec<EventShard> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        mfp_obs::with_registry(&registry, || {
+                            // One beat-level decode memo and one scratch
+                            // arena per worker, reused across all its
+                            // shards (decode is pure, so sharing never
+                            // leaks into outcomes).
+                            let mut memo = BeatMemoEcc::new();
+                            let mut scratch = DimmScratch::default();
+                            let mut done = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(slice) = slices.get(i) else {
+                                    break done;
+                                };
+                                done.push(simulate_event_shard(
+                                    i,
+                                    slice,
+                                    &self.cfg,
+                                    storm,
+                                    &mut memo,
+                                    &mut scratch,
+                                ));
+                            }
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("a simulation worker panicked"))
+                .collect()
         });
-        assert_eq!(
-            outputs.len(),
-            shard_count,
-            "a simulation worker panicked before delivering its shard"
-        );
-
         outputs.sort_by_key(|o| o.shard);
         let mut dimms = Vec::with_capacity(self.plans.len());
         let mut per_shard = Vec::with_capacity(shard_count);
@@ -656,35 +644,28 @@ impl EventFleet {
             per_shard.push(out.stats);
         }
 
-        // K-way merge across shard indexes on (time, dimm): pop the
-        // minimum head, reconstruct its MemEvent from SoA storage, refill
-        // from the same shard.
-        let mut heap: BinaryHeap<EvHead> = BinaryHeap::with_capacity(shard_count);
-        let mut cursors = vec![0usize; outputs.len()];
-        for (k, out) in outputs.iter().enumerate() {
-            if let Some(&(secs, stream, _)) = out.index.first() {
-                heap.push(EvHead {
-                    time: SimTime::from_secs(u64::from(secs)),
-                    dimm: out.streams.dimm[stream as usize],
-                    shard: k,
-                });
-            }
-        }
+        // K-way merge across shard indexes: pop the minimum
+        // `(time, dimm, shard)` head, reconstruct its MemEvent from SoA
+        // storage, refill from the same shard.
+        let head = |shard: usize, cur: usize| {
+            let out = &outputs[shard];
+            out.index.get(cur).map(|&(secs, stream, _)| {
+                let time = SimTime::from_secs(u64::from(secs));
+                Reverse((time, out.streams.dimm[stream as usize], shard))
+            })
+        };
+        let mut heap: BinaryHeap<_> = (0..outputs.len()).filter_map(|k| head(k, 0)).collect();
         mfp_obs::gauge("sim_event_merge_heads", &[]).set(heap.len() as f64);
+        let mut cursors = vec![0usize; outputs.len()];
         let mut merged_events = 0u64;
-        while let Some(head) = heap.pop() {
-            let out = &outputs[head.shard];
-            let cur = cursors[head.shard];
-            let (_, _, pos) = out.index[cur];
-            sink(out.buf.event_at(pos as usize, head.time, head.dimm));
+        while let Some(Reverse((time, dimm, shard))) = heap.pop() {
+            let cur = cursors[shard];
+            let (_, _, pos) = outputs[shard].index[cur];
+            sink(outputs[shard].buf.event_at(pos as usize, time, dimm));
             merged_events += 1;
-            cursors[head.shard] = cur + 1;
-            if let Some(&(secs, stream, _)) = out.index.get(cur + 1) {
-                heap.push(EvHead {
-                    time: SimTime::from_secs(u64::from(secs)),
-                    dimm: out.streams.dimm[stream as usize],
-                    shard: head.shard,
-                });
+            cursors[shard] = cur + 1;
+            if let Some(next) = head(shard, cur + 1) {
+                heap.push(next);
             }
         }
 
@@ -697,17 +678,15 @@ impl EventFleet {
                 shards: shard_count,
                 workers,
                 merged_events,
-                max_queue_depth,
                 per_shard,
             },
         }
     }
 }
 
-/// Runs an event-driven simulation and materializes a [`FleetResult`],
-/// the drop-in equivalent of
-/// [`simulate_fleet`](crate::fleet::simulate_fleet) /
-/// [`simulate_fleet_sharded`](crate::sharded::simulate_fleet_sharded).
+/// Runs an event-driven simulation and materializes a [`FleetResult`];
+/// [`simulate_fleet`](crate::fleet::simulate_fleet) is this with the
+/// default [`ShardConfig`].
 pub fn simulate_fleet_events(cfg: &FleetConfig, scfg: &ShardConfig) -> FleetResult {
     let fleet = EventFleet::plan(cfg);
     let mut log = BmcLog::new();
@@ -725,8 +704,9 @@ mod tests {
     use super::*;
     use crate::config::DimmCategory;
     use crate::dimm::simulate_dimm_ras;
-    use crate::fleet::simulate_fleet_with_workers;
+    use crate::fleet::simulate_fleet_tick;
     use crate::gen::{sample_benign_fault, sample_spec};
+    use crate::ras::AdddcPolicy;
     use mfp_ecc::platforms::PlatformEcc;
 
     fn small_cfg(seed: u64) -> FleetConfig {
@@ -738,7 +718,7 @@ mod tests {
     #[test]
     fn event_engine_is_bit_identical_across_shard_and_worker_counts() {
         let cfg = small_cfg(42);
-        let oracle = simulate_fleet_with_workers(&cfg, 1);
+        let oracle = simulate_fleet_tick(&cfg);
         for shards in [1usize, 2, 4, 8] {
             for workers in [1usize, 2, 4] {
                 let got = simulate_fleet_events(&cfg, &ShardConfig::new(shards, workers));
@@ -755,14 +735,40 @@ mod tests {
         }
     }
 
+    /// Runs both engines on `cfg`, asserts they agree bit for bit and
+    /// returns the oracle's result.
+    fn assert_engines_agree(cfg: &FleetConfig) -> FleetResult {
+        let oracle = simulate_fleet_tick(cfg);
+        let got = simulate_fleet_events(cfg, &ShardConfig::new(4, 2));
+        assert_eq!(got.log.events(), oracle.log.events());
+        assert_eq!(got.dimms, oracle.dimms);
+        oracle
+    }
+
     #[test]
     fn event_engine_matches_oracle_under_ras_policy() {
         let mut cfg = small_cfg(9);
         cfg.ras = Some(RasPolicy::default());
-        let oracle = simulate_fleet_with_workers(&cfg, 1);
-        let got = simulate_fleet_events(&cfg, &ShardConfig::new(4, 2));
-        assert_eq!(got.log.events(), oracle.log.events());
-        assert_eq!(got.dimms, oracle.dimms);
+        assert_engines_agree(&cfg);
+
+        // The calibrated threshold (10 CEs a minute) never fires on these
+        // fleets; at 2 the storm window and suppression carry the stream.
+        let mut cfg = small_cfg(9);
+        cfg.storm_threshold = 2;
+        let (_, _, storms) = assert_engines_agree(&cfg).log.counts();
+        assert!(storms > 0, "the storm input must emit storms");
+
+        // An early ADDDC trigger switches DIMMs to lockstep decoding.
+        let mut cfg = small_cfg(11);
+        cfg.ras = Some(RasPolicy {
+            adddc: Some(AdddcPolicy { activation_ces: 5 }),
+            ..RasPolicy::default()
+        });
+        let oracle = assert_engines_agree(&cfg);
+        assert!(
+            oracle.dimms.iter().any(|d| d.outcome.adddc_engaged),
+            "the ADDDC input must engage lockstep on some DIMM"
+        );
     }
 
     #[test]
@@ -772,7 +778,7 @@ mod tests {
             pc.dimms_with_ces = 0;
             pc.sudden_only_dimms = 0;
         }
-        let oracle = simulate_fleet_with_workers(&cfg, 1);
+        let oracle = simulate_fleet_tick(&cfg);
         assert!(oracle.log.is_empty());
         assert!(oracle.dimms.is_empty());
         let got = simulate_fleet_events(&cfg, &ShardConfig::new(4, 2));
@@ -791,22 +797,24 @@ mod tests {
             pc.dimms_with_ces = 3;
             pc.sudden_only_dimms = 1;
         }
-        let oracle = simulate_fleet_with_workers(&cfg, 1);
+        let oracle = simulate_fleet_tick(&cfg);
         let got = simulate_fleet_events(&cfg, &ShardConfig::new(64, 3));
         assert_eq!(got.log.events(), oracle.log.events());
         assert_eq!(got.dimms.len(), 12);
+        let outcome = EventFleet::plan(&cfg).run_stream(&ShardConfig::new(64, 16), |_| {});
+        assert_eq!(outcome.stats.shards, 12);
+        assert_eq!(outcome.stats.workers, 12, "at most one worker per shard");
     }
 
     #[test]
     fn degenerate_knobs_are_clamped() {
         let cfg = small_cfg(5);
-        let oracle = simulate_fleet_with_workers(&cfg, 1);
+        let oracle = simulate_fleet_tick(&cfg);
         let got = simulate_fleet_events(
             &cfg,
             &ShardConfig {
                 shards: 0,
                 workers: 0,
-                channel_capacity: 0,
             },
         );
         assert_eq!(got.log.events(), oracle.log.events());
@@ -832,6 +840,17 @@ mod tests {
         });
         assert_eq!(outcome.stats.merged_events, n);
         assert_eq!(outcome.dimms.len(), catalog.len());
+        for ((id, platform, spec), truth) in catalog.iter().zip(&outcome.dimms) {
+            assert_eq!(*id, truth.id);
+            assert_eq!(*platform, truth.platform);
+            assert_eq!(*spec, truth.spec);
+        }
+        assert_eq!(outcome.stats.shards, outcome.stats.per_shard.len());
+        assert_eq!(outcome.stats.workers, 2);
+        for (i, s) in outcome.stats.per_shard.iter().enumerate() {
+            assert_eq!(s.shard, i);
+            assert!(s.wall_secs >= 0.0);
+        }
         assert_eq!(
             outcome
                 .stats
@@ -936,15 +955,28 @@ mod tests {
     #[test]
     fn event_run_reports_telemetry() {
         let cfg = small_cfg(13);
-        let _ = simulate_fleet_events(&cfg, &ShardConfig::new(2, 2));
-        let snap = mfp_obs::global().snapshot();
-        assert!(snap.counter("sim_event_runs") >= 1);
+        // The workers record into the caller's scoped registry, so the
+        // per-shard series and their decode memo flushes land here too.
+        let reg = mfp_obs::Registry::new();
+        let _ = mfp_obs::with_registry(&reg, || {
+            simulate_fleet_events(&cfg, &ShardConfig::new(2, 2))
+        });
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("sim_event_runs"), 1);
         assert!(snap.counter("sim_event_events_merged") > 0);
         assert!(snap.counter("sim_event_transitions") > 0);
         assert!(snap.counter("sim_event_quiet_dimms") > 0);
-        assert!(snap
-            .counter_labeled("sim_event_shard_events", &[("shard", "0")])
-            .is_some());
+        // Per-shard series merge into one logical counter in the snapshot.
+        assert_eq!(
+            snap.counter("sim_event_shard_events"),
+            snap.counter("sim_event_events_merged")
+        );
+        for shard in ["0", "1"] {
+            assert!(snap
+                .counter_labeled("sim_event_shard_events", &[("shard", shard)])
+                .is_some());
+        }
+        assert!(snap.counter("ecc_beat_memo_hits") + snap.counter("ecc_beat_memo_misses") > 0);
     }
 
     #[test]

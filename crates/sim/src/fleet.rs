@@ -1,16 +1,21 @@
 //! Fleet-level simulation: the synthetic substitute for the paper's
 //! production dataset.
 //!
-//! [`simulate_fleet`] generates every platform's sub-fleet, simulates each
-//! DIMM on a pool of scoped worker threads, and returns
-//! the merged BMC log together with per-DIMM ground truth. Per-DIMM RNG
-//! streams are derived from the master seed with SplitMix64, so results are
-//! bit-identical regardless of thread count or scheduling.
+//! [`simulate_fleet`] runs the event-driven engine
+//! ([`EventFleet`](crate::events::EventFleet)) and returns the merged BMC
+//! log together with per-DIMM ground truth. [`simulate_fleet_tick`] is
+//! the sequential tick walk that engine is tested against: every DIMM
+//! through [`simulate_dimm_ras`] in plan order on the calling thread.
+//! Per-DIMM RNG streams are derived from the master seed with SplitMix64,
+//! so both produce the same stream bit for bit, whatever the engine's
+//! shard and worker counts.
 
 use crate::config::{DimmCategory, FleetConfig};
 use crate::dimm::{simulate_dimm_ras, DimmOutcome, StormPolicy};
+use crate::events::simulate_fleet_events;
 use crate::fault::FaultMode;
 use crate::gen::{generate_plans, DimmPlan};
+use crate::sharded::ShardConfig;
 use mfp_dram::address::DimmId;
 use mfp_dram::bmc::BmcLog;
 use mfp_dram::geometry::Platform;
@@ -71,8 +76,8 @@ impl FleetResult {
 ///
 /// The seed is a pure function of `(master_seed, platform_index,
 /// dimm_index)` — it never involves worker or shard identity, which is
-/// what makes every execution strategy (sequential, chunked threads,
-/// sharded) produce bit-identical event streams.
+/// what makes the sequential tick walk and the sharded event engine
+/// produce bit-identical event streams.
 pub(crate) type PlannedDimm = (Platform, DimmPlan, u64);
 
 /// Phase 1 of every fleet simulation: generate all DIMM plans
@@ -93,107 +98,64 @@ pub(crate) fn plan_fleet(cfg: &FleetConfig) -> Vec<PlannedDimm> {
     tagged
 }
 
-/// Runs the whole fleet simulation.
+/// Runs the whole fleet simulation on the event-driven engine with the
+/// default [`ShardConfig`].
 ///
-/// Deterministic in `cfg` (including `cfg.seed`); parallelism is an
-/// implementation detail. Worker count defaults to available parallelism
-/// capped at [`FleetConfig::max_auto_workers`]; the cap is reported via
-/// `mfp-obs` (`sim_fleet_workers` gauge, `sim_fleet_workers_capped`
-/// counter) so a many-core host can see it bite. Use
-/// [`simulate_fleet_with_workers`] to pick an uncapped explicit count.
+/// Deterministic in `cfg` (including `cfg.seed`); shards and worker
+/// threads are an implementation detail.
 pub fn simulate_fleet(cfg: &FleetConfig) -> FleetResult {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let workers = available.min(cfg.max_auto_workers.max(1));
-    mfp_obs::gauge("sim_fleet_workers", &[]).set(workers as f64);
-    if workers < available {
-        mfp_obs::counter("sim_fleet_workers_capped", &[]).incr();
-    }
-    simulate_fleet_with_workers(cfg, workers)
+    simulate_fleet_events(cfg, &ShardConfig::default())
 }
 
-/// Runs the fleet simulation on a fixed number of worker threads.
-pub fn simulate_fleet_with_workers(cfg: &FleetConfig, workers: usize) -> FleetResult {
+/// The sequential tick walk: plans the fleet, simulates every DIMM
+/// through [`simulate_dimm_ras`] in plan order on the calling thread and
+/// stable-sorts the log by time. It is the oracle the event engine is
+/// tested against; everything else calls [`simulate_fleet`].
+pub fn simulate_fleet_tick(cfg: &FleetConfig) -> FleetResult {
     let span = mfp_obs::latency("sim_fleet_seconds", &[]).time();
     let storm = StormPolicy {
         threshold: cfg.storm_threshold,
         suppression: cfg.storm_suppression,
     };
-
-    // Phase 1: generate plans sequentially (cheap) for determinism.
-    let tagged = plan_fleet(cfg);
-
-    // Phase 2: simulate in parallel; each DIMM uses its own seeded RNG.
-    let workers = workers.max(1);
-    let chunk = tagged.len().div_ceil(workers).max(1);
-    let mut results: Vec<(BmcLog, Vec<DimmTruth>)> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for slice in tagged.chunks(chunk) {
-            handles.push(s.spawn(move || {
-                let mut log = BmcLog::new();
-                let mut truths = Vec::with_capacity(slice.len());
-                // Memoized decode: fault processes replay the same transfer
-                // signatures, so most syndromes are cache hits (decoding is
-                // pure — outcomes are unchanged).
-                let eccs: Vec<(Platform, CachedPlatformEcc)> = Platform::ALL
-                    .iter()
-                    .map(|&p| (p, CachedPlatformEcc::for_platform(p)))
-                    .collect();
-                for (platform, plan, seed) in slice {
-                    let ecc = &eccs
-                        .iter()
-                        .find(|(p, _)| p == platform)
-                        .expect("platform ecc")
-                        .1;
-                    let mut rng = StdRng::seed_from_u64(*seed);
-                    let outcome = simulate_dimm_ras(
-                        plan,
-                        ecc,
-                        cfg.horizon,
-                        storm,
-                        cfg.ras,
-                        &mut log,
-                        &mut rng,
-                    );
-                    truths.push(DimmTruth {
-                        id: plan.id,
-                        platform: *platform,
-                        spec: plan.spec,
-                        category: plan.category,
-                        fault_modes: plan.faults.iter().map(|f| f.mode).collect(),
-                        outcome,
-                    });
-                }
-                log.sort();
-                (log, truths)
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("simulation worker panicked"));
-        }
-    });
-
+    // Memoized decode: fault processes replay the same transfer
+    // signatures, so most syndromes are cache hits (decoding is pure —
+    // outcomes are unchanged).
+    let eccs: Vec<(Platform, CachedPlatformEcc)> = Platform::ALL
+        .iter()
+        .map(|&p| (p, CachedPlatformEcc::for_platform(p)))
+        .collect();
+    let plans = plan_fleet(cfg);
     let mut log = BmcLog::new();
-    let mut dimms = Vec::with_capacity(tagged.len());
-    for (part_log, part_truths) in results {
-        log.merge(part_log);
-        dimms.extend(part_truths);
+    let mut dimms = Vec::with_capacity(plans.len());
+    for (platform, plan, seed) in &plans {
+        let ecc = &eccs
+            .iter()
+            .find(|(p, _)| p == platform)
+            .expect("platform ecc")
+            .1;
+        let mut rng = StdRng::seed_from_u64(*seed);
+        let outcome = simulate_dimm_ras(plan, ecc, cfg.horizon, storm, cfg.ras, &mut log, &mut rng);
+        dimms.push(DimmTruth {
+            id: plan.id,
+            platform: *platform,
+            spec: plan.spec,
+            category: plan.category,
+            fault_modes: plan.faults.iter().map(|f| f.mode).collect(),
+            outcome,
+        });
     }
+    // Stable: equal times keep plan-major push order, i.e. ascending
+    // DimmId, then each DIMM's own push order.
     log.sort();
-    let result = FleetResult {
+    mfp_obs::counter("sim_fleet_runs", &[]).incr();
+    mfp_obs::counter("sim_events_generated", &[]).add(log.len() as u64);
+    mfp_obs::counter("sim_dimms_simulated", &[]).add(dimms.len() as u64);
+    span.stop();
+    FleetResult {
         log,
         dimms,
         config: cfg.clone(),
-    };
-    // One flush per run: the workers' CachedPlatformEcc instances already
-    // pushed decode/cache counters when they dropped.
-    mfp_obs::counter("sim_fleet_runs", &[]).incr();
-    mfp_obs::counter("sim_events_generated", &[]).add(result.log.len() as u64);
-    mfp_obs::counter("sim_dimms_simulated", &[]).add(result.dimms.len() as u64);
-    span.stop();
-    result
+    }
 }
 
 #[cfg(test)]
@@ -203,37 +165,11 @@ mod tests {
     #[test]
     fn smoke_fleet_runs_and_is_deterministic() {
         let cfg = FleetConfig::smoke(42);
-        let a = simulate_fleet_with_workers(&cfg, 4);
-        let b = simulate_fleet_with_workers(&cfg, 1);
-        assert_eq!(a.log.len(), b.log.len(), "thread count must not matter");
-        assert_eq!(a.log.events(), b.log.events());
-        assert_eq!(a.dimms.len(), b.dimms.len());
-        assert!(!a.log.is_empty());
-    }
-
-    #[test]
-    fn auto_worker_cap_is_explicit_and_reported() {
-        let mut cfg = FleetConfig::smoke(42);
-        assert_eq!(cfg.max_auto_workers, 16, "documented default");
-        // Force the cap to bite regardless of the host's core count.
-        cfg.max_auto_workers = 1;
-        // A private registry: concurrent tests' fleets record into the
-        // global one and would overwrite the gauge.
-        let reg = mfp_obs::Registry::new();
-        let capped_before = reg.snapshot().counter("sim_fleet_workers_capped");
-        let capped = mfp_obs::with_registry(&reg, || simulate_fleet(&cfg));
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauge("sim_fleet_workers"), Some(1.0));
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            > 1
-        {
-            assert!(snap.counter("sim_fleet_workers_capped") > capped_before);
-        }
-        // The cap is an execution detail: output is unchanged.
-        let oracle = simulate_fleet_with_workers(&FleetConfig::smoke(42), 2);
-        assert_eq!(capped.log.events(), oracle.log.events());
+        let got = simulate_fleet(&cfg);
+        let oracle = simulate_fleet_tick(&cfg);
+        assert_eq!(got.log.events(), oracle.log.events());
+        assert_eq!(got.dimms, oracle.dimms);
+        assert!(!got.log.is_empty());
     }
 
     #[test]

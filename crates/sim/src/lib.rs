@@ -8,7 +8,9 @@
 //! [`gen`] samples DIMM specs and fault instances ([`fault`]) →
 //! [`dimm`] plays each fault's Poisson hit process through the platform's
 //! real ECC decoder (`mfp-ecc`) → [`fleet`] merges everything into a
-//! time-ordered BMC log plus per-DIMM ground truth.
+//! time-ordered BMC log plus per-DIMM ground truth. [`events`] is the
+//! engine [`fleet::simulate_fleet`] runs; the sequential tick walk
+//! [`fleet::simulate_fleet_tick`] is kept as its test oracle.
 //!
 //! Because CE/UE outcomes are produced by actual syndrome decoding of
 //! injected error patterns, cross-platform differences in failure
@@ -48,10 +50,8 @@ pub mod prelude {
     pub use crate::dimm::{simulate_dimm, DimmOutcome, StormPolicy};
     pub use crate::events::{simulate_fleet_events, EventFleet};
     pub use crate::fault::{Fault, FaultMode, SeverityProfile};
-    pub use crate::fleet::{simulate_fleet, DimmTruth, FleetResult};
+    pub use crate::fleet::{simulate_fleet, simulate_fleet_tick, DimmTruth, FleetResult};
     pub use crate::gen::DimmPlan;
     pub use crate::ras::{AdddcPolicy, AdddcState, RasAction, RasPolicy, RasReport, RasState};
-    pub use crate::sharded::{
-        simulate_fleet_sharded, ShardConfig, ShardStats, ShardedFleet, ShardedOutcome, ShardedStats,
-    };
+    pub use crate::sharded::{ShardConfig, ShardStats, ShardedOutcome, ShardedStats};
 }

@@ -11,7 +11,7 @@
 # Names:
 #   chaos     chaos_e2e       hostile-telemetry sweep + recall floor
 #   serve     serve_scale     sharded serving matrix vs sequential oracle
-#   fleet     fleet_scale     tick/event engine matrix vs sequential tick
+#   fleet     fleet_scale     event engine matrix vs sequential tick oracle
 #   wal       wal_replay      WAL crash/recovery bit-identity
 #   failover  failover_chaos  supervised-shard crash chaos
 #   procfail  procfail_chaos  process-isolated SIGKILL chaos
@@ -23,7 +23,7 @@
 #   MATRIX=1x1,2x2,4x2,8x4    serve: shard x worker cells
 #   SERVE_OUT=BENCH_serve.json
 #   FLEET_DIMMS=2000 FLEET_SHARDS=1,2,4,8 FLEET_WORKERS=1,2,4
-#   ENGINE=both SEED=23       fleet: engine matrix + plan seed
+#   SEED=23                   fleet: plan seed
 #   FLEET_OUT=BENCH_fleet.json
 #   CUTS=8 SHARDS=2           wal: crash offsets / serving shards
 #   WAL_OUT=BENCH_wal.json
@@ -64,7 +64,7 @@ resolve() {
       ;;
     fleet)
       BIN=fleet_scale
-      ARGS=(--dimms "${FLEET_DIMMS:-2000}" --engine "${ENGINE:-both}"
+      ARGS=(--dimms "${FLEET_DIMMS:-2000}"
             --shards "${FLEET_SHARDS:-1,2,4,8}" --workers "${FLEET_WORKERS:-1,2,4}"
             --horizon-days 30 --seed "${SEED:-23}" --out "${FLEET_OUT:-BENCH_fleet.json}")
       ;;

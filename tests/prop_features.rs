@@ -264,10 +264,10 @@ fn instrumented_assembly_matches_uninstrumented_oracle() {
         |rng| {
             use mfp_dram::geometry::Platform;
             use mfp_sim::config::FleetConfig;
-            use mfp_sim::fleet::simulate_fleet_with_workers;
+            use mfp_sim::fleet::simulate_fleet;
 
             let seed = rng.random_range(0u64..1_000);
-            let fleet = simulate_fleet_with_workers(&FleetConfig::smoke(seed), 2);
+            let fleet = simulate_fleet(&FleetConfig::smoke(seed));
             let cfg = ProblemConfig::default();
             let th = FaultThresholds::default();
 

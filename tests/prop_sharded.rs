@@ -1,8 +1,9 @@
-//! Property tests of the sharded fleet simulator: for arbitrary seeds,
-//! shard counts and worker counts the merged event stream and ground
-//! truth are bit-identical to the sequential simulator, and a clean
-//! sharded stream passes through the hardened ingestor without tripping
-//! any watermark defence (no quarantines, no rejects, no dedup hits).
+//! Property tests of the sharded event-driven fleet simulator: for
+//! arbitrary seeds, shard counts and worker counts the merged event
+//! stream and ground truth are bit-identical to the sequential tick
+//! oracle, and a clean sharded stream passes through the hardened
+//! ingestor without tripping any watermark defence (no quarantines, no
+//! rejects, no dedup hits).
 
 use mfp_dram::time::SimDuration;
 use mfp_mlops::prelude::*;
@@ -20,8 +21,8 @@ fn tiny_fleet(seed: u64) -> FleetConfig {
     cfg
 }
 
-/// The sharded simulator is a pure execution detail: any (shards,
-/// workers) choice reproduces the sequential oracle bit for bit.
+/// Sharding is a pure execution detail: any (shards, workers) choice
+/// reproduces the sequential tick oracle bit for bit.
 #[test]
 fn sharded_equals_sequential() {
     check("sharded_equals_sequential", 8, |rng| {
@@ -29,8 +30,8 @@ fn sharded_equals_sequential() {
         let shards = rng.random_range(1usize..=8);
         let workers = rng.random_range(1usize..=4);
         let cfg = tiny_fleet(seed);
-        let oracle = simulate_fleet(&cfg);
-        let got = simulate_fleet_sharded(&cfg, &ShardConfig::new(shards, workers));
+        let oracle = simulate_fleet_tick(&cfg);
+        let got = simulate_fleet_events(&cfg, &ShardConfig::new(shards, workers));
         assert_eq!(
             got.log.events(),
             oracle.log.events(),
@@ -60,7 +61,7 @@ fn clean_sharded_stream_preserves_watermark_invariants() {
             let workers = rng.random_range(1usize..=4);
             let batch = rng.random_range(1usize..=512);
             let cfg = tiny_fleet(seed);
-            let fleet = ShardedFleet::plan(&cfg);
+            let fleet = EventFleet::plan(&cfg);
             let lake = DataLake::new();
             for (id, platform, spec) in fleet.catalog() {
                 lake.register_dimm(id, platform, spec);
