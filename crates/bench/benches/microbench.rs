@@ -1,6 +1,7 @@
 //! Micro-benchmarks over the workspace's hot paths: ECC decode
 //! throughput per scheme, fleet-simulation event throughput, feature
-//! extraction, and model training/inference latency.
+//! extraction, model training/inference latency, online scoring and the
+//! CRC-32 kernel that seals every durable and wire format.
 //!
 //! A `harness = false` main: each benchmark calibrates an iteration count
 //! whose batch takes at least 10 ms, then reports the median, minimum
@@ -349,6 +350,23 @@ fn online_score(filter: Option<&str>) {
     }
 }
 
+/// The CRC-32 kernel that seals every WAL record, IPC frame and
+/// checkpoint, at three sizes it runs at: an `MFP1` `Progress` frame, a
+/// 16-output `Outputs` frame, and one shard's checkpoint at the end of
+/// the 300-DIMM durable stream.
+fn crc32(filter: Option<&str>) {
+    let g = Group::new("crc32", 50, filter);
+    let mut rng = mfp_rng::StdRng::seed_from_u64(32);
+    for (name, len) in [
+        ("progress_64B", 64),
+        ("outputs_2KiB", 2 << 10),
+        ("checkpoint_353KiB", 353 << 10),
+    ] {
+        let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        g.bench_function(name, || mfp_mlops::wal::crc32(black_box(&data)));
+    }
+}
+
 fn main() {
     // `cargo bench` appends `--bench`; the first other argument filters.
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -363,4 +381,5 @@ fn main() {
     sample_assembly(filter);
     fleet_scale(filter);
     online_score(filter);
+    crc32(filter);
 }

@@ -88,6 +88,7 @@ fn main() {
         }
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fleet_cfg = purley_fleet(dimms, horizon_days, seed);
     let online_cfg = OnlineConfig::default();
     let ingest_cfg = IngestConfig::default();
@@ -134,7 +135,7 @@ fn main() {
         |o| outs.push(o),
     );
     println!(
-        "failover_chaos: {} dimms, {} events, {} ingest outputs, seed {seed}",
+        "failover_chaos: {} dimms, {} events, {} ingest outputs, seed {seed} ({cores} cores available)",
         planned.dimm_count(),
         events.len(),
         outs.len(),
@@ -244,7 +245,7 @@ fn main() {
         "{{\n  \"bench\": \"failover_chaos\",\n  \"dimms\": {},\n  \"events\": {},\n  \
          \"outputs\": {},\n  \"horizon_days\": {horizon_days},\n  \"seed\": {seed},\n  \
          \"schedules\": {schedules},\n  \"chaos_events\": {chaos_events},\n  \
-         \"batch\": {batch},\n  \"config_hash\": \"{cfg_hash}\",\n  \
+         \"batch\": {batch},\n  \"cores\": {cores},\n  \"config_hash\": \"{cfg_hash}\",\n  \
          \"oracle\": {{\"wall_secs\": {}, \"alarms\": {}, \"scored\": {ref_scored}}},\n  \
          \"chaos\": {{\"runs\": {runs}, \"identical\": {identical}, \"restarts\": {restarts}, \
          \"kills_injected\": {kills_injected}, \"hangs_detected\": {hangs_detected}, \

@@ -103,6 +103,7 @@ fn main() {
         }
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fleet_cfg = purley_fleet(dimms, horizon_days, seed);
     let online_cfg = OnlineConfig::default();
     let ingest_cfg = IngestConfig::default();
@@ -153,7 +154,7 @@ fn main() {
         |o| outs.push(o),
     );
     println!(
-        "procfail_chaos: {} dimms, {} events, {} ingest outputs, seed {seed}",
+        "procfail_chaos: {} dimms, {} events, {} ingest outputs, seed {seed} ({cores} cores available)",
         planned.dimm_count(),
         events.len(),
         outs.len(),
@@ -277,7 +278,7 @@ fn main() {
         "{{\n  \"bench\": \"procfail_chaos\",\n  \"dimms\": {},\n  \"events\": {},\n  \
          \"outputs\": {},\n  \"horizon_days\": {horizon_days},\n  \"seed\": {seed},\n  \
          \"schedules\": {schedules},\n  \"chaos_events\": {chaos_events},\n  \
-         \"batch\": {batch},\n  \"config_hash\": \"{cfg_hash}\",\n  \
+         \"batch\": {batch},\n  \"cores\": {cores},\n  \"config_hash\": \"{cfg_hash}\",\n  \
          \"oracle\": {{\"wall_secs\": {}, \"alarms\": {}, \"scored\": {ref_scored}}},\n  \
          \"chaos\": {{\"runs\": {runs}, \"identical\": {identical}, \"restarts\": {restarts}, \
          \"spawns\": {spawns}, \"sigkills\": {sigkills}, \"heartbeat_misses\": {heartbeat_misses}, \

@@ -653,31 +653,24 @@ mod tests {
 
     #[test]
     fn cache_telemetry_flushes_on_drop() {
-        // Counters are global and monotone, so concurrent tests can only
-        // push the deltas higher — the lower bounds stay valid.
-        let snap = mfp_obs::global().snapshot();
-        let (hits0, misses0, decodes0) = (
-            snap.counter("ecc_cache_hits"),
-            snap.counter("ecc_cache_misses"),
-            snap.counter("ecc_decodes"),
-        );
-        let scheme = {
+        let reg = mfp_obs::Registry::new();
+        let scheme = mfp_obs::with_registry(&reg, || {
             let ecc = CachedPlatformEcc::for_platform(Platform::IntelWhitley);
             let t = device_bits(3, &[(0, 1)]);
             for _ in 0..3 {
                 assert_eq!(ecc.decode(&t, DataWidth::X4), DecodeOutcome::Corrected);
             }
             ecc.name()
-        };
-        let snap = mfp_obs::global().snapshot();
-        assert!(snap.counter("ecc_cache_hits") - hits0 >= 2);
-        assert!(snap.counter("ecc_cache_misses") - misses0 >= 1);
-        assert!(snap.counter("ecc_decodes") - decodes0 >= 3);
+        });
+        // One miss decodes; the two repeats hit the cache.
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("ecc_cache_hits"), 2);
+        assert_eq!(snap.counter("ecc_cache_misses"), 1);
+        assert_eq!(snap.counter("ecc_decodes"), 3);
         // The flush labels the series by scheme name.
-        assert!(
-            snap.counter_labeled("ecc_cache_hits", &[("scheme", scheme)])
-                .unwrap_or(0)
-                >= 2
+        assert_eq!(
+            snap.counter_labeled("ecc_cache_hits", &[("scheme", scheme)]),
+            Some(2)
         );
     }
 
@@ -771,12 +764,8 @@ mod tests {
 
     #[test]
     fn beat_memo_telemetry_flushes_on_drop() {
-        let snap = mfp_obs::global().snapshot();
-        let (hits0, misses0) = (
-            snap.counter("ecc_beat_memo_hits"),
-            snap.counter("ecc_beat_memo_misses"),
-        );
-        {
+        let reg = mfp_obs::Registry::new();
+        mfp_obs::with_registry(&reg, || {
             let mut memo = BeatMemoEcc::new();
             let t = device_bits(3, &[(0, 1)]);
             for _ in 0..3 {
@@ -785,10 +774,10 @@ mod tests {
                     DecodeOutcome::Corrected
                 );
             }
-        }
-        let snap = mfp_obs::global().snapshot();
-        assert!(snap.counter("ecc_beat_memo_hits") - hits0 >= 2);
-        assert!(snap.counter("ecc_beat_memo_misses") - misses0 >= 1);
+        });
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("ecc_beat_memo_hits"), 2);
+        assert_eq!(snap.counter("ecc_beat_memo_misses"), 1);
     }
 
     #[test]

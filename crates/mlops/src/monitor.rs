@@ -222,16 +222,16 @@ mod tests {
 
     #[test]
     fn telemetry_snapshot_imports_into_dashboard() {
-        // Feed process telemetry through real mfp-obs handles, then import
-        // the snapshot. Counters are global across parallel tests, so only
-        // series owned by this test get exact assertions.
-        mfp_obs::counter("monitor_import_test_total", &[("k", "v")]).add(7);
-        mfp_obs::gauge("monitor_import_test_level", &[]).set(0.25);
-        let h = mfp_obs::latency("monitor_import_test_seconds", &[]);
-        h.record(0.001);
-        let snap = mfp_obs::global().snapshot();
+        // Feed telemetry through real mfp-obs handles in a private
+        // registry, then import its snapshot.
+        let reg = mfp_obs::Registry::new();
+        mfp_obs::with_registry(&reg, || {
+            mfp_obs::counter("monitor_import_test_total", &[("k", "v")]).add(7);
+            mfp_obs::gauge("monitor_import_test_level", &[]).set(0.25);
+            mfp_obs::latency("monitor_import_test_seconds", &[]).record(0.001);
+        });
         let d = Dashboard::new();
-        d.import_telemetry(&snap);
+        d.import_telemetry(&reg.snapshot());
         assert_eq!(
             d.get("monitor_import_test_total{k=v}"),
             Some(MetricValue::Counter(7))
@@ -240,10 +240,10 @@ mod tests {
             d.get("monitor_import_test_level"),
             Some(MetricValue::Gauge(0.25))
         );
-        match d.get("monitor_import_test_seconds_count") {
-            Some(MetricValue::Counter(n)) => assert!(n >= 1),
-            other => panic!("missing histogram count: {other:?}"),
-        }
+        assert_eq!(
+            d.get("monitor_import_test_seconds_count"),
+            Some(MetricValue::Counter(1))
+        );
         assert!(matches!(
             d.get("monitor_import_test_seconds_p99"),
             Some(MetricValue::Gauge(_))
@@ -257,34 +257,29 @@ mod tests {
         // The self-healing serving path (crate::supervise + per-shard
         // WALs) reports through these exact series; pin the names so the
         // dashboard always carries restart/quarantine/replay state.
-        mfp_obs::counter("serve_shard_restarts", &[]).add(2);
-        mfp_obs::counter("serve_shard_quarantined", &[]).incr();
-        mfp_obs::counter("serve_shard_panics", &[]).add(3);
-        mfp_obs::counter("serve_shard_hangs", &[]).incr();
-        mfp_obs::counter("serve_shard_kills", &[]).incr();
-        mfp_obs::counter("wal_replay_records", &[("shard", "0")]).add(5);
-        mfp_obs::gauge("serve_live_shards", &[]).set(4.0);
+        let reg = mfp_obs::Registry::new();
+        mfp_obs::with_registry(&reg, || {
+            mfp_obs::counter("serve_shard_restarts", &[]).add(2);
+            mfp_obs::counter("serve_shard_quarantined", &[]).incr();
+            mfp_obs::counter("serve_shard_panics", &[]).add(3);
+            mfp_obs::counter("serve_shard_hangs", &[]).incr();
+            mfp_obs::counter("serve_shard_kills", &[]).incr();
+            mfp_obs::counter("wal_replay_records", &[("shard", "0")]).add(5);
+            mfp_obs::gauge("serve_live_shards", &[]).set(4.0);
+        });
         let d = Dashboard::new();
-        d.import_telemetry(&mfp_obs::global().snapshot());
-        // Counters are process-global across parallel tests, so assert
-        // presence and floors, not exact values.
-        for series in [
-            "serve_shard_restarts",
-            "serve_shard_quarantined",
-            "serve_shard_panics",
-            "serve_shard_hangs",
-            "serve_shard_kills",
-            "wal_replay_records{shard=0}",
+        d.import_telemetry(&reg.snapshot());
+        for (series, want) in [
+            ("serve_shard_restarts", 2),
+            ("serve_shard_quarantined", 1),
+            ("serve_shard_panics", 3),
+            ("serve_shard_hangs", 1),
+            ("serve_shard_kills", 1),
+            ("wal_replay_records{shard=0}", 5),
         ] {
-            match d.get(series) {
-                Some(MetricValue::Counter(n)) => assert!(n >= 1, "{series} too low"),
-                other => panic!("{series} missing from dashboard: {other:?}"),
-            }
+            assert_eq!(d.get(series), Some(MetricValue::Counter(want)), "{series}");
         }
-        assert!(matches!(
-            d.get("serve_live_shards"),
-            Some(MetricValue::Gauge(v)) if v >= 0.0
-        ));
+        assert_eq!(d.get("serve_live_shards"), Some(MetricValue::Gauge(4.0)));
         let snapshot = d.snapshot();
         assert!(snapshot.contains_key("serve_shard_restarts"));
     }

@@ -1241,42 +1241,46 @@ enum PSlot {
 }
 
 /// Drains a worker's stdout on a thread, decoding frames into messages.
-/// Channel disconnect doubles as the death signal.
+/// Channel disconnect doubles as the death signal. The thread records
+/// its frame counters where the spawner does ([`mfp_obs::current`]).
 fn spawn_reader(mut stdout: ChildStdout) -> (Receiver<Result<Msg, ProcError>>, JoinHandle<()>) {
     let (tx, rx) = std::sync::mpsc::channel();
+    let telemetry = mfp_obs::current();
     let handle = std::thread::spawn(move || {
-        let mut reader = FrameReader::new();
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
+        mfp_obs::with_registry(&telemetry, || {
+            let mut reader = FrameReader::new();
+            let mut chunk = [0u8; 16 * 1024];
             loop {
-                match reader.next_step() {
-                    FrameStep::Frame(f) => {
-                        mfp_obs::counter("ipc_frames", &[("dir", "up")]).incr();
-                        match Msg::parse(&f) {
-                            Ok(m) => {
-                                if tx.send(Ok(m)).is_err() {
+                loop {
+                    match reader.next_step() {
+                        FrameStep::Frame(f) => {
+                            mfp_obs::counter("ipc_frames", &[("dir", "up")]).incr();
+                            match Msg::parse(&f) {
+                                Ok(m) => {
+                                    if tx.send(Ok(m)).is_err() {
+                                        return;
+                                    }
+                                }
+                                Err(e) => {
+                                    let _ = tx.send(Err(e));
                                     return;
                                 }
                             }
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
                         }
+                        FrameStep::Corrupt => {
+                            mfp_obs::counter("ipc_crc_errors", &[]).incr();
+                            let _ = tx.send(Err(ProcError::CorruptFrame));
+                            return;
+                        }
+                        FrameStep::NeedMore => break,
                     }
-                    FrameStep::Corrupt => {
-                        mfp_obs::counter("ipc_crc_errors", &[]).incr();
-                        let _ = tx.send(Err(ProcError::CorruptFrame));
-                        return;
-                    }
-                    FrameStep::NeedMore => break,
+                }
+                match stdout.read(&mut chunk) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => reader.push(&chunk[..n]),
                 }
             }
-            match stdout.read(&mut chunk) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => reader.push(&chunk[..n]),
-            }
-        }
+        })
     });
     (rx, handle)
 }
@@ -2286,6 +2290,29 @@ mod tests {
             assert_eq!(out.report.spawns, shards as u64);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn reader_threads_record_into_the_supervisors_registry() {
+        let shards = 2usize;
+        let cat = catalog();
+        let outs = outputs(&cat);
+        let dir = test_dir("scoped");
+        let sup = proc_sup(&dir, shards, ProcConfig::default());
+        let reg = mfp_obs::Registry::new();
+        let out = mfp_obs::with_registry(&reg, || sup.run(&outs, END, &ChaosPlan::none())).unwrap();
+        assert_eq!(out.report.spawns, shards as u64);
+        let snap = reg.snapshot();
+        let frames = |dir| {
+            snap.counter_labeled("ipc_frames", &[("dir", dir)])
+                .unwrap_or(0)
+        };
+        // Down: Init, every Outputs, Finish, Exit. Up: Hello, one
+        // Progress per Outputs, Report — one frame fewer per shard.
+        assert!(frames("down") > 4 * shards as u64);
+        assert_eq!(frames("up"), frames("down") - shards as u64);
+        assert_eq!(snap.counter("ipc_crc_errors"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -343,6 +343,9 @@ where
     let mut ingest_stats = IngestStats::default();
     let mut events_routed = 0u64;
     let mut gaps_routed = 0u64;
+    // Workers record where the caller does (its `with_registry` scope,
+    // else the global registry).
+    let telemetry = mfp_obs::current();
     std::thread::scope(|s| {
         let mut worker_txs = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -354,63 +357,71 @@ where
             let global_latency = global_latency.clone();
             let online = scfg.online;
             let record_scores = scfg.record_scores;
+            let telemetry = &telemetry;
             s.spawn(move || {
-                // Predictors are built in-thread: shard state never
-                // crosses a thread boundary while live.
-                let mut preds: BTreeMap<usize, (OnlinePredictor<'_>, u64)> = (0..shards)
-                    .filter(|shard| shard % workers == w)
-                    .map(|shard| {
-                        let mut p =
-                            OnlinePredictor::new(lake, &stores[shard], registry, platform, online);
-                        p.set_score_trace(record_scores);
-                        (shard, (p, 0u64))
-                    })
-                    .collect();
-                let mut errors: Vec<ServeError> = Vec::new();
-                for chunk in rx {
-                    for item in chunk {
-                        let shard = shard_of(item.dimm(), shards);
-                        // A misroute means router and worker disagree on
-                        // the hash — drop the item and report, rather
-                        // than panicking the whole scoring pool.
-                        let Some((pred, events)) = preds.get_mut(&shard) else {
-                            errors.push(ServeError::Misrouted {
-                                dimm: item.dimm(),
-                                shard,
-                                worker: w,
-                            });
-                            continue;
-                        };
-                        match item {
-                            IngestOutput::Released(e) => {
-                                let start = Instant::now();
-                                pred.observe(&e);
-                                let secs = start.elapsed().as_secs_f64();
-                                latency.record(secs);
-                                global_latency.record(secs);
-                                *events += 1;
-                            }
-                            IngestOutput::Gap(_) => {
-                                pred.apply(&item);
+                mfp_obs::with_registry(telemetry, || {
+                    // Predictors are built in-thread: shard state never
+                    // crosses a thread boundary while live.
+                    let mut preds: BTreeMap<usize, (OnlinePredictor<'_>, u64)> = (0..shards)
+                        .filter(|shard| shard % workers == w)
+                        .map(|shard| {
+                            let mut p = OnlinePredictor::new(
+                                lake,
+                                &stores[shard],
+                                registry,
+                                platform,
+                                online,
+                            );
+                            p.set_score_trace(record_scores);
+                            (shard, (p, 0u64))
+                        })
+                        .collect();
+                    let mut errors: Vec<ServeError> = Vec::new();
+                    for chunk in rx {
+                        for item in chunk {
+                            let shard = shard_of(item.dimm(), shards);
+                            // A misroute means router and worker disagree on
+                            // the hash — drop the item and report, rather
+                            // than panicking the whole scoring pool.
+                            let Some((pred, events)) = preds.get_mut(&shard) else {
+                                errors.push(ServeError::Misrouted {
+                                    dimm: item.dimm(),
+                                    shard,
+                                    worker: w,
+                                });
+                                continue;
+                            };
+                            match item {
+                                IngestOutput::Released(e) => {
+                                    let start = Instant::now();
+                                    pred.observe(&e);
+                                    let secs = start.elapsed().as_secs_f64();
+                                    latency.record(secs);
+                                    global_latency.record(secs);
+                                    *events += 1;
+                                }
+                                IngestOutput::Gap(_) => {
+                                    pred.apply(&item);
+                                }
                             }
                         }
                     }
-                }
-                let mut errors = Some(errors);
-                for (shard, (mut pred, events)) in preds {
-                    pred.finish(end);
-                    let _ = result_tx.send(ShardResult {
-                        shard,
-                        scores: pred.trace.take().unwrap_or_default(),
-                        scored: pred.scored(),
-                        stale_rejected: pred.stale_rejected(),
-                        alarms: std::mem::take(&mut pred.alarms),
-                        events,
-                        // The worker's accumulated faults ride its first
-                        // shard result.
-                        errors: errors.take().unwrap_or_default(),
-                    });
-                }
+                    let mut errors = Some(errors);
+                    for (shard, (mut pred, events)) in preds {
+                        pred.finish(end);
+                        let _ = result_tx.send(ShardResult {
+                            shard,
+                            scores: pred.trace.take().unwrap_or_default(),
+                            scored: pred.scored(),
+                            stale_rejected: pred.stale_rejected(),
+                            alarms: std::mem::take(&mut pred.alarms),
+                            events,
+                            // The worker's accumulated faults ride its first
+                            // shard result.
+                            errors: errors.take().unwrap_or_default(),
+                        });
+                    }
+                })
             });
         }
         drop(result_tx);
@@ -684,6 +695,40 @@ mod tests {
                 scored
             );
         }
+    }
+
+    #[test]
+    fn pipeline_workers_record_into_the_callers_registry() {
+        let lake = DataLake::new();
+        let registry = ModelRegistry::new();
+        let dimms = setup(&lake, &registry);
+        let events = stream(&dimms);
+        let end =
+            SimTime::from_secs(events.last().unwrap().time().as_secs()) + SimDuration::days(2);
+        let reg = mfp_obs::Registry::new();
+        let outcome = mfp_obs::with_registry(&reg, || {
+            serve_pipeline(
+                &lake,
+                &registry,
+                Platform::IntelPurley,
+                ProblemConfig::default(),
+                FaultThresholds::default(),
+                IngestConfig::default(),
+                &ServeConfig::new(4, 2),
+                end,
+                |emit| {
+                    for e in &events {
+                        emit(*e);
+                    }
+                },
+            )
+        });
+        assert!(outcome.scored > 0, "the stream must score to bite");
+        let snap = reg.snapshot();
+        // The workers' predictors count every score in the caller's scope.
+        assert_eq!(snap.counter("online_scores"), outcome.scored);
+        assert_eq!(snap.counter("online_alarms"), outcome.alarms.len() as u64);
+        assert_eq!(snap.counter("serve_events_routed"), events.len() as u64);
     }
 
     #[test]

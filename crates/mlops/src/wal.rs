@@ -104,33 +104,73 @@ const HEADER_LEN: usize = 5;
 /// Bytes of `kind ++ seq ++ len` before a record's payload.
 pub(crate) const RECORD_HEADER_LEN: usize = 13;
 
-/// IEEE CRC-32 (the Ethernet/zip polynomial), table-driven.
-///
-/// Shared by the WAL record format and the `MFC1`, `MFD1`, `MFW2` and
-/// lake envelopes: one detection primitive for every durability payload.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for the reflected IEEE polynomial.
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC register after byte `b` is followed by `k` zero bytes, so one
+/// step folds 16 input bytes with 16 independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    t
+};
+
+/// IEEE CRC-32 (the Ethernet/zip polynomial: reflected `0xEDB88320`,
+/// initial value and final xor `!0`), slicing-by-16.
+///
+/// Shared by the WAL record format, the `MFP1` frames and the `MFC1`,
+/// `MFD1`, `MFW2` and lake envelopes: one detection primitive for every
+/// durability and wire payload. Each step folds 16 bytes through the 16
+/// tables of [`CRC_TABLES`]; the last 0–15 bytes go bytewise. The values
+/// equal the bytewise loop's (`wal::tests` keeps it as the oracle).
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -1326,11 +1366,80 @@ mod tests {
         (p.alarms().to_vec(), p.score_trace().to_vec(), p.scored())
     }
 
+    /// The bytewise table loop `crc32` ran before slicing-by-16, kept
+    /// as the oracle with its own table.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = {
+            let mut table = [0u32; 256];
+            let mut i = 0;
+            while i < 256 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                    k += 1;
+                }
+                table[i] = c;
+                i += 1;
+            }
+            table
+        };
+        let mut c = !0u32;
+        for &b in data {
+            c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
+        // Reference values from Python's `zlib.crc32`.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&(0..=255u8).collect::<Vec<u8>>()), 0x2905_8C73);
+        assert_eq!(crc32(&vec![0u8; 1 << 20]), 0xA738_EA1C);
+        assert_eq!(crc32(&[0xFFu8; 4096]), 0xF154_670A);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle() {
+        let mut rng = mfp_rng::StdRng::seed_from_u64(0x00C3_2C32);
+        let random: Vec<u8> = (0..4096 + 16).map(|_| rng.next_u64() as u8).collect();
+        let zeros = vec![0u8; 4096 + 16];
+        let ones = vec![0xFFu8; 4096 + 16];
+        for (name, buf) in [("random", &random), ("zeros", &zeros), ("ones", &ones)] {
+            // Every length through four 16-byte blocks, at every start
+            // offset inside the larger buffer.
+            for start in 0..16 {
+                for len in 0..=64 {
+                    let data = &buf[start..start + len];
+                    assert_eq!(
+                        crc32(data),
+                        crc32_bytewise(data),
+                        "{name}: start {start}, len {len}"
+                    );
+                }
+            }
+            for case in 0..2_000 {
+                let start = rng.random_range(0..16usize);
+                let len = rng.random_range(0..=4096usize);
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "{name}: case {case}, start {start}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]

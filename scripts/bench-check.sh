@@ -13,8 +13,9 @@
 #     the committed ones: one config_hash names one simulated stream, so
 #     a changed random stream or engine FAILS here instead of re-recording
 #     the baseline silently.
-#   * wall_secs / events_per_sec / outputs_per_sec are compared pairwise
-#     in document order. When the committed `cores` matches this host's
+#   * wall_secs / mean_run_secs / events_per_sec / outputs_per_sec are
+#     compared pairwise in document order (mean_run_secs is a chaos
+#     gate's mean run: spawns, WAL replay and re-feed included). When the committed `cores` matches this host's
 #     recorded cores the comparison is enforced (a fresh value worse
 #     than the committed one by more than BENCH_CHECK_MAX_REGRESSION x
 #     FAILS); when cores differ — the usual case on shared CI runners —
@@ -32,7 +33,7 @@
 #                                            fabricated baseline pairs
 #                                            (injected identity failure,
 #                                            hash mismatch, count drift,
-#                                            cores skew)
+#                                            cores skew, slow chaos runs)
 #
 # Environment:
 #   BENCH_CHECK_ONLY="fleet serve"   subset of gates to re-run
@@ -151,6 +152,7 @@ compare_json() { # committed fresh name
   fi
   before=$FAILURES
   perf_key "$c" "$f" "$name" wall_secs wall "$enforce"
+  perf_key "$c" "$f" "$name" mean_run_secs wall "$enforce"
   perf_key "$c" "$f" "$name" events_per_sec rate "$enforce"
   perf_key "$c" "$f" "$name" outputs_per_sec rate "$enforce"
   if [ "$FAILURES" -eq "$before" ]; then
@@ -187,7 +189,8 @@ self_test() {
   cat > "$t/good_committed.json" <<'EOF'
 {"bench": "x", "events": 4242, "cores": 4, "config_hash": "abc123",
  "baseline": {"wall_secs": 1.0, "events_per_sec": 1000.0},
- "runs": [{"wall_secs": 0.5, "events_per_sec": 2000.0, "identical": true}]}
+ "runs": [{"wall_secs": 0.5, "events_per_sec": 2000.0, "identical": true}],
+ "chaos": {"runs": 3, "identical": true, "mean_run_secs": 0.2}}
 EOF
   sed 's/0\.5/0.6/' "$t/good_committed.json" > "$t/good_fresh.json"
 
@@ -206,6 +209,9 @@ EOF
 
   # Same host, much slower: must fail.
   sed 's/"wall_secs": 0.5/"wall_secs": 50.0/' "$t/good_committed.json" > "$t/slow_same_host.json"
+
+  # Same host, chaos runs 10x slower (recovery got costlier): must fail.
+  sed 's/"mean_run_secs": 0.2/"mean_run_secs": 2.0/' "$t/good_committed.json" > "$t/slow_chaos_runs.json"
 
   echo "[bench-check] self-test: healthy pair must pass"
   FAILURES=0
@@ -237,6 +243,11 @@ EOF
   FAILURES=0
   compare_json "$t/good_committed.json" "$t/slow_same_host.json" self-samecores
   [ "$FAILURES" -gt 0 ] || { echo "[bench-check] SELF-TEST FAILED: same-host regression not caught"; exit 1; }
+
+  echo "[bench-check] self-test: same-host chaos runs 10x slower must fail"
+  FAILURES=0
+  compare_json "$t/good_committed.json" "$t/slow_chaos_runs.json" self-chaosruns
+  [ "$FAILURES" -gt 0 ] || { echo "[bench-check] SELF-TEST FAILED: slower mean_run_secs not caught"; exit 1; }
 
   echo "[bench-check] self-test: recorded identity=false in a committed file must fail"
   FAILURES=0
