@@ -151,12 +151,11 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     let (blocks, tail) = data.as_chunks::<16>();
     for b in blocks {
-        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        c = t[15][(x & 0xFF) as usize]
-            ^ t[14][((x >> 8) & 0xFF) as usize]
-            ^ t[13][((x >> 16) & 0xFF) as usize]
-            ^ t[12][(x >> 24) as usize]
-            ^ t[11][b[4] as usize]
+        // The twelve lookups of bytes 4..16 do not depend on the
+        // register, so they are folded first; only the last four sit on
+        // the loop-carried chain (folding all sixteen in byte order ran
+        // at about half the speed).
+        let rest = t[11][b[4] as usize]
             ^ t[10][b[5] as usize]
             ^ t[9][b[6] as usize]
             ^ t[8][b[7] as usize]
@@ -168,6 +167,12 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[2][b[13] as usize]
             ^ t[1][b[14] as usize]
             ^ t[0][b[15] as usize];
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = rest
+            ^ t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize];
     }
     for &b in tail {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

