@@ -351,9 +351,10 @@ fn online_score(filter: Option<&str>) {
 }
 
 /// The CRC-32 kernel that seals every WAL record, IPC frame and
-/// checkpoint, at three sizes it runs at: an `MFP1` `Progress` frame, a
-/// 16-output `Outputs` frame, and one shard's checkpoint at the end of
-/// the 300-DIMM durable stream.
+/// checkpoint, at three sizes it runs at: 64 B for the `MFP1` control
+/// frames (a `Progress` frame is 25 B), 2 KiB for a 16-output `Outputs`
+/// frame, and 353 KiB for one shard's checkpoint at the end of the
+/// 300-DIMM durable stream.
 fn crc32(filter: Option<&str>) {
     let g = Group::new("crc32", 50, filter);
     let mut rng = mfp_rng::StdRng::seed_from_u64(32);
