@@ -180,10 +180,6 @@ fn durable_cfg() -> DurableConfig {
     }
 }
 
-fn stores() -> Vec<FeatureStore> {
-    make_stores(SHARDS, ProblemConfig::default(), FaultThresholds::default())
-}
-
 fn worker_spec(dimms: &[DimmId]) -> WorkerSpec {
     WorkerSpec {
         shard: FIXTURE_SHARD,
@@ -241,7 +237,7 @@ fn write_format_fixtures() {
     let dimms = setup(&lake, &registry);
     let outs = stream(&dimms);
     let root = test_dir("gen");
-    let stores = stores();
+    let stores = make_stores(SHARDS, ProblemConfig::default(), FaultThresholds::default());
     let (mut engine, _) = ShardedDurable::open(
         &root,
         &lake,
