@@ -38,18 +38,19 @@ serve:
 wal:
 	scripts/smoke.sh wal
 
-# Self-healing gate: drive the supervised sharded engine through seeded
-# kill/hang/panic schedules (torn WAL tails included) and require merged
-# alarms + scores to match the uncrashed oracle bit for bit; refreshes
-# the BENCH_failover.json baseline.
+# Self-healing gate (supervise_chaos --host thread): drive the supervised
+# sharded engine through seeded kill/hang/panic schedules (torn WAL
+# tails included) and require merged alarms + scores to match the
+# uncrashed oracle bit for bit; refreshes the BENCH_failover.json
+# baseline.
 failover:
 	scripts/smoke.sh failover
 
-# Process-isolation gate: run one worker OS process per shard behind the
-# MFP1 pipe protocol, inject real SIGKILLs (torn WAL tails), hangs and
-# apply panics, and require merged alarms + scores to match the
-# uncrashed oracle bit for bit; refreshes the BENCH_procfail.json
-# baseline.
+# Process-isolation gate (supervise_chaos --host process): run one worker
+# OS process per shard behind the MFP1 pipe protocol, inject real
+# SIGKILLs (torn WAL tails), hangs and apply panics, and require merged
+# alarms + scores to match the uncrashed oracle bit for bit; refreshes
+# the BENCH_procfail.json baseline.
 procfail:
 	scripts/smoke.sh procfail
 

@@ -32,11 +32,12 @@
 //!   under an `MFW2` root, with compaction and crash recovery that
 //!   replays to bit-identical alarms and scores from any torn-write
 //!   offset, each shard independently of its siblings.
-//! * [`supervise`] — self-healing serving: shards run as restartable
-//!   units with panic capture, heartbeat hang detection, deterministic
-//!   bounded backoff, and poison-record quarantine, gated by a seeded
-//!   crash-chaos injector against the sequential oracle.
-//! * [`procserve`] — process-isolated serving: each shard in its own
+//! * [`supervise`] — self-healing serving: one state machine runs
+//!   shards as restartable units with panic capture, heartbeat hang
+//!   detection, deterministic bounded backoff, and poison-record
+//!   quarantine, gated by a seeded crash-chaos injector against the
+//!   sequential oracle; its thread host keeps every shard in-process.
+//! * [`procserve`] — the machine's process host: each shard in its own
 //!   OS process behind a crc32-framed `MFP1` pipe protocol, supervised
 //!   through real `SIGKILL`s, exit-status capture and heartbeat
 //!   deadlines, recovering bit-identically from its per-shard WAL.
@@ -76,8 +77,8 @@ pub mod prelude {
     pub use crate::monitor::{Dashboard, FeedbackLoop, MetricValue, RetrainPolicy};
     pub use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
     pub use crate::procserve::{
-        shard_worker_main, ModelSpec, ProcConfig, ProcError, ProcOutcome, ProcReport,
-        ProcSupervisor, WorkerCommand, WorkerSpec, WORKER_ENV,
+        shard_worker_main, ModelSpec, ProcConfig, ProcError, ProcSupervisor, WorkerCommand,
+        WorkerSpec, WORKER_ENV,
     };
     pub use crate::registry::{ModelEntry, ModelRegistry, Stage};
     pub use crate::serve::{

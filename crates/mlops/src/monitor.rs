@@ -258,30 +258,34 @@ mod tests {
         // WALs) reports through these exact series; pin the names so the
         // dashboard always carries restart/quarantine/replay state.
         let reg = mfp_obs::Registry::new();
+        let thread = [("host", "thread")];
         mfp_obs::with_registry(&reg, || {
-            mfp_obs::counter("serve_shard_restarts", &[]).add(2);
+            mfp_obs::counter("supervise_restarts", &thread).add(2);
             mfp_obs::counter("serve_shard_quarantined", &[]).incr();
-            mfp_obs::counter("serve_shard_panics", &[]).add(3);
-            mfp_obs::counter("serve_shard_hangs", &[]).incr();
-            mfp_obs::counter("serve_shard_kills", &[]).incr();
+            mfp_obs::counter("supervise_panics_caught", &thread).add(3);
+            mfp_obs::counter("supervise_hangs_detected", &thread).incr();
+            mfp_obs::counter("supervise_kills_injected", &thread).incr();
             mfp_obs::counter("wal_replay_records", &[("shard", "0")]).add(5);
-            mfp_obs::gauge("serve_live_shards", &[]).set(4.0);
+            mfp_obs::gauge("supervise_live_shards", &thread).set(4.0);
         });
         let d = Dashboard::new();
         d.import_telemetry(&reg.snapshot());
         for (series, want) in [
-            ("serve_shard_restarts", 2),
+            ("supervise_restarts{host=thread}", 2),
             ("serve_shard_quarantined", 1),
-            ("serve_shard_panics", 3),
-            ("serve_shard_hangs", 1),
-            ("serve_shard_kills", 1),
+            ("supervise_panics_caught{host=thread}", 3),
+            ("supervise_hangs_detected{host=thread}", 1),
+            ("supervise_kills_injected{host=thread}", 1),
             ("wal_replay_records{shard=0}", 5),
         ] {
             assert_eq!(d.get(series), Some(MetricValue::Counter(want)), "{series}");
         }
-        assert_eq!(d.get("serve_live_shards"), Some(MetricValue::Gauge(4.0)));
+        assert_eq!(
+            d.get("supervise_live_shards{host=thread}"),
+            Some(MetricValue::Gauge(4.0))
+        );
         let snapshot = d.snapshot();
-        assert!(snapshot.contains_key("serve_shard_restarts"));
+        assert!(snapshot.contains_key("supervise_restarts{host=thread}"));
     }
 
     #[test]

@@ -28,32 +28,32 @@
 //!
 //! # Supervision
 //!
-//! [`ProcSupervisor`] generalizes [`crate::supervise::Supervisor`] to
-//! process lifecycles: logical-time heartbeats (one tick per canonical
-//! output; a worker that misses an ack deadline or is injected with a
-//! hang gets `SIGKILL`ed after [`ProcConfig::heartbeat_timeout`] ticks),
-//! exit-status and death-signal capture, bounded deterministic backoff,
-//! and poison quarantine keyed by per-shard sequence. Acked frames are
-//! durable — the worker flushes its WAL before answering `Progress` —
-//! so a `SIGKILL`ed worker replays only its own `MFW2` log and resumes
-//! bit-identically; the supervisor re-feeds the unacked suffix from its
+//! [`ProcSupervisor`] is the process host of the one supervision state
+//! machine, [`crate::supervise::supervise`]: the machine owns logical
+//! time, backoff, the restart budget, poison and quarantine; this host
+//! spawns workers, feeds them acked frames and captures their exit
+//! status and death signal. A worker that misses an ack deadline or is
+//! injected with a hang gets `SIGKILL`ed. Acked frames are durable — the
+//! worker flushes its WAL before answering `Progress` — so a
+//! `SIGKILL`ed worker replays only its own `MFW2` log and resumes
+//! bit-identically; the machine re-feeds the unacked suffix from its
 //! routed backlog. A shard past its restart budget degrades instead of
 //! wedging the merge: its DIMMs report
 //! [`crate::serve::ServeError::ShardUnavailable`] via
-//! [`ProcOutcome::dimm_status`].
+//! [`crate::supervise::SupervisedOutcome::dimm_status`].
 
 use crate::feature_store::FeatureStore;
 use crate::ingest::IngestOutput;
 use crate::lake::DataLake;
 use crate::online::{Alarm, OnlineConfig, ScoreRecord};
 use crate::registry::ModelRegistry;
-use crate::serve::{shard_of, shard_route, ServeError};
 use crate::supervise::{
-    bounded_backoff, poison_guard, silence_chaos_panics, tear_wal_tail, ChaosKind, ChaosPlan,
+    poison_guard, push_outputs, silence_chaos_panics, supervise, ChaosPlan, ShardHost, ShardRun,
+    Started, Step, Stop, SuperviseConfig, SupervisedOutcome,
 };
 use crate::wal::{
-    batch_outputs, check_meta, crc32, decode_record, encode_record, quarantine_output, shard_dir,
-    DurableConfig, DurableShard, FlushStatus, WalError, WalPayload, WalRecord, RECORD_HEADER_LEN,
+    batch_outputs, check_meta, crc32, decode_record, encode_record, expand_record, record_len,
+    shard_dir, DurableConfig, DurableShard, FlushStatus, WalError, WalRecord, RECORD_HEADER_LEN,
 };
 use mfp_dram::address::DimmId;
 use mfp_dram::geometry::{DataWidth, DeviceGeometry, Platform};
@@ -86,9 +86,10 @@ pub const WORKER_ENV: &str = "MFP_SHARD_WORKER";
 /// Stream-header length: magic + version.
 const STREAM_HEADER_LEN: usize = IPC_MAGIC.len() + 1;
 
-/// Upper bound on a frame payload; a length field above this is treated
-/// as corruption rather than an allocation request.
-const MAX_FRAME_PAYLOAD: usize = 1 << 28;
+/// Upper bound on a whole frame (header, payload of at most 2^28 bytes,
+/// crc); a length field above this is treated as corruption rather than
+/// an allocation request.
+const MAX_FRAME_LEN: usize = RECORD_HEADER_LEN + (1 << 28) + 4;
 
 // Frame kinds, router → worker.
 const K_INIT: u8 = 1;
@@ -193,18 +194,11 @@ pub fn encode_frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
 /// Decodes one frame from exactly `data`: `None` on any length or crc
 /// mismatch.
 pub(crate) fn decode_frame(data: &[u8]) -> Option<RawFrame> {
-    if data.len() < RECORD_HEADER_LEN + 4 {
+    let total = record_len(data)?;
+    if total > MAX_FRAME_LEN || data.len() != total {
         return None;
     }
-    let plen = u32::from_be_bytes(data[9..13].try_into().ok()?) as usize;
-    if plen > MAX_FRAME_PAYLOAD {
-        return None;
-    }
-    let total = RECORD_HEADER_LEN.checked_add(plen)?.checked_add(4)?;
-    if data.len() != total {
-        return None;
-    }
-    let body = &data[..RECORD_HEADER_LEN + plen];
+    let body = &data[..total - 4];
     let stored = u32::from_be_bytes(data[total - 4..].try_into().ok()?);
     if crc32(body) != stored {
         return None;
@@ -212,7 +206,7 @@ pub(crate) fn decode_frame(data: &[u8]) -> Option<RawFrame> {
     Some(RawFrame {
         kind: data[0],
         seq: u64::from_be_bytes(data[1..9].try_into().ok()?),
-        payload: data[RECORD_HEADER_LEN..RECORD_HEADER_LEN + plen].to_vec(),
+        payload: body[RECORD_HEADER_LEN..].to_vec(),
     })
 }
 
@@ -251,17 +245,9 @@ pub fn scan_frames(data: &[u8]) -> Result<FrameScan, ProcError> {
     let mut pos = STREAM_HEADER_LEN;
     loop {
         let rest = &data[pos..];
-        if rest.len() < RECORD_HEADER_LEN + 4 {
+        let Some(total) = record_len(rest).filter(|&t| t <= rest.len()) else {
             break;
-        }
-        let plen = u32::from_be_bytes(rest[9..13].try_into().expect("4 bytes")) as usize;
-        if plen > MAX_FRAME_PAYLOAD {
-            break;
-        }
-        let total = RECORD_HEADER_LEN + plen + 4;
-        if rest.len() < total {
-            break;
-        }
+        };
         match decode_frame(&rest[..total]) {
             Some(f) => {
                 frames.push(f);
@@ -331,14 +317,12 @@ impl FrameReader {
                 }
             }
         }
-        if self.buf.len() < RECORD_HEADER_LEN + 4 {
+        let Some(total) = record_len(&self.buf) else {
             return FrameStep::NeedMore;
-        }
-        let plen = u32::from_be_bytes(self.buf[9..13].try_into().expect("4 bytes")) as usize;
-        if plen > MAX_FRAME_PAYLOAD {
+        };
+        if total > MAX_FRAME_LEN {
             return FrameStep::Corrupt;
         }
-        let total = RECORD_HEADER_LEN + plen + 4;
         if self.buf.len() < total {
             return FrameStep::NeedMore;
         }
@@ -363,12 +347,21 @@ impl<'b> Cur<'b> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'b [u8], ProcError> {
-        if self.data.len() < n {
-            return Err(ProcError::Protocol("payload shorter than declared"));
-        }
-        let (head, rest) = self.data.split_at(n);
+        let (head, rest) = self
+            .data
+            .split_at_checked(n)
+            .ok_or(ProcError::Protocol("payload shorter than declared"))?;
         self.data = rest;
         Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProcError> {
+        let (head, rest) = self
+            .data
+            .split_first_chunk::<N>()
+            .ok_or(ProcError::Protocol("payload shorter than declared"))?;
+        self.data = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, ProcError> {
@@ -376,15 +369,15 @@ impl<'b> Cur<'b> {
     }
 
     fn u16(&mut self) -> Result<u16, ProcError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2")))
+        Ok(u16::from_be_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, ProcError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, ProcError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     fn f32(&mut self) -> Result<f32, ProcError> {
@@ -774,22 +767,11 @@ impl Msg {
                 let mut records = Vec::new();
                 let mut rest: &[u8] = &frame.payload;
                 while !rest.is_empty() {
-                    if rest.len() < RECORD_HEADER_LEN + 4 {
-                        return Err(ProcError::Protocol("truncated wal record in outputs"));
-                    }
-                    let plen =
-                        u32::from_be_bytes(rest[9..13].try_into().expect("4 bytes")) as usize;
-                    let total = RECORD_HEADER_LEN
-                        .checked_add(plen)
-                        .and_then(|t| t.checked_add(4))
-                        .ok_or(ProcError::Protocol("wal record length overflow"))?;
-                    if rest.len() < total {
-                        return Err(ProcError::Protocol("truncated wal record in outputs"));
-                    }
-                    let rec = decode_record(&rest[..total])
-                        .ok_or(ProcError::Protocol("undecodable wal record in outputs"))?;
+                    let (rec, len) = decode_record(rest).ok_or(ProcError::Protocol(
+                        "truncated or undecodable wal record in outputs",
+                    ))?;
                     records.push(rec);
-                    rest = &rest[total..];
+                    rest = &rest[len..];
                 }
                 return Ok(Msg::Outputs { records });
             }
@@ -846,19 +828,6 @@ impl Msg {
         };
         cur.done()?;
         Ok(msg)
-    }
-}
-
-/// Expands one WAL record into `(per-shard seq, output)` pairs, exactly
-/// as WAL replay does.
-fn expand_record(rec: &WalRecord) -> Vec<(u64, IngestOutput)> {
-    match &rec.payload {
-        WalPayload::Events(events) => events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (rec.seq + i as u64, IngestOutput::Released(*e)))
-            .collect(),
-        WalPayload::Gap(g) => vec![(rec.seq, IngestOutput::Gap(*g))],
     }
 }
 
@@ -982,30 +951,16 @@ fn worker_run() -> Result<i32, ProcError> {
         };
         match msg {
             Msg::Outputs { records } => {
-                let mut crashed = None;
-                {
-                    let mut guard = poison_guard(&mut poison);
-                    'records: for rec in &records {
-                        for (seq, out) in expand_record(rec) {
-                            // A re-fed prefix after recovery is already
-                            // covered; skip what the WAL holds.
-                            if seq < unit.fed() {
-                                continue;
-                            }
-                            if let FlushStatus::Crashed { seq } = unit.push(out, &mut guard)? {
-                                crashed = Some(seq);
-                                break 'records;
-                            }
-                        }
-                    }
-                    if crashed.is_none() {
-                        // Ack ⇒ durable: everything in this frame hits
-                        // the WAL before Progress goes out.
-                        if let FlushStatus::Crashed { seq } = unit.flush(&mut guard)? {
-                            crashed = Some(seq);
-                        }
-                    }
-                }
+                let pairs = records.iter().flat_map(expand_record);
+                let crashed = match push_outputs(&mut unit, &mut poison, pairs)? {
+                    // Ack ⇒ durable: everything in this frame hits the
+                    // WAL before Progress goes out.
+                    None => match unit.flush(&mut poison_guard(&mut poison))? {
+                        FlushStatus::Crashed { seq } => Some(seq),
+                        FlushStatus::Clean => None,
+                    },
+                    crashed => crashed,
+                };
                 match crashed {
                     Some(seq) => {
                         write_msg(&mut output, &Msg::Crashed { seq })?;
@@ -1098,22 +1053,14 @@ impl WorkerCommand {
     }
 }
 
-/// Process-supervision policy. Logical time ticks once per canonical
-/// output, exactly as in [`crate::supervise::SuperviseConfig`]; the one
-/// wall-clock knob is the ack deadline, which only fires when a worker
-/// is truly wedged.
+/// Process-host policy: the shared [`SuperviseConfig`] plus the two
+/// knobs of the pipe. Logical time ticks once per canonical output; the
+/// one wall-clock knob is the ack deadline, which only fires when a
+/// worker is truly wedged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcConfig {
-    /// Ticks a hung worker survives before `SIGKILL`.
-    pub heartbeat_timeout: u64,
-    /// First-restart backoff delay, in ticks.
-    pub backoff_base: u64,
-    /// Upper bound on any backoff delay, in ticks.
-    pub backoff_cap: u64,
-    /// Restarts allowed per shard before it is marked failed.
-    pub max_restarts: u32,
-    /// Crashes at the same output before it is quarantined.
-    pub quarantine_after: u32,
+    /// Restart, backoff, hang and quarantine policy.
+    pub supervise: SuperviseConfig,
     /// Outputs per `Outputs` frame (and per ack round-trip).
     pub batch: usize,
     /// Wall-clock ack deadline per frame, in milliseconds.
@@ -1123,122 +1070,60 @@ pub struct ProcConfig {
 impl Default for ProcConfig {
     fn default() -> Self {
         ProcConfig {
-            heartbeat_timeout: 4,
-            backoff_base: 1,
-            backoff_cap: 16,
-            max_restarts: 32,
-            quarantine_after: 3,
+            supervise: SuperviseConfig::default(),
             batch: 16,
             ack_timeout_ms: 30_000,
         }
     }
 }
 
-/// What the process supervisor saw and did over one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProcReport {
-    /// Worker restarts booked against shard budgets.
-    pub restarts: u64,
-    /// Crash notices (guard panics) received from workers.
-    pub panics_caught: u64,
-    /// Hangs detected (injected hangs whose heartbeat deadline passed).
-    pub hangs_detected: u64,
-    /// Injected kills that landed on a live worker.
-    pub kills_injected: u64,
-    /// Workers that died by `SIGKILL` (signal 9 in their wait status).
-    pub sigkills: u64,
-    /// Missed ack deadlines and expired hang heartbeats.
-    pub heartbeat_misses: u64,
-    /// Worker processes spawned, including initial opens.
-    pub spawns: u64,
-    /// Outputs re-applied from per-shard WALs across all restarts.
-    pub replayed_outputs: u64,
-    /// `(shard, per-shard seq)` of every output quarantined this run.
-    pub quarantined: Vec<(usize, u64)>,
-    /// Global stream indices of the quarantined outputs.
-    pub quarantined_outputs: Vec<u64>,
-    /// Shards that exhausted their restart budget.
-    pub failed_shards: Vec<usize>,
-}
-
-/// The merged fleet output of a process-supervised run.
-#[derive(Debug, Clone)]
-pub struct ProcOutcome {
-    /// Live shards' alarms merged by `(time, dimm)`.
-    pub alarms: Vec<Alarm>,
-    /// Live shards' score traces merged by `(time, dimm)`.
-    pub scores: Vec<ScoreRecord>,
-    /// Model invocations across live shards.
-    pub scored: u64,
-    /// Shards still serving at the end of the run.
-    pub live_shards: usize,
-    /// Total shard count (for routing queries).
-    pub shards: usize,
-    /// Everything the supervisor did along the way.
-    pub report: ProcReport,
-}
-
-impl ProcOutcome {
-    /// Degraded-mode routing check: `Err(ShardUnavailable)` if the
-    /// DIMM's home shard exhausted its restart budget, `Ok` otherwise.
-    pub fn dimm_status(&self, dimm: DimmId) -> Result<(), ServeError> {
-        let shard = shard_of(dimm, self.shards);
-        if self.report.failed_shards.contains(&shard) {
-            Err(ServeError::ShardUnavailable { shard })
-        } else {
-            Ok(())
-        }
-    }
-}
-
 /// A live worker process plus its pipes and reader thread.
-struct WorkerHandle {
+pub(crate) struct WorkerHandle {
     child: Child,
     stdin: ChildStdin,
     rx: Receiver<Result<Msg, ProcError>>,
-    reader: Option<JoinHandle<()>>,
-    /// Outputs sent (== the worker's `fed` watermark after each ack).
-    sent: u64,
+    reader: JoinHandle<()>,
 }
 
-/// One shard's final report: its alarms, score trace and scored count.
-type ShardRun = (Vec<Alarm>, Vec<ScoreRecord>, u64);
-
-/// How a feed round ended.
-enum FeedEnd {
-    Clean,
-    Crashed(u64),
-    Died { hung: bool },
+impl WorkerHandle {
+    /// Closes the worker's pipe, reaps it and joins its reader; `kill`
+    /// sends `SIGKILL` first. Returns whether it died by `SIGKILL`.
+    ///
+    /// The kill goes before the pipe closes: a live worker blocked on
+    /// the pipe must die by signal, not slip out through EOF first — the
+    /// `SIGKILL` count is part of the deterministic report. A worker that
+    /// announced its own exit (it sent `Crashed` or was told to `Exit`)
+    /// is only waited for, so its voluntary exit status is what counts.
+    fn reap(self, kill: bool) -> bool {
+        let WorkerHandle {
+            mut child,
+            stdin,
+            rx,
+            reader,
+        } = self;
+        if kill {
+            let _ = child.kill();
+        }
+        drop(stdin);
+        let status = child.wait();
+        drop(rx);
+        let _ = reader.join();
+        #[cfg(unix)]
+        let sigkilled = {
+            use std::os::unix::process::ExitStatusExt;
+            status.is_ok_and(|s| s.signal() == Some(9))
+        };
+        #[cfg(not(unix))]
+        let sigkilled = {
+            let _ = status;
+            false
+        };
+        sigkilled
+    }
 }
 
-/// A chaos injection waiting to bind to the next output routed to its
-/// shard (the supervisor-side mirror of `supervise`'s private enum).
-#[derive(Debug, Clone, Copy)]
-enum PPending {
-    Transient(u32),
-    Permanent,
-}
-
-/// Supervisor-side state of one shard that outlives its worker.
-#[derive(Debug, Default)]
-struct PCtl {
-    restarts: u32,
-    crash_counts: BTreeMap<u64, u32>,
-    /// Master poison table: remaining fails per per-shard seq
-    /// (`u32::MAX` = permanent). Decremented when a worker reports a
-    /// crash at an armed seq — the worker's guard burned one fail
-    /// before dying — so restart specs carry the remaining count.
-    poison: BTreeMap<u64, u32>,
-    pending: Vec<PPending>,
-}
-
-/// Lifecycle state of one shard's worker process.
-enum PSlot {
-    Up(WorkerHandle),
-    Hung { since: u64, w: WorkerHandle },
-    Down { until: u64 },
-    Failed,
-}
+/// A worker that died or stopped answering mid-conversation.
+const DIED: Stop = Stop::Died { hung: false };
 
 /// Drains a worker's stdout on a thread, decoding frames into messages.
 /// Channel disconnect doubles as the death signal. The thread records
@@ -1285,13 +1170,11 @@ fn spawn_reader(mut stdout: ChildStdout) -> (Receiver<Result<Msg, ProcError>>, J
     (rx, handle)
 }
 
-/// Runs one worker process per shard over a canonical output stream,
-/// applying [`ProcConfig`] policy and the injected failures of a
-/// [`ChaosPlan`]. The in-process [`crate::supervise::Supervisor`]'s
-/// control flow, lifted to OS processes: `Kill` becomes a real
-/// `SIGKILL` (plus a torn WAL tail), `Hang` wedges the worker until the
-/// heartbeat deadline kills it, and `Panic`/`Poison` arm the worker's
-/// apply guard over the wire.
+/// Runs one worker process per shard over a canonical output stream:
+/// the process host of [`crate::supervise::supervise`]. `Kill` becomes
+/// a real `SIGKILL` (plus a torn WAL tail), `Hang` wedges the worker
+/// until the heartbeat deadline kills it, and `Panic`/`Poison` arm the
+/// worker's apply guard over the wire.
 pub struct ProcSupervisor {
     dir: PathBuf,
     command: WorkerCommand,
@@ -1312,7 +1195,8 @@ impl ProcSupervisor {
     ///
     /// # Errors
     ///
-    /// I/O failures, or a root whose meta file disagrees with `shards`.
+    /// I/O failures, a root whose meta file disagrees with `shards`, or
+    /// [`WalError::ZeroShards`] when `shards` is 0.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         dir: impl Into<PathBuf>,
@@ -1334,7 +1218,7 @@ impl ProcSupervisor {
         Ok(ProcSupervisor {
             dir,
             command,
-            shards: shards.max(1),
+            shards,
             platform,
             online,
             durable,
@@ -1346,323 +1230,46 @@ impl ProcSupervisor {
         })
     }
 
-    /// The spec a freshly spawned worker for shard `s` receives,
-    /// carrying the still-armed slice of the master poison table.
-    fn spec_for(&self, s: usize, ctl: &PCtl) -> WorkerSpec {
-        WorkerSpec {
-            shard: s,
-            dir: shard_dir(&self.dir, s),
-            platform: self.platform,
-            online: self.online,
-            durable: self.durable,
-            problem: self.problem,
-            thresholds: self.thresholds,
-            model: self.model,
-            catalog: self.catalog.clone(),
-            poison: ctl
-                .poison
-                .iter()
-                .filter(|&(_, &f)| f > 0)
-                .map(|(&seq, &f)| (seq, f))
-                .collect(),
-        }
-    }
-
     /// Sends one frame down a worker's stdin. An `EPIPE` here is the
     /// worker dying mid-conversation, surfaced as `Err`.
     fn send(&self, w: &mut WorkerHandle, msg: &Msg) -> Result<(), ProcError> {
         let bytes = msg.encode()?;
-        w.stdin.write_all(&bytes).map_err(ProcError::Io)?;
-        w.stdin.flush().map_err(ProcError::Io)?;
+        w.stdin.write_all(&bytes)?;
+        w.stdin.flush()?;
         mfp_obs::counter("ipc_frames", &[("dir", "down")]).incr();
         Ok(())
     }
 
-    /// Waits for the worker's next message under the ack deadline.
-    /// `Timeout` means the worker is wedged; `Disconnected` means its
-    /// pipe closed or delivered garbage, so it is dead to us.
-    fn recv(&self, w: &WorkerHandle) -> Result<Msg, RecvTimeoutError> {
-        w.rx.recv_timeout(Duration::from_millis(self.cfg.ack_timeout_ms))?
-            .map_err(|_| RecvTimeoutError::Disconnected)
-    }
-
-    /// Feeds the worker its routed backlog up to `upto`, one acked
-    /// frame per `cfg.batch` outputs. Ack ⇒ durable, so `w.sent` is
-    /// also the worker's WAL watermark.
-    fn feed_upto(
-        &self,
-        w: &mut WorkerHandle,
-        outs: &[IngestOutput],
-        routed_s: &[usize],
-        upto: usize,
-    ) -> FeedEnd {
-        let chunk = self.cfg.batch.max(1);
-        while (w.sent as usize) < upto {
-            let lo = w.sent as usize;
-            let hi = upto.min(lo + chunk);
-            let pending: Vec<IngestOutput> = routed_s[lo..hi].iter().map(|&g| outs[g]).collect();
-            let records = batch_outputs(&pending, w.sent);
-            if self.send(w, &Msg::Outputs { records }).is_err() {
-                return FeedEnd::Died { hung: false };
-            }
-            w.sent = hi as u64;
-            match self.recv(w) {
-                Ok(Msg::Progress { .. }) => {}
-                Ok(Msg::Crashed { seq }) => return FeedEnd::Crashed(seq),
-                Ok(_) | Err(RecvTimeoutError::Disconnected) => {
-                    return FeedEnd::Died { hung: false }
-                }
-                Err(RecvTimeoutError::Timeout) => return FeedEnd::Died { hung: true },
-            }
-        }
-        FeedEnd::Clean
-    }
-
-    /// Kills and reaps a worker, counting a `SIGKILL` death if that is
-    /// what its wait status says.
-    fn reap(&self, w: WorkerHandle, report: &mut ProcReport) {
-        let WorkerHandle {
-            mut child,
-            stdin,
-            rx,
-            reader,
-            ..
-        } = w;
-        // Kill before closing stdin: a live worker blocked on the pipe
-        // must die by signal, not slip out through EOF first — the
-        // SIGKILL count is part of the deterministic report.
-        let _ = child.kill();
-        drop(stdin);
-        if let Ok(status) = child.wait() {
-            #[cfg(unix)]
-            {
-                use std::os::unix::process::ExitStatusExt;
-                if status.signal() == Some(9) {
-                    report.sigkills += 1;
-                }
-            }
-            #[cfg(not(unix))]
-            let _ = &status;
-        }
-        drop(rx);
-        if let Some(h) = reader {
-            let _ = h.join();
+    /// Sends `msg` and waits for the worker's answer under the ack
+    /// deadline. A `Crashed` answer, a dead pipe and a missed deadline
+    /// all stop the unit.
+    fn call(&self, w: &mut WorkerHandle, msg: &Msg) -> Result<Msg, Stop> {
+        self.send(w, msg).map_err(|_| DIED)?;
+        match w
+            .rx
+            .recv_timeout(Duration::from_millis(self.cfg.ack_timeout_ms))
+        {
+            Ok(Ok(Msg::Crashed { seq })) => Err(Stop::Crashed(seq)),
+            Ok(Ok(answer)) => Ok(answer),
+            Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => Err(DIED),
+            Err(RecvTimeoutError::Timeout) => Err(Stop::Died { hung: true }),
         }
     }
 
-    /// Reaps a worker that announced its own exit (it sent `Crashed`
-    /// and is already on its way out): plain wait, no kill, so the
-    /// voluntary exit status is captured and the `SIGKILL` counter
-    /// stays deterministic instead of racing the worker's `exit(0)`.
-    fn reap_exited(&self, w: WorkerHandle) {
-        let WorkerHandle {
-            mut child,
-            stdin,
-            rx,
-            reader,
-            ..
-        } = w;
-        drop(stdin);
-        let _ = child.wait();
-        drop(rx);
-        if let Some(h) = reader {
-            let _ = h.join();
+    /// Opens the stream and recovers the worker: `(fed, replayed)` from
+    /// its `Hello`.
+    fn handshake(&self, w: &mut WorkerHandle, spec: WorkerSpec) -> Result<(u64, u64), Stop> {
+        w.stdin.write_all(&stream_header()).map_err(|_| DIED)?;
+        match self.call(w, &Msg::Init(spec))? {
+            Msg::Hello { fed, replayed, .. } => Ok((fed, replayed)),
+            _ => Err(DIED),
         }
     }
 
-    /// Graceful shutdown of a live worker: `Exit`, close the pipe, and
-    /// wait — no kill, so no spurious `SIGKILL` in the report.
-    fn shutdown(&self, mut w: WorkerHandle) {
-        let _ = self.send(&mut w, &Msg::Exit);
-        let WorkerHandle {
-            mut child,
-            stdin,
-            rx,
-            reader,
-            ..
-        } = w;
-        drop(stdin);
-        let _ = child.wait();
-        drop(rx);
-        if let Some(h) = reader {
-            let _ = h.join();
-        }
-    }
-
-    /// Books one restart against the shard's budget.
-    fn schedule_restart(
-        &self,
-        s: usize,
-        now: u64,
-        ctl: &mut PCtl,
-        report: &mut ProcReport,
-    ) -> PSlot {
-        ctl.restarts += 1;
-        report.restarts += 1;
-        if ctl.restarts > self.cfg.max_restarts {
-            if !report.failed_shards.contains(&s) {
-                report.failed_shards.push(s);
-            }
-            PSlot::Failed
-        } else {
-            PSlot::Down {
-                until: now
-                    + bounded_backoff(self.cfg.backoff_base, self.cfg.backoff_cap, ctl.restarts),
-            }
-        }
-    }
-
-    /// Accounts one reported crash at per-shard `seq`: crash counter,
-    /// quarantine at the threshold, master-poison decrement, restart.
-    #[allow(clippy::too_many_arguments)]
-    fn crash_slot(
-        &self,
-        s: usize,
-        seq: u64,
-        now: u64,
-        outs: &[IngestOutput],
-        routed_s: &[usize],
-        ctl: &mut PCtl,
-        report: &mut ProcReport,
-    ) -> Result<PSlot, ProcError> {
-        report.panics_caught += 1;
-        let count = ctl.crash_counts.entry(seq).or_insert(0);
-        *count += 1;
-        if *count >= self.cfg.quarantine_after {
-            if let Some(&gidx) = routed_s.get(seq as usize) {
-                quarantine_output(&shard_dir(&self.dir, s), seq, &outs[gidx])?;
-                report.quarantined.push((s, seq));
-                report.quarantined_outputs.push(gidx as u64);
-            }
-        }
-        // The worker's guard burned one fail before this crash; mirror
-        // it so the next Init carries the remaining count.
-        if let Some(f) = ctl.poison.get_mut(&seq) {
-            if *f > 0 && *f != u32::MAX {
-                *f -= 1;
-            }
-        }
-        Ok(self.schedule_restart(s, now, ctl, report))
-    }
-
-    /// Spawns, initializes, and catches up a worker for shard `s`. Any
-    /// mid-handshake death books a restart instead of erroring: only
-    /// spawn itself failing is a real error.
-    #[allow(clippy::too_many_arguments)]
-    fn start_shard(
-        &self,
-        s: usize,
-        now: u64,
-        outs: &[IngestOutput],
-        routed_s: &[usize],
-        ctl: &mut PCtl,
-        report: &mut ProcReport,
-    ) -> Result<PSlot, ProcError> {
-        let mut child = self.command.spawn()?;
-        report.spawns += 1;
-        let stdin = child
-            .stdin
-            .take()
-            .ok_or(ProcError::Protocol("spawned worker without piped stdin"))?;
-        let stdout = child
-            .stdout
-            .take()
-            .ok_or(ProcError::Protocol("spawned worker without piped stdout"))?;
-        let (rx, reader) = spawn_reader(stdout);
-        let mut w = WorkerHandle {
-            child,
-            stdin,
-            rx,
-            reader: Some(reader),
-            sent: 0,
-        };
-        let init = w
-            .stdin
-            .write_all(&stream_header())
-            .map_err(ProcError::Io)
-            .and_then(|()| self.send(&mut w, &Msg::Init(self.spec_for(s, ctl))));
-        if init.is_err() {
-            self.reap(w, report);
-            return Ok(self.schedule_restart(s, now, ctl, report));
-        }
-        match self.recv(&w) {
-            Ok(Msg::Hello { fed, replayed, .. }) => {
-                report.replayed_outputs += replayed;
-                w.sent = fed.min(routed_s.len() as u64);
-                match self.feed_upto(&mut w, outs, routed_s, routed_s.len()) {
-                    FeedEnd::Clean => Ok(PSlot::Up(w)),
-                    FeedEnd::Crashed(seq) => {
-                        self.reap_exited(w);
-                        self.crash_slot(s, seq, now, outs, routed_s, ctl, report)
-                    }
-                    FeedEnd::Died { hung } => {
-                        if hung {
-                            report.heartbeat_misses += 1;
-                        }
-                        self.reap(w, report);
-                        Ok(self.schedule_restart(s, now, ctl, report))
-                    }
-                }
-            }
-            Ok(Msg::Crashed { seq }) => {
-                self.reap_exited(w);
-                self.crash_slot(s, seq, now, outs, routed_s, ctl, report)
-            }
-            Ok(_) | Err(RecvTimeoutError::Disconnected) => {
-                self.reap(w, report);
-                Ok(self.schedule_restart(s, now, ctl, report))
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                report.heartbeat_misses += 1;
-                self.reap(w, report);
-                Ok(self.schedule_restart(s, now, ctl, report))
-            }
-        }
-    }
-
-    /// One logical-time step: kill hung workers whose heartbeat expired
-    /// and restart workers whose backoff elapsed.
-    #[allow(clippy::too_many_arguments)]
-    fn step_timers(
-        &self,
-        now: u64,
-        outs: &[IngestOutput],
-        routed: &[Vec<usize>],
-        slots: &mut [PSlot],
-        ctl: &mut [PCtl],
-        report: &mut ProcReport,
-    ) -> Result<(), ProcError> {
-        for s in 0..slots.len() {
-            let slot = std::mem::replace(&mut slots[s], PSlot::Failed);
-            slots[s] = match slot {
-                PSlot::Hung { since, w } => {
-                    if now.saturating_sub(since) >= self.cfg.heartbeat_timeout {
-                        report.hangs_detected += 1;
-                        report.heartbeat_misses += 1;
-                        self.reap(w, report);
-                        self.schedule_restart(s, now, &mut ctl[s], report)
-                    } else {
-                        PSlot::Hung { since, w }
-                    }
-                }
-                PSlot::Down { until } if now >= until => {
-                    self.start_shard(s, now, outs, &routed[s], &mut ctl[s], report)?
-                }
-                other => other,
-            };
-        }
-        Ok(())
-    }
-
-    /// Feeds the canonical output stream through the worker fleet under
-    /// the injected failure schedule, drains every restart, finishes
-    /// prediction up to `end`, and merges live shards' reports.
-    ///
-    /// The identity contract matches
-    /// [`crate::supervise::Supervisor::run`]: transient schedules are
-    /// bit-identical to the uncrashed oracle; permanent poisons to the
-    /// oracle minus [`ProcReport::quarantined_outputs`]; failed shards
-    /// to the oracle restricted to live shards' DIMMs.
+    /// Feeds the worker fleet the canonical output stream under the
+    /// injected failure schedule, drains every restart, finishes
+    /// prediction up to `end`, and merges live shards' reports. The
+    /// identity contract is [`crate::supervise::supervise`]'s.
     ///
     /// # Errors
     ///
@@ -1673,282 +1280,133 @@ impl ProcSupervisor {
         outs: &[IngestOutput],
         end: SimTime,
         plan: &ChaosPlan,
-    ) -> Result<ProcOutcome, ProcError> {
-        let n = self.shards;
-        let mut report = ProcReport::default();
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut ctl: Vec<PCtl> = (0..n).map(|_| PCtl::default()).collect();
-        let mut slots: Vec<PSlot> = Vec::with_capacity(n);
-        for s in 0..n {
-            let slot = self.start_shard(s, 0, outs, &routed[s], &mut ctl[s], &mut report)?;
-            slots.push(slot);
-        }
+    ) -> Result<SupervisedOutcome, ProcError> {
+        supervise(
+            self,
+            &self.dir,
+            self.shards,
+            self.cfg.supervise,
+            outs,
+            end,
+            plan,
+        )
+    }
+}
 
-        let mut ev_i = 0usize;
-        for (i, out) in outs.iter().enumerate() {
-            let now = i as u64;
-            self.step_timers(now, outs, &routed, &mut slots, &mut ctl, &mut report)?;
+/// The process host: a unit is a worker process; feeds are acked
+/// `Outputs` frames of [`ProcConfig::batch`] outputs (ack ⇒ durable:
+/// the worker flushes its WAL before `Progress`), and killing it is
+/// `SIGKILL` plus reap.
+impl ShardHost for ProcSupervisor {
+    type Unit = WorkerHandle;
+    type Error = ProcError;
+    const LABEL: &'static str = "process";
 
-            while ev_i < plan.events.len() && plan.events[ev_i].at_output <= now {
-                let ev = plan.events[ev_i];
-                ev_i += 1;
-                if ev.shard >= n || ev.at_output < now {
-                    continue;
-                }
-                match ev.kind {
-                    ChaosKind::Kill { torn_bytes } => {
-                        match std::mem::replace(&mut slots[ev.shard], PSlot::Failed) {
-                            PSlot::Up(w) | PSlot::Hung { w, .. } => {
-                                self.reap(w, &mut report);
-                                report.kills_injected += 1;
-                                tear_wal_tail(&shard_dir(&self.dir, ev.shard), torn_bytes)?;
-                                slots[ev.shard] = self.schedule_restart(
-                                    ev.shard,
-                                    now,
-                                    &mut ctl[ev.shard],
-                                    &mut report,
-                                );
-                            }
-                            other => slots[ev.shard] = other,
-                        }
-                    }
-                    ChaosKind::Hang => {
-                        match std::mem::replace(&mut slots[ev.shard], PSlot::Failed) {
-                            PSlot::Up(mut w) => {
-                                slots[ev.shard] = if self.send(&mut w, &Msg::Hang).is_ok() {
-                                    PSlot::Hung { since: now, w }
-                                } else {
-                                    self.reap(w, &mut report);
-                                    self.schedule_restart(
-                                        ev.shard,
-                                        now,
-                                        &mut ctl[ev.shard],
-                                        &mut report,
-                                    )
-                                };
-                            }
-                            other => slots[ev.shard] = other,
-                        }
-                    }
-                    ChaosKind::Panic { fails } => {
-                        ctl[ev.shard].pending.push(PPending::Transient(fails));
-                    }
-                    ChaosKind::Poison => ctl[ev.shard].pending.push(PPending::Permanent),
-                }
-            }
+    fn feed_size(&self) -> usize {
+        self.cfg.batch.max(1)
+    }
 
-            // Route; bind pending poison to its per-shard sequence and
-            // push the updated count to a live worker.
-            let s = shard_route(out, n);
-            let seq = routed[s].len() as u64;
-            if !ctl[s].pending.is_empty() {
-                let pending = std::mem::take(&mut ctl[s].pending);
-                let e = ctl[s].poison.entry(seq).or_insert(0);
-                for p in pending {
-                    match p {
-                        PPending::Transient(fails) => {
-                            if *e != u32::MAX {
-                                *e = (*e + fails).min(self.cfg.quarantine_after.saturating_sub(1));
-                            }
-                        }
-                        PPending::Permanent => *e = u32::MAX,
-                    }
-                }
-                let fails = *e;
-                if let PSlot::Up(_) = slots[s] {
-                    let slot = std::mem::replace(&mut slots[s], PSlot::Failed);
-                    slots[s] = match slot {
-                        PSlot::Up(mut w) => {
-                            if self.send(&mut w, &Msg::Poison { seq, fails }).is_ok() {
-                                PSlot::Up(w)
-                            } else {
-                                self.reap(w, &mut report);
-                                self.schedule_restart(s, now, &mut ctl[s], &mut report)
-                            }
-                        }
-                        other => other,
-                    };
-                }
-            }
-            routed[s].push(i);
-
-            // Feed at batch boundaries; the remainder drains at the end.
-            let backlog_end = routed[s].len();
-            let due = match &slots[s] {
-                PSlot::Up(w) => backlog_end - (w.sent as usize) >= self.cfg.batch.max(1),
-                _ => false,
-            };
-            if due {
-                let slot = std::mem::replace(&mut slots[s], PSlot::Failed);
-                slots[s] = match slot {
-                    PSlot::Up(mut w) => {
-                        match self.feed_upto(&mut w, outs, &routed[s], backlog_end) {
-                            FeedEnd::Clean => PSlot::Up(w),
-                            FeedEnd::Crashed(cseq) => {
-                                self.reap_exited(w);
-                                self.crash_slot(
-                                    s,
-                                    cseq,
-                                    now,
-                                    outs,
-                                    &routed[s],
-                                    &mut ctl[s],
-                                    &mut report,
-                                )?
-                            }
-                            FeedEnd::Died { hung } => {
-                                if hung {
-                                    report.heartbeat_misses += 1;
-                                }
-                                self.reap(w, &mut report);
-                                self.schedule_restart(s, now, &mut ctl[s], &mut report)
-                            }
-                        }
-                    }
-                    other => other,
-                };
-            }
-        }
-
-        // Drain: expire hangs and backoffs, feed remainders, run the
-        // final prediction ticks, and collect reports — re-entering if
-        // a finish crashes a worker.
-        let mut now = outs.len() as u64;
-        let mut results: Vec<Option<ShardRun>> = vec![None; n];
-        loop {
-            while slots
+    /// Spawns the worker and hands it the spec, carrying the still-armed
+    /// slice of the master poison table. Any mid-handshake death stops
+    /// the unit instead of erroring: only spawn itself failing is a real
+    /// error.
+    fn start(
+        &self,
+        s: usize,
+        poison: &BTreeMap<u64, u32>,
+    ) -> Result<Started<WorkerHandle>, ProcError> {
+        let mut child = self.command.spawn()?;
+        let stdin = child
+            .stdin
+            .take()
+            .ok_or(ProcError::Protocol("spawned worker without piped stdin"))?;
+        let stdout = child
+            .stdout
+            .take()
+            .ok_or(ProcError::Protocol("spawned worker without piped stdout"))?;
+        let (rx, reader) = spawn_reader(stdout);
+        let mut unit = WorkerHandle {
+            child,
+            stdin,
+            rx,
+            reader,
+        };
+        let spec = WorkerSpec {
+            shard: s,
+            dir: shard_dir(&self.dir, s),
+            platform: self.platform,
+            online: self.online,
+            durable: self.durable,
+            problem: self.problem,
+            thresholds: self.thresholds,
+            model: self.model,
+            catalog: self.catalog.clone(),
+            poison: poison
                 .iter()
-                .any(|sl| matches!(sl, PSlot::Hung { .. } | PSlot::Down { .. }))
-            {
-                self.step_timers(now, outs, &routed, &mut slots, &mut ctl, &mut report)?;
-                now += 1;
-            }
-            let mut any_crash = false;
-            for s in 0..n {
-                let slot = std::mem::replace(&mut slots[s], PSlot::Failed);
-                slots[s] = match slot {
-                    PSlot::Up(mut w) => {
-                        match self.feed_upto(&mut w, outs, &routed[s], routed[s].len()) {
-                            FeedEnd::Clean => {
-                                if self.send(&mut w, &Msg::Finish { until: end }).is_err() {
-                                    results[s] = None;
-                                    any_crash = true;
-                                    self.reap(w, &mut report);
-                                    self.schedule_restart(s, now, &mut ctl[s], &mut report)
-                                } else {
-                                    match self.recv(&w) {
-                                        Ok(Msg::Report {
-                                            alarms,
-                                            scores,
-                                            scored,
-                                        }) => {
-                                            results[s] = Some((alarms, scores, scored));
-                                            PSlot::Up(w)
-                                        }
-                                        Ok(Msg::Crashed { seq }) => {
-                                            results[s] = None;
-                                            any_crash = true;
-                                            self.reap_exited(w);
-                                            self.crash_slot(
-                                                s,
-                                                seq,
-                                                now,
-                                                outs,
-                                                &routed[s],
-                                                &mut ctl[s],
-                                                &mut report,
-                                            )?
-                                        }
-                                        Ok(_) | Err(RecvTimeoutError::Disconnected) => {
-                                            results[s] = None;
-                                            any_crash = true;
-                                            self.reap(w, &mut report);
-                                            self.schedule_restart(s, now, &mut ctl[s], &mut report)
-                                        }
-                                        Err(RecvTimeoutError::Timeout) => {
-                                            results[s] = None;
-                                            any_crash = true;
-                                            report.heartbeat_misses += 1;
-                                            self.reap(w, &mut report);
-                                            self.schedule_restart(s, now, &mut ctl[s], &mut report)
-                                        }
-                                    }
-                                }
-                            }
-                            FeedEnd::Crashed(cseq) => {
-                                results[s] = None;
-                                any_crash = true;
-                                self.reap_exited(w);
-                                self.crash_slot(
-                                    s,
-                                    cseq,
-                                    now,
-                                    outs,
-                                    &routed[s],
-                                    &mut ctl[s],
-                                    &mut report,
-                                )?
-                            }
-                            FeedEnd::Died { hung } => {
-                                results[s] = None;
-                                any_crash = true;
-                                if hung {
-                                    report.heartbeat_misses += 1;
-                                }
-                                self.reap(w, &mut report);
-                                self.schedule_restart(s, now, &mut ctl[s], &mut report)
-                            }
-                        }
-                    }
-                    other => other,
-                };
-            }
-            if !any_crash
-                && !slots
-                    .iter()
-                    .any(|sl| matches!(sl, PSlot::Hung { .. } | PSlot::Down { .. }))
-            {
-                break;
-            }
-            now += 1;
-        }
-
-        let mut alarms: Vec<Alarm> = Vec::new();
-        let mut scores: Vec<ScoreRecord> = Vec::new();
-        let mut scored = 0u64;
-        let mut live_shards = 0usize;
-        for (s, sl) in slots.iter().enumerate() {
-            if let PSlot::Up(_) = sl {
-                live_shards += 1;
-                if let Some((a, sc, n_scored)) = &results[s] {
-                    alarms.extend_from_slice(a);
-                    scores.extend_from_slice(sc);
-                    scored += n_scored;
-                }
-            }
-        }
-        alarms.sort_by_key(|a| (a.time, a.dimm));
-        scores.sort_by_key(|r| (r.time, r.dimm));
-
-        for sl in slots {
-            if let PSlot::Up(w) = sl {
-                self.shutdown(w);
-            }
-        }
-
-        mfp_obs::counter("proc_restarts", &[]).add(report.restarts);
-        mfp_obs::counter("proc_sigkills", &[]).add(report.sigkills);
-        mfp_obs::counter("proc_heartbeat_misses", &[]).add(report.heartbeat_misses);
-        mfp_obs::gauge("proc_live_shards", &[]).set(live_shards as f64);
-
-        Ok(ProcOutcome {
-            alarms,
-            scores,
-            scored,
-            live_shards,
-            shards: n,
-            report,
+                .filter(|&(_, &f)| f > 0)
+                .map(|(&seq, &f)| (seq, f))
+                .collect(),
+        };
+        let (status, replayed) = match self.handshake(&mut unit, spec) {
+            Ok((fed, replayed)) => (Ok(fed), replayed),
+            Err(stop) => (Err(stop), 0),
+        };
+        Ok(Started {
+            unit,
+            replayed,
+            status,
         })
+    }
+
+    fn feed(
+        &self,
+        w: &mut WorkerHandle,
+        outs: &[IngestOutput],
+        routed: &[usize],
+        from: u64,
+    ) -> Step<(), ProcError> {
+        let pending: Vec<IngestOutput> = routed.iter().map(|&g| outs[g]).collect();
+        let records = batch_outputs(&pending, from);
+        Ok(match self.call(w, &Msg::Outputs { records }) {
+            Ok(Msg::Progress { .. }) => Ok(()),
+            Ok(_) => Err(DIED),
+            Err(stop) => Err(stop),
+        })
+    }
+
+    fn arm(&self, w: &mut WorkerHandle, seq: u64, fails: u32) -> Result<(), Stop> {
+        self.send(w, &Msg::Poison { seq, fails }).map_err(|_| DIED)
+    }
+
+    fn hang(&self, w: &mut WorkerHandle) -> Result<(), Stop> {
+        self.send(w, &Msg::Hang).map_err(|_| DIED)
+    }
+
+    fn finish(&self, w: &mut WorkerHandle, end: SimTime) -> Step<ShardRun, ProcError> {
+        Ok(match self.call(w, &Msg::Finish { until: end }) {
+            Ok(Msg::Report {
+                alarms,
+                scores,
+                scored,
+            }) => Ok((alarms, scores, scored)),
+            Ok(_) => Err(DIED),
+            Err(stop) => Err(stop),
+        })
+    }
+
+    fn kill(&self, w: WorkerHandle) -> bool {
+        w.reap(true)
+    }
+
+    fn retire(&self, w: WorkerHandle) {
+        w.reap(false);
+    }
+
+    /// Graceful shutdown: `Exit`, close the pipe and wait — no kill, so
+    /// no spurious `SIGKILL` in the report.
+    fn shutdown(&self, mut w: WorkerHandle) {
+        let _ = self.send(&mut w, &Msg::Exit);
+        w.reap(false);
     }
 }
 
@@ -1957,7 +1415,8 @@ mod tests {
     use super::*;
     use crate::ingest::GapRecord;
     use crate::online::OnlinePredictor;
-    use crate::supervise::ChaosEvent;
+    use crate::serve::{shard_route, ServeError};
+    use crate::supervise::{ChaosEvent, ChaosKind};
     use mfp_dram::address::CellAddr;
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::{CeEvent, MemEvent};
@@ -2416,7 +1875,10 @@ mod tests {
         assert_eq!(out.report.quarantined_outputs, vec![target as u64]);
         assert_eq!(out.report.quarantined.len(), 1);
         assert_eq!(out.report.quarantined[0].0, poisoned_shard);
-        assert_eq!(out.report.panics_caught, cfg.quarantine_after as u64);
+        assert_eq!(
+            out.report.panics_caught,
+            cfg.supervise.quarantine_after as u64
+        );
         assert_eq!(out.alarms, ref_alarms);
         assert_eq!(out.scores, ref_scores);
         assert_eq!(out.scored, ref_scored);
@@ -2454,8 +1916,11 @@ mod tests {
         };
         let dir = test_dir("budget");
         let cfg = ProcConfig {
-            max_restarts: 2,
-            quarantine_after: 100,
+            supervise: SuperviseConfig {
+                max_restarts: 2,
+                quarantine_after: 100,
+                ..SuperviseConfig::default()
+            },
             ..ProcConfig::default()
         };
         let sup = proc_sup(&dir, 2, cfg);

@@ -167,7 +167,7 @@ pub enum ServeError {
     /// The shard owning a DIMM exhausted its restart budget and is out
     /// of the merge: its DIMMs degrade to this error instead of wedging
     /// or silently vanishing from fleet-wide results (see
-    /// `crate::procserve::ProcOutcome::dimm_status`).
+    /// `crate::supervise::SupervisedOutcome::dimm_status`).
     ShardUnavailable {
         /// The failed shard.
         shard: usize,

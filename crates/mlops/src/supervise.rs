@@ -1,17 +1,22 @@
-//! Shard supervision: restartable serving units with crash capture,
-//! hang detection, deterministic backoff and poison-record quarantine.
+//! Shard supervision: one state machine that keeps a sharded fleet
+//! serving while its units crash, hang or choke on poison records.
 //!
 //! [`crate::wal::ShardedDurable`] gives every shard its own log and
 //! checkpoint chain (the `MFW2` layout), but leaves the caller to decide
-//! what happens when a shard misbehaves. This module is that decision:
-//! a [`Supervisor`] runs each [`crate::wal::DurableShard`] as a
-//! restartable unit and keeps the *fleet* serving while individual
-//! shards crash, hang or choke on poison records.
+//! what happens when a shard misbehaves. This module is that decision,
+//! written once as [`supervise`] over a [`ShardHost`]: the host says how
+//! a shard's unit starts, is fed, finishes and dies, and the machine owns
+//! every policy decision. There are two hosts:
+//!
+//! * [`Supervisor`] runs each [`crate::wal::DurableShard`] in the
+//!   caller's thread, every apply behind `catch_unwind`;
+//! * [`crate::procserve::ProcSupervisor`] runs each shard in a worker
+//!   process behind the `MFP1` pipe protocol, so a `SIGKILL` or a wedged
+//!   process is survivable too.
 //!
 //! # Policy
 //!
-//! * **Panic capture.** Every state mutation runs inside
-//!   `catch_unwind`: a panicking apply is converted into a
+//! * **Panic capture.** A panicking apply is converted into a
 //!   [`crate::wal::ApplyVerdict::Crashed`] verdict, the unit is dropped,
 //!   and recovery replays its own WAL — the crashing output was durable
 //!   *before* it was applied, so nothing is lost.
@@ -25,12 +30,19 @@
 //!   [`SuperviseConfig::max_restarts`] the shard is marked failed and
 //!   the fleet degrades gracefully: merged output is the output of the
 //!   live shards (routing is a pure DIMM hash, so a dead shard never
-//!   silences a live one's DIMMs).
+//!   silences a live one's DIMMs), and [`SupervisedOutcome::dimm_status`]
+//!   names the DIMMs that lost their shard.
 //! * **Quarantine.** An output that crashes the same shard
 //!   [`SuperviseConfig::quarantine_after`] times is appended to the
 //!   shard's `quarantine.log` and skipped from then on — including by
 //!   recovery after a real process death, because the side log is read
 //!   back at open. Deleting the file is the operator's escape hatch.
+//! * **Poison.** The machine keeps the master table of armed injected
+//!   panics and decrements it once per reported crash; each unit keeps
+//!   its own copy, seeded when it starts and updated by
+//!   [`ShardHost::arm`]. A unit stops consuming at its first crash, so
+//!   every armed apply produces exactly one crash report and the two
+//!   tables agree.
 //!
 //! # Determinism
 //!
@@ -48,11 +60,12 @@ use crate::ingest::IngestOutput;
 use crate::lake::DataLake;
 use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
 use crate::registry::ModelRegistry;
-use crate::serve::shard_route;
+use crate::serve::{shard_of, shard_route, ServeError};
 use crate::wal::{
     check_meta, quarantine_output, shard_dir, ApplyVerdict, DurableConfig, DurableShard,
     FlushStatus, WalError,
 };
+use mfp_dram::address::DimmId;
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::SimTime;
 use std::collections::BTreeMap;
@@ -179,8 +192,8 @@ impl ChaosPlan {
     }
 }
 
-/// Supervision policy knobs. Time is logical: one tick per output of
-/// the canonical stream.
+/// Supervision policy knobs, shared by both hosts. Time is logical: one
+/// tick per output of the canonical stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Ticks a hung unit survives before the supervisor kills it.
@@ -212,7 +225,17 @@ impl Default for SuperviseConfig {
 pub struct SupervisorReport {
     /// Unit restarts (after crashes, kills and detected hangs).
     pub restarts: u64,
-    /// Panics converted into crash verdicts by the apply guard.
+    /// Units started, initial starts included: shards opened in-thread,
+    /// or worker processes spawned.
+    pub spawns: u64,
+    /// Units that died by `SIGKILL` (signal 9 in a worker's wait
+    /// status; always 0 on the thread host).
+    pub sigkills: u64,
+    /// Expired hang heartbeats, plus missed ack deadlines on the process
+    /// host.
+    pub heartbeat_misses: u64,
+    /// Crash reports: panics the apply guard converted into crash
+    /// verdicts.
     pub panics_caught: u64,
     /// Hung units detected by the heartbeat check.
     pub hangs_detected: u64,
@@ -241,46 +264,23 @@ pub struct SupervisedOutcome {
     pub scored: u64,
     /// Shards still up at the end of the run.
     pub live_shards: usize,
+    /// Total shard count (for routing queries).
+    pub shards: usize,
     /// Everything the supervisor did along the way.
     pub report: SupervisorReport,
 }
 
-/// A chaos injection waiting to bind to the next output routed to its
-/// shard.
-#[derive(Debug, Clone, Copy)]
-enum Pending {
-    Transient(u32),
-    Permanent,
-}
-
-/// Supervisor-side state of one shard that outlives its unit.
-#[derive(Debug, Default)]
-struct ShardCtl {
-    restarts: u32,
-    /// Crashes observed per per-shard sequence number; reaching
-    /// `quarantine_after` triggers the side log.
-    crash_counts: BTreeMap<u64, u32>,
-    /// Armed injected panics per per-shard sequence number
-    /// (`u32::MAX` = permanent poison).
-    poison: BTreeMap<u64, u32>,
-    pending: Vec<Pending>,
-}
-
-/// Lifecycle state of one shard's unit.
-#[derive(Debug)]
-enum Slot<'a> {
-    /// Serving; fed every output routed to it.
-    Up(Box<DurableShard<'a>>),
-    /// Stopped making progress at tick `since`; killed once the
-    /// heartbeat timeout elapses.
-    Hung {
-        since: u64,
-        unit: Box<DurableShard<'a>>,
-    },
-    /// Waiting out its restart backoff.
-    Down { until: u64 },
-    /// Restart budget exhausted; permanently out of the merge.
-    Failed,
+impl SupervisedOutcome {
+    /// Degraded-mode routing check: `Err(ShardUnavailable)` if the
+    /// DIMM's home shard exhausted its restart budget, `Ok` otherwise.
+    pub fn dimm_status(&self, dimm: DimmId) -> Result<(), ServeError> {
+        let shard = shard_of(dimm, self.shards);
+        if self.report.failed_shards.contains(&shard) {
+            Err(ServeError::ShardUnavailable { shard })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// The guarded apply: consult the armed-poison table, then run the real
@@ -310,6 +310,28 @@ pub(crate) fn poison_guard<'g, 'a>(
             Err(_) => ApplyVerdict::Crashed,
         }
     }
+}
+
+/// Pushes `(per-shard seq, output)` pairs into `unit` through the poison
+/// guard, skipping what the unit already holds (a re-fed prefix after
+/// recovery). Stops at the first crash and returns its sequence number.
+/// The thread host's feed and the worker's `Outputs` handler both run
+/// this loop.
+pub(crate) fn push_outputs(
+    unit: &mut DurableShard<'_>,
+    poison: &mut BTreeMap<u64, u32>,
+    outs: impl IntoIterator<Item = (u64, IngestOutput)>,
+) -> Result<Option<u64>, WalError> {
+    let mut guard = poison_guard(poison);
+    for (seq, out) in outs {
+        if seq < unit.fed() {
+            continue;
+        }
+        if let FlushStatus::Crashed { seq } = unit.push(out, &mut guard)? {
+            return Ok(Some(seq));
+        }
+    }
+    Ok(None)
 }
 
 /// The `n`-th restart's exponential backoff delay: `base << (n - 1)`,
@@ -348,9 +370,507 @@ pub(crate) fn tear_wal_tail(dir: &Path, torn_bytes: u64) -> Result<(), WalError>
     Ok(())
 }
 
-/// Runs one [`DurableShard`] per feature store as restartable units over
-/// a canonical output stream, applying the policy in [`SuperviseConfig`]
-/// and the injected failures of a [`ChaosPlan`].
+/// One shard's final output: its alarms, score trace and scored count.
+pub(crate) type ShardRun = (Vec<Alarm>, Vec<ScoreRecord>, u64);
+
+/// Why a unit stopped serving in the middle of a host call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// The apply at this per-shard sequence number crashed; the unit
+    /// ends on its own.
+    Crashed(u64),
+    /// The unit died or stopped answering; `hung` when it missed its
+    /// ack deadline.
+    Died {
+        /// The unit missed its ack deadline (a heartbeat miss).
+        hung: bool,
+    },
+}
+
+/// A host call that a supervised failure can stop (`Ok(Err(Stop))`) and
+/// only a real I/O failure aborts (`Err`).
+pub(crate) type Step<T, E> = Result<Result<T, Stop>, E>;
+
+/// A freshly started unit.
+pub(crate) struct Started<U> {
+    /// The unit, live or stopped.
+    pub(crate) unit: U,
+    /// Outputs it re-applied from its WAL while recovering.
+    pub(crate) replayed: u64,
+    /// The outputs it holds (its re-feed position), or why it stopped
+    /// before it could serve.
+    pub(crate) status: Result<u64, Stop>,
+}
+
+/// How one kind of unit runs a shard. The supervision policy — slots,
+/// restart budget, poison, chaos, routing, drain and merge — lives in
+/// [`supervise`]; a host only moves outputs and reports how its units
+/// end.
+pub(crate) trait ShardHost {
+    /// A running shard.
+    type Unit;
+    /// A real failure that aborts the run.
+    type Error: From<WalError>;
+    /// The `host` label of the supervision metrics.
+    const LABEL: &'static str;
+
+    /// Routed outputs that make one feed.
+    fn feed_size(&self) -> usize;
+
+    /// Starts shard `s`'s unit armed with `poison` and recovers it from
+    /// its WAL.
+    fn start(
+        &self,
+        s: usize,
+        poison: &BTreeMap<u64, u32>,
+    ) -> Result<Started<Self::Unit>, Self::Error>;
+
+    /// Hands the unit the outputs `outs[g]` for `g` in `routed`, whose
+    /// first per-shard sequence number is `from`.
+    fn feed(
+        &self,
+        unit: &mut Self::Unit,
+        outs: &[IngestOutput],
+        routed: &[usize],
+        from: u64,
+    ) -> Step<(), Self::Error>;
+
+    /// Arms `fails` injected panics at per-shard `seq` (`u32::MAX`:
+    /// permanent), replacing the unit's count.
+    fn arm(&self, unit: &mut Self::Unit, seq: u64, fails: u32) -> Result<(), Stop>;
+
+    /// Makes the unit stop making progress.
+    fn hang(&self, unit: &mut Self::Unit) -> Result<(), Stop>;
+
+    /// Runs the unit's final prediction ticks up to `end` and returns
+    /// its output.
+    fn finish(&self, unit: &mut Self::Unit, end: SimTime) -> Step<ShardRun, Self::Error>;
+
+    /// Kills a unit; `true` when it died by `SIGKILL`.
+    fn kill(&self, unit: Self::Unit) -> bool;
+
+    /// Releases a unit that reported its own crash.
+    fn retire(&self, unit: Self::Unit);
+
+    /// Shuts a serving unit down at the end of a run.
+    fn shutdown(&self, unit: Self::Unit);
+}
+
+/// A chaos injection waiting to bind to the next output routed to its
+/// shard.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    Transient(u32),
+    Permanent,
+}
+
+/// Supervisor-side state of one shard that outlives its unit.
+#[derive(Debug, Default)]
+struct ShardCtl {
+    restarts: u32,
+    /// Crashes observed per per-shard sequence number; reaching
+    /// `quarantine_after` triggers the side log.
+    crash_counts: BTreeMap<u64, u32>,
+    /// Master poison table: remaining injected panics per per-shard
+    /// sequence number (`u32::MAX` = permanent), decremented once per
+    /// crash report so a restarted unit is armed with what is left.
+    poison: BTreeMap<u64, u32>,
+    pending: Vec<Pending>,
+}
+
+impl ShardCtl {
+    /// Binds the pending injections to per-shard `seq` (a stable
+    /// coordinate across restarts) and returns its armed count.
+    /// Transient fails are capped below the quarantine threshold so
+    /// stacked injections stay transient.
+    fn bind(&mut self, seq: u64, quarantine_after: u32) -> u32 {
+        let fails = self.poison.entry(seq).or_insert(0);
+        for p in self.pending.drain(..) {
+            match p {
+                Pending::Transient(n) => {
+                    if *fails != u32::MAX {
+                        *fails = fails
+                            .saturating_add(n)
+                            .min(quarantine_after.saturating_sub(1));
+                    }
+                }
+                Pending::Permanent => *fails = u32::MAX,
+            }
+        }
+        *fails
+    }
+}
+
+/// Lifecycle state of one shard's unit.
+enum Slot<U> {
+    /// Serving; holds the first `sent` outputs of its routed backlog.
+    Up { unit: U, sent: u64 },
+    /// Stopped making progress at tick `since`; killed once the
+    /// heartbeat timeout elapses.
+    Hung { since: u64, unit: U },
+    /// Waiting out its restart backoff; `until: 0` starts it at once.
+    Down { until: u64 },
+    /// Restart budget exhausted; permanently out of the merge.
+    Failed,
+}
+
+/// The run state of [`supervise`].
+struct Machine<'r, H: ShardHost> {
+    host: &'r H,
+    dir: &'r Path,
+    cfg: SuperviseConfig,
+    outs: &'r [IngestOutput],
+    /// Global stream indices routed to each shard, in per-shard order.
+    routed: Vec<Vec<usize>>,
+    ctl: Vec<ShardCtl>,
+    slots: Vec<Slot<H::Unit>>,
+    report: SupervisorReport,
+}
+
+impl<H: ShardHost> Machine<'_, H> {
+    /// Books one restart against the shard's budget: a backoff slot, or
+    /// [`Slot::Failed`] once the budget is spent.
+    fn schedule_restart(&mut self, s: usize, now: u64) -> Slot<H::Unit> {
+        let ctl = &mut self.ctl[s];
+        ctl.restarts += 1;
+        self.report.restarts += 1;
+        if ctl.restarts > self.cfg.max_restarts {
+            if !self.report.failed_shards.contains(&s) {
+                self.report.failed_shards.push(s);
+            }
+            Slot::Failed
+        } else {
+            Slot::Down {
+                until: now
+                    + bounded_backoff(self.cfg.backoff_base, self.cfg.backoff_cap, ctl.restarts),
+            }
+        }
+    }
+
+    /// Accounts one crash report at per-shard `seq`: bumps the crash
+    /// counter, quarantines the output once it reaches the threshold,
+    /// burns one armed fail from the master poison table, and schedules
+    /// the restart.
+    fn crash_slot(&mut self, s: usize, seq: u64, now: u64) -> Result<Slot<H::Unit>, H::Error> {
+        self.report.panics_caught += 1;
+        let ctl = &mut self.ctl[s];
+        let count = ctl.crash_counts.entry(seq).or_insert(0);
+        *count += 1;
+        if *count >= self.cfg.quarantine_after {
+            if let Some(&gidx) = self.routed[s].get(seq as usize) {
+                quarantine_output(&shard_dir(self.dir, s), seq, &self.outs[gidx])?;
+                self.report.quarantined.push((s, seq));
+                self.report.quarantined_outputs.push(gidx as u64);
+            }
+        }
+        if let Some(f) = ctl.poison.get_mut(&seq) {
+            if *f > 0 && *f != u32::MAX {
+                *f -= 1;
+            }
+        }
+        Ok(self.schedule_restart(s, now))
+    }
+
+    /// Disposes of a unit that stopped serving and books the restart.
+    fn stop(
+        &mut self,
+        s: usize,
+        unit: H::Unit,
+        stop: Stop,
+        now: u64,
+    ) -> Result<Slot<H::Unit>, H::Error> {
+        match stop {
+            Stop::Crashed(seq) => {
+                self.host.retire(unit);
+                self.crash_slot(s, seq, now)
+            }
+            Stop::Died { hung } => {
+                if hung {
+                    self.report.heartbeat_misses += 1;
+                }
+                self.kill(unit);
+                Ok(self.schedule_restart(s, now))
+            }
+        }
+    }
+
+    /// Kills a unit, counting a death by `SIGKILL`.
+    fn kill(&mut self, unit: H::Unit) {
+        if self.host.kill(unit) {
+            self.report.sigkills += 1;
+        }
+    }
+
+    /// (Re)starts shard `s` and catches it up to its routed backlog. A
+    /// failure during recovery or catch-up books a restart instead.
+    fn start(&mut self, s: usize, now: u64) -> Result<Slot<H::Unit>, H::Error> {
+        self.report.spawns += 1;
+        let started = self.host.start(s, &self.ctl[s].poison)?;
+        self.report.replayed_outputs += started.replayed;
+        match started.status {
+            Ok(fed) => {
+                let sent = fed.min(self.routed[s].len() as u64);
+                self.feed(s, started.unit, sent, now)
+            }
+            Err(stop) => self.stop(s, started.unit, stop, now),
+        }
+    }
+
+    /// Feeds a live unit the rest of its routed backlog, one
+    /// [`ShardHost::feed_size`] at a time.
+    fn feed(
+        &mut self,
+        s: usize,
+        mut unit: H::Unit,
+        mut sent: u64,
+        now: u64,
+    ) -> Result<Slot<H::Unit>, H::Error> {
+        let size = self.host.feed_size();
+        let backlog = self.routed[s].len();
+        while (sent as usize) < backlog {
+            let lo = sent as usize;
+            let hi = backlog.min(lo + size);
+            if let Err(stop) =
+                self.host
+                    .feed(&mut unit, self.outs, &self.routed[s][lo..hi], sent)?
+            {
+                return self.stop(s, unit, stop, now);
+            }
+            sent = hi as u64;
+        }
+        Ok(Slot::Up { unit, sent })
+    }
+
+    /// One logical-time step of housekeeping: kill hung units whose
+    /// heartbeat timeout elapsed and start units whose backoff expired.
+    fn step_timers(&mut self, now: u64) -> Result<(), H::Error> {
+        for s in 0..self.slots.len() {
+            self.slots[s] = match std::mem::replace(&mut self.slots[s], Slot::Failed) {
+                Slot::Hung { since, unit }
+                    if now.saturating_sub(since) >= self.cfg.heartbeat_timeout =>
+                {
+                    self.report.hangs_detected += 1;
+                    self.report.heartbeat_misses += 1;
+                    self.kill(unit);
+                    self.schedule_restart(s, now)
+                }
+                Slot::Down { until } if now >= until => self.start(s, now)?,
+                other => other,
+            };
+        }
+        Ok(())
+    }
+
+    /// Fires one injected failure at its shard.
+    fn inject(&mut self, ev: ChaosEvent, now: u64) -> Result<(), H::Error> {
+        let s = ev.shard;
+        match ev.kind {
+            ChaosKind::Kill { torn_bytes } => {
+                self.slots[s] = match std::mem::replace(&mut self.slots[s], Slot::Failed) {
+                    Slot::Up { unit, .. } | Slot::Hung { unit, .. } => {
+                        self.kill(unit);
+                        self.report.kills_injected += 1;
+                        tear_wal_tail(&shard_dir(self.dir, s), torn_bytes)?;
+                        self.schedule_restart(s, now)
+                    }
+                    other => other,
+                };
+            }
+            ChaosKind::Hang => {
+                self.slots[s] = match std::mem::replace(&mut self.slots[s], Slot::Failed) {
+                    Slot::Up { mut unit, .. } => match self.host.hang(&mut unit) {
+                        Ok(()) => Slot::Hung { since: now, unit },
+                        Err(stop) => self.stop(s, unit, stop, now)?,
+                    },
+                    other => other,
+                };
+            }
+            ChaosKind::Panic { fails } => self.ctl[s].pending.push(Pending::Transient(fails)),
+            ChaosKind::Poison => self.ctl[s].pending.push(Pending::Permanent),
+        }
+        Ok(())
+    }
+
+    /// Routes output `i` to its home shard, binds and arms any pending
+    /// poison there, and feeds the unit once a whole feed is waiting
+    /// (the remainder drains at the end).
+    fn route(&mut self, i: usize, now: u64) -> Result<(), H::Error> {
+        let s = shard_route(&self.outs[i], self.slots.len());
+        let seq = self.routed[s].len() as u64;
+        if !self.ctl[s].pending.is_empty() {
+            let fails = self.ctl[s].bind(seq, self.cfg.quarantine_after);
+            self.slots[s] = match std::mem::replace(&mut self.slots[s], Slot::Failed) {
+                Slot::Up { mut unit, sent } => match self.host.arm(&mut unit, seq, fails) {
+                    Ok(()) => Slot::Up { unit, sent },
+                    Err(stop) => self.stop(s, unit, stop, now)?,
+                },
+                other => other,
+            };
+        }
+        self.routed[s].push(i);
+        let due = self.routed[s].len() as u64;
+        self.slots[s] = match std::mem::replace(&mut self.slots[s], Slot::Failed) {
+            Slot::Up { unit, sent } if due - sent >= self.host.feed_size() as u64 => {
+                self.feed(s, unit, sent, now)?
+            }
+            other => other,
+        };
+        Ok(())
+    }
+
+    /// Whether any unit is hung or waiting out its backoff.
+    fn any_waiting(&self) -> bool {
+        self.slots
+            .iter()
+            .any(|sl| matches!(sl, Slot::Hung { .. } | Slot::Down { .. }))
+    }
+
+    /// Expires every hang and backoff, feeds the remainders and runs the
+    /// final prediction ticks, re-entering whenever a unit stops during
+    /// its finish. Returns each shard's last finished output.
+    fn drain(&mut self, mut now: u64, end: SimTime) -> Result<Vec<Option<ShardRun>>, H::Error> {
+        let mut runs: Vec<Option<ShardRun>> = (0..self.slots.len()).map(|_| None).collect();
+        loop {
+            while self.any_waiting() {
+                self.step_timers(now)?;
+                now += 1;
+            }
+            let mut any_stop = false;
+            for (s, last) in runs.iter_mut().enumerate() {
+                self.slots[s] = match std::mem::replace(&mut self.slots[s], Slot::Failed) {
+                    Slot::Up { unit, sent } => match self.feed(s, unit, sent, now)? {
+                        Slot::Up { mut unit, sent } => match self.host.finish(&mut unit, end)? {
+                            Ok(run) => {
+                                *last = Some(run);
+                                Slot::Up { unit, sent }
+                            }
+                            Err(stop) => {
+                                any_stop = true;
+                                self.stop(s, unit, stop, now)?
+                            }
+                        },
+                        stopped => {
+                            any_stop = true;
+                            stopped
+                        }
+                    },
+                    other => other,
+                };
+            }
+            if !any_stop {
+                return Ok(runs);
+            }
+            now += 1;
+        }
+    }
+}
+
+/// The supervision state machine: runs `shards` units of `host` over the
+/// canonical output stream under the injected failure schedule, drains
+/// every restart, finishes prediction ticks up to `end`, and merges the
+/// live shards' output.
+///
+/// For any schedule of kills, hangs, torn tails and *transient* panics,
+/// the outcome's merged alarms and scores are bit-identical to the
+/// uncrashed sequential oracle over the same stream; with permanent
+/// poisons, to the oracle over the stream minus
+/// [`SupervisorReport::quarantined_outputs`]; with failed shards, to the
+/// oracle restricted to live shards' DIMMs.
+///
+/// # Errors
+///
+/// Real I/O failures only — injected failures are the point and are
+/// absorbed by the supervision policy.
+pub(crate) fn supervise<H: ShardHost>(
+    host: &H,
+    dir: &Path,
+    shards: usize,
+    cfg: SuperviseConfig,
+    outs: &[IngestOutput],
+    end: SimTime,
+    plan: &ChaosPlan,
+) -> Result<SupervisedOutcome, H::Error> {
+    let mut m = Machine {
+        host,
+        dir,
+        cfg,
+        outs,
+        routed: vec![Vec::new(); shards],
+        ctl: (0..shards).map(|_| ShardCtl::default()).collect(),
+        // Every unit is due to start at tick 0. Initial starts are
+        // recoveries, not restarts against the budget.
+        slots: (0..shards).map(|_| Slot::Down { until: 0 }).collect(),
+        report: SupervisorReport::default(),
+    };
+    let mut ev_i = 0usize;
+    for i in 0..outs.len() {
+        let now = i as u64;
+        m.step_timers(now)?;
+        while ev_i < plan.events.len() && plan.events[ev_i].at_output <= now {
+            let ev = plan.events[ev_i];
+            ev_i += 1;
+            if ev.shard < shards && ev.at_output == now {
+                m.inject(ev, now)?;
+            }
+        }
+        m.route(i, now)?;
+    }
+    let runs = m.drain(outs.len() as u64, end)?;
+
+    let mut alarms: Vec<Alarm> = Vec::new();
+    let mut scores: Vec<ScoreRecord> = Vec::new();
+    let mut scored = 0u64;
+    let mut live_shards = 0usize;
+    for (slot, run) in m.slots.into_iter().zip(runs) {
+        if let Slot::Up { unit, .. } = slot {
+            live_shards += 1;
+            if let Some((a, sc, n)) = run {
+                alarms.extend(a);
+                scores.extend(sc);
+                scored += n;
+            }
+            host.shutdown(unit);
+        }
+    }
+    alarms.sort_by_key(|a| (a.time, a.dimm));
+    scores.sort_by_key(|r| (r.time, r.dimm));
+
+    let r = &m.report;
+    let label = [("host", H::LABEL)];
+    for (name, value) in [
+        ("supervise_restarts", r.restarts),
+        ("supervise_spawns", r.spawns),
+        ("supervise_sigkills", r.sigkills),
+        ("supervise_heartbeat_misses", r.heartbeat_misses),
+        ("supervise_panics_caught", r.panics_caught),
+        ("supervise_hangs_detected", r.hangs_detected),
+        ("supervise_kills_injected", r.kills_injected),
+        ("supervise_replayed_outputs", r.replayed_outputs),
+    ] {
+        mfp_obs::counter(name, &label).add(value);
+    }
+    mfp_obs::gauge("supervise_live_shards", &label).set(live_shards as f64);
+
+    Ok(SupervisedOutcome {
+        alarms,
+        scores,
+        scored,
+        live_shards,
+        shards,
+        report: m.report,
+    })
+}
+
+/// A thread-host unit: one in-process shard and its copy of the armed
+/// poison.
+pub(crate) struct ThreadUnit<'a> {
+    shard: DurableShard<'a>,
+    poison: BTreeMap<u64, u32>,
+}
+
+/// Runs one [`DurableShard`] per feature store as restartable units in
+/// the caller's thread, under the policy of [`SuperviseConfig`] and the
+/// injected failures of a [`ChaosPlan`] (see [`supervise`]).
 #[derive(Debug)]
 pub struct Supervisor<'a> {
     dir: PathBuf,
@@ -369,7 +889,8 @@ impl<'a> Supervisor<'a> {
     ///
     /// # Errors
     ///
-    /// I/O failures, or a root whose meta file disagrees with `stores`.
+    /// I/O failures, a root whose meta file disagrees with `stores`, or
+    /// [`WalError::ZeroShards`] when `stores` is empty.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         dir: impl Into<PathBuf>,
@@ -397,153 +918,10 @@ impl<'a> Supervisor<'a> {
         })
     }
 
-    /// The shard's next backoff slot after its `n`-th restart.
-    fn backoff(&self, n: u32) -> u64 {
-        bounded_backoff(self.cfg.backoff_base, self.cfg.backoff_cap, n)
-    }
-
-    /// Books one restart against the shard's budget: a backoff slot, or
-    /// [`Slot::Failed`] once the budget is spent.
-    fn schedule_restart(
-        &self,
-        s: usize,
-        now: u64,
-        ctl: &mut ShardCtl,
-        report: &mut SupervisorReport,
-    ) -> Slot<'a> {
-        ctl.restarts += 1;
-        report.restarts += 1;
-        if ctl.restarts > self.cfg.max_restarts {
-            if !report.failed_shards.contains(&s) {
-                report.failed_shards.push(s);
-            }
-            Slot::Failed
-        } else {
-            Slot::Down {
-                until: now + self.backoff(ctl.restarts),
-            }
-        }
-    }
-
-    /// Accounts one caught crash at per-shard `seq`: bumps the crash
-    /// counter, quarantines the output once it reaches the threshold,
-    /// and schedules the restart.
-    #[allow(clippy::too_many_arguments)]
-    fn crash_slot(
-        &self,
-        s: usize,
-        seq: u64,
-        now: u64,
-        outs: &[IngestOutput],
-        routed_s: &[usize],
-        ctl: &mut ShardCtl,
-        report: &mut SupervisorReport,
-    ) -> Result<Slot<'a>, WalError> {
-        report.panics_caught += 1;
-        let count = ctl.crash_counts.entry(seq).or_insert(0);
-        *count += 1;
-        if *count >= self.cfg.quarantine_after {
-            if let Some(&gidx) = routed_s.get(seq as usize) {
-                quarantine_output(&shard_dir(&self.dir, s), seq, &outs[gidx])?;
-                report.quarantined.push((s, seq));
-                report.quarantined_outputs.push(gidx as u64);
-            }
-        }
-        Ok(self.schedule_restart(s, now, ctl, report))
-    }
-
-    /// (Re)opens shard `s` and catches it up to the supervisor's routed
-    /// backlog. A crash during replay or catch-up books a restart and
-    /// returns the shard to backoff instead.
-    fn restart_shard(
-        &self,
-        s: usize,
-        now: u64,
-        outs: &[IngestOutput],
-        routed_s: &[usize],
-        ctl: &mut ShardCtl,
-        report: &mut SupervisorReport,
-    ) -> Result<Slot<'a>, WalError> {
-        let crashed_seq;
-        {
-            let mut guard = poison_guard(&mut ctl.poison);
-            let (mut unit, rep) = DurableShard::open(
-                shard_dir(&self.dir, s),
-                self.lake,
-                &self.stores[s],
-                self.registry,
-                self.platform,
-                self.online,
-                self.durable,
-                s,
-                &mut guard,
-            )?;
-            report.replayed_outputs += rep.outputs_replayed;
-            let mut crashed = rep.replay_crashed;
-            if crashed.is_none() {
-                let from = unit.fed() as usize;
-                for &gidx in routed_s.get(from..).unwrap_or(&[]) {
-                    match unit.push(outs[gidx], &mut guard)? {
-                        FlushStatus::Clean => {}
-                        FlushStatus::Crashed { seq } => {
-                            crashed = Some(seq);
-                            break;
-                        }
-                    }
-                }
-            }
-            match crashed {
-                None => return Ok(Slot::Up(Box::new(unit))),
-                Some(seq) => crashed_seq = seq,
-            }
-        }
-        self.crash_slot(s, crashed_seq, now, outs, routed_s, ctl, report)
-    }
-
-    /// One logical-time step of supervision housekeeping: kill hung
-    /// units whose heartbeat timeout elapsed and restart units whose
-    /// backoff expired.
-    #[allow(clippy::too_many_arguments)]
-    fn step_timers(
-        &self,
-        now: u64,
-        outs: &[IngestOutput],
-        routed: &[Vec<usize>],
-        slots: &mut [Slot<'a>],
-        ctl: &mut [ShardCtl],
-        report: &mut SupervisorReport,
-    ) -> Result<(), WalError> {
-        for s in 0..slots.len() {
-            let slot = std::mem::replace(&mut slots[s], Slot::Failed);
-            slots[s] = match slot {
-                Slot::Hung { since, unit } => {
-                    if now.saturating_sub(since) >= self.cfg.heartbeat_timeout {
-                        drop(unit);
-                        report.hangs_detected += 1;
-                        self.schedule_restart(s, now, &mut ctl[s], report)
-                    } else {
-                        Slot::Hung { since, unit }
-                    }
-                }
-                Slot::Down { until } if now >= until => {
-                    self.restart_shard(s, now, outs, &routed[s], &mut ctl[s], report)?
-                }
-                other => other,
-            };
-        }
-        Ok(())
-    }
-
-    /// Feeds the canonical output stream through the supervised fleet
+    /// Feeds the canonical output stream through the supervised shards
     /// under the injected failure schedule, then drains every restart
-    /// and finishes prediction ticks up to `end`.
-    ///
-    /// For any schedule of kills, hangs, torn tails and *transient*
-    /// panics, the outcome's merged alarms and scores are bit-identical
-    /// to the uncrashed sequential oracle over the same stream; with
-    /// permanent poisons, to the oracle over the stream minus
-    /// [`SupervisorReport::quarantined_outputs`]; with failed shards, to
-    /// the oracle restricted to live shards' DIMMs.
+    /// and finishes prediction ticks up to `end`. The identity contract
+    /// is [`supervise`]'s.
     ///
     /// # Errors
     ///
@@ -555,170 +933,112 @@ impl<'a> Supervisor<'a> {
         end: SimTime,
         plan: &ChaosPlan,
     ) -> Result<SupervisedOutcome, WalError> {
-        let n = self.stores.len().max(1);
-        let mut report = SupervisorReport::default();
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut ctl: Vec<ShardCtl> = (0..n).map(|_| ShardCtl::default()).collect();
-        let mut slots: Vec<Slot<'a>> = Vec::with_capacity(n);
-        for s in 0..n {
-            let slot = self.restart_shard(s, 0, outs, &routed[s], &mut ctl[s], &mut report)?;
-            slots.push(slot);
-        }
-        // The initial opens are recoveries, not restarts against the
-        // budget: restart_shard only books crashes.
+        supervise(
+            self,
+            &self.dir,
+            self.stores.len(),
+            self.cfg,
+            outs,
+            end,
+            plan,
+        )
+    }
+}
 
-        let mut ev_i = 0usize;
-        for (i, out) in outs.iter().enumerate() {
-            let now = i as u64;
-            self.step_timers(now, outs, &routed, &mut slots, &mut ctl, &mut report)?;
+/// The thread host: a unit is a [`DurableShard`] whose every apply runs
+/// behind `catch_unwind`; killing it is dropping it. Each output is
+/// pushed as it is routed, with no extra flush.
+impl<'a> ShardHost for Supervisor<'a> {
+    type Unit = Box<ThreadUnit<'a>>;
+    type Error = WalError;
+    const LABEL: &'static str = "thread";
 
-            // Fire this tick's injected failures.
-            while ev_i < plan.events.len() && plan.events[ev_i].at_output <= now {
-                let ev = plan.events[ev_i];
-                ev_i += 1;
-                if ev.shard >= n || ev.at_output < now {
-                    continue;
-                }
-                match ev.kind {
-                    ChaosKind::Kill { torn_bytes } => {
-                        match std::mem::replace(&mut slots[ev.shard], Slot::Failed) {
-                            Slot::Up(unit) | Slot::Hung { unit, .. } => {
-                                drop(unit);
-                                report.kills_injected += 1;
-                                tear_wal_tail(&shard_dir(&self.dir, ev.shard), torn_bytes)?;
-                                slots[ev.shard] = self.schedule_restart(
-                                    ev.shard,
-                                    now,
-                                    &mut ctl[ev.shard],
-                                    &mut report,
-                                );
-                            }
-                            other => slots[ev.shard] = other,
-                        }
-                    }
-                    ChaosKind::Hang => {
-                        match std::mem::replace(&mut slots[ev.shard], Slot::Failed) {
-                            Slot::Up(unit) => slots[ev.shard] = Slot::Hung { since: now, unit },
-                            other => slots[ev.shard] = other,
-                        }
-                    }
-                    ChaosKind::Panic { fails } => {
-                        ctl[ev.shard].pending.push(Pending::Transient(fails));
-                    }
-                    ChaosKind::Poison => ctl[ev.shard].pending.push(Pending::Permanent),
-                }
-            }
+    fn feed_size(&self) -> usize {
+        1
+    }
 
-            // Route the output; bind any pending poison to its per-shard
-            // sequence number (a stable coordinate across restarts).
-            let s = shard_route(out, n);
-            let seq = routed[s].len() as u64;
-            if !ctl[s].pending.is_empty() {
-                let pending = std::mem::take(&mut ctl[s].pending);
-                let e = ctl[s].poison.entry(seq).or_insert(0);
-                for p in pending {
-                    match p {
-                        // Transient fails are capped below the quarantine
-                        // threshold so stacked injections stay transient.
-                        Pending::Transient(fails) => {
-                            if *e != u32::MAX {
-                                *e = (*e + fails).min(self.cfg.quarantine_after.saturating_sub(1));
-                            }
-                        }
-                        Pending::Permanent => *e = u32::MAX,
-                    }
-                }
-            }
-            routed[s].push(i);
-
-            let mut crashed: Option<u64> = None;
-            if let Slot::Up(unit) = &mut slots[s] {
-                // A recovered root can already cover this output (the
-                // caller re-feeds from the start); skip what's covered.
-                if seq >= unit.fed() {
-                    let mut guard = poison_guard(&mut ctl[s].poison);
-                    if let FlushStatus::Crashed { seq } = unit.push(*out, &mut guard)? {
-                        crashed = Some(seq);
-                    }
-                }
-            }
-            if let Some(cseq) = crashed {
-                drop(std::mem::replace(&mut slots[s], Slot::Failed));
-                slots[s] =
-                    self.crash_slot(s, cseq, now, outs, &routed[s], &mut ctl[s], &mut report)?;
-            }
-        }
-
-        // Drain: expire every hang and backoff, catch shards up, and run
-        // the final prediction ticks — re-entering the drain if a finish
-        // flush crashes.
-        let mut now = outs.len() as u64;
-        loop {
-            while slots
-                .iter()
-                .any(|sl| matches!(sl, Slot::Hung { .. } | Slot::Down { .. }))
-            {
-                self.step_timers(now, outs, &routed, &mut slots, &mut ctl, &mut report)?;
-                now += 1;
-            }
-            let mut any_crash = false;
-            for s in 0..n {
-                let mut crashed: Option<u64> = None;
-                if let Slot::Up(unit) = &mut slots[s] {
-                    let mut guard = poison_guard(&mut ctl[s].poison);
-                    if let FlushStatus::Crashed { seq } = unit.finish(end, &mut guard)? {
-                        crashed = Some(seq);
-                    }
-                }
-                if let Some(cseq) = crashed {
-                    drop(std::mem::replace(&mut slots[s], Slot::Failed));
-                    slots[s] =
-                        self.crash_slot(s, cseq, now, outs, &routed[s], &mut ctl[s], &mut report)?;
-                    any_crash = true;
-                }
-            }
-            if !any_crash {
-                break;
-            }
-            now += 1;
-        }
-
-        let mut alarms: Vec<Alarm> = Vec::new();
-        let mut scores: Vec<ScoreRecord> = Vec::new();
-        let mut scored = 0u64;
-        let mut live_shards = 0usize;
-        for sl in &slots {
-            if let Slot::Up(unit) = sl {
-                live_shards += 1;
-                alarms.extend_from_slice(unit.alarms());
-                scores.extend_from_slice(unit.score_trace());
-                scored += unit.scored();
-            }
-        }
-        alarms.sort_by_key(|a| (a.time, a.dimm));
-        scores.sort_by_key(|r| (r.time, r.dimm));
-
-        mfp_obs::counter("serve_shard_restarts", &[]).add(report.restarts);
-        mfp_obs::counter("serve_shard_panics", &[]).add(report.panics_caught);
-        mfp_obs::counter("serve_shard_hangs", &[]).add(report.hangs_detected);
-        mfp_obs::counter("serve_shard_kills", &[]).add(report.kills_injected);
-        mfp_obs::gauge("serve_live_shards", &[]).set(live_shards as f64);
-
-        Ok(SupervisedOutcome {
-            alarms,
-            scores,
-            scored,
-            live_shards,
-            report,
+    fn start(
+        &self,
+        s: usize,
+        poison: &BTreeMap<u64, u32>,
+    ) -> Result<Started<Self::Unit>, WalError> {
+        let mut poison = poison.clone();
+        let (shard, rep) = DurableShard::open(
+            shard_dir(&self.dir, s),
+            self.lake,
+            &self.stores[s],
+            self.registry,
+            self.platform,
+            self.online,
+            self.durable,
+            s,
+            &mut poison_guard(&mut poison),
+        )?;
+        let status = match rep.replay_crashed {
+            Some(seq) => Err(Stop::Crashed(seq)),
+            None => Ok(shard.fed()),
+        };
+        Ok(Started {
+            unit: Box::new(ThreadUnit { shard, poison }),
+            replayed: rep.outputs_replayed,
+            status,
         })
     }
+
+    fn feed(
+        &self,
+        unit: &mut Self::Unit,
+        outs: &[IngestOutput],
+        routed: &[usize],
+        from: u64,
+    ) -> Step<(), WalError> {
+        let pairs = (from..).zip(routed.iter().map(|&g| outs[g]));
+        Ok(
+            match push_outputs(&mut unit.shard, &mut unit.poison, pairs)? {
+                Some(seq) => Err(Stop::Crashed(seq)),
+                None => Ok(()),
+            },
+        )
+    }
+
+    fn arm(&self, unit: &mut Self::Unit, seq: u64, fails: u32) -> Result<(), Stop> {
+        unit.poison.insert(seq, fails);
+        Ok(())
+    }
+
+    fn hang(&self, _unit: &mut Self::Unit) -> Result<(), Stop> {
+        // A hung slot is never fed again, so the unit needs no message.
+        Ok(())
+    }
+
+    fn finish(&self, unit: &mut Self::Unit, end: SimTime) -> Step<ShardRun, WalError> {
+        let ThreadUnit { shard, poison } = &mut **unit;
+        Ok(match shard.finish(end, &mut poison_guard(poison))? {
+            FlushStatus::Crashed { seq } => Err(Stop::Crashed(seq)),
+            FlushStatus::Clean => Ok((
+                shard.alarms().to_vec(),
+                shard.score_trace().to_vec(),
+                shard.scored(),
+            )),
+        })
+    }
+
+    fn kill(&self, _unit: Self::Unit) -> bool {
+        false
+    }
+
+    fn retire(&self, _unit: Self::Unit) {}
+
+    fn shutdown(&self, _unit: Self::Unit) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ingest::GapRecord;
+    use crate::procserve::{ModelSpec, ProcConfig, ProcError, ProcSupervisor, WorkerCommand};
     use crate::serve::{make_stores, shard_of};
+    use crate::wal::ShardedDurable;
     use mfp_dram::address::{CellAddr, DimmId};
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::{CeEvent, MemEvent};
@@ -1245,5 +1565,169 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert_eq!(runs[0], runs[1], "same seed, same supervised outcome");
+    }
+
+    /// A worker-process supervisor over the same catalog and model as
+    /// [`setup`]; the workers are re-execs of this test harness.
+    fn proc_sup(dir: &Path, shards: usize) -> Result<ProcSupervisor, ProcError> {
+        ProcSupervisor::new(
+            dir,
+            WorkerCommand::test_harness("ipc_worker_entry").expect("resolve test harness"),
+            shards,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            traced(),
+            ProblemConfig::default(),
+            FaultThresholds::default(),
+            ModelSpec::default_risky_ce(),
+            (0..8u32)
+                .map(|k| (DimmId::new(k, (k % 2) as u8), DimmSpec::default()))
+                .collect(),
+            ProcConfig::default(),
+        )
+    }
+
+    #[test]
+    fn zero_shards_is_an_error_on_every_constructor() {
+        let lake = DataLake::new();
+        let registry = ModelRegistry::new();
+        let dir = test_dir("zero");
+        let none: &[FeatureStore] = &[];
+        let durable = ShardedDurable::open(
+            &dir,
+            &lake,
+            none,
+            &registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            traced(),
+        );
+        assert!(matches!(durable, Err(WalError::ZeroShards)));
+        let sup = Supervisor::new(
+            &dir,
+            &lake,
+            none,
+            &registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            traced(),
+            SuperviseConfig::default(),
+        );
+        assert!(matches!(sup, Err(WalError::ZeroShards)));
+        assert!(matches!(
+            proc_sup(&dir, 0),
+            Err(ProcError::Wal(WalError::ZeroShards))
+        ));
+        assert!(
+            !dir.join("meta.bin").exists(),
+            "a refused root records no shard count"
+        );
+        // The store helper still rounds a request for none up to one.
+        let stores = make_stores(0, ProblemConfig::default(), FaultThresholds::default());
+        assert_eq!(stores.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every `supervise_*` series recorded under `host` equals its
+    /// report field.
+    fn assert_series_match_report(reg: &mfp_obs::Registry, host: &str, out: &SupervisedOutcome) {
+        let snap = reg.snapshot();
+        let label = [("host", host)];
+        let r = &out.report;
+        // Distinct, non-zero counts, so a series recorded under another
+        // one's name cannot pass.
+        let mut counts = [r.kills_injected, r.hangs_detected, r.panics_caught];
+        counts.sort_unstable();
+        assert!(
+            counts[0] > 0 && counts[0] < counts[1] && counts[1] < counts[2],
+            "{host}: the plan must kill, hang and panic different numbers of times: {r:?}"
+        );
+        for (series, field) in [
+            ("supervise_restarts", r.restarts),
+            ("supervise_spawns", r.spawns),
+            ("supervise_sigkills", r.sigkills),
+            ("supervise_heartbeat_misses", r.heartbeat_misses),
+            ("supervise_panics_caught", r.panics_caught),
+            ("supervise_hangs_detected", r.hangs_detected),
+            ("supervise_kills_injected", r.kills_injected),
+            ("supervise_replayed_outputs", r.replayed_outputs),
+        ] {
+            assert_eq!(
+                snap.counter_labeled(series, &label),
+                Some(field),
+                "{host}: {series}"
+            );
+        }
+        let live = snap
+            .gauges
+            .iter()
+            .find(|g| {
+                g.name == "supervise_live_shards" && g.labels == [("host".into(), host.into())]
+            })
+            .map(|g| g.value);
+        assert_eq!(live, Some(out.live_shards as f64), "{host}: live shards");
+    }
+
+    #[test]
+    fn supervision_series_equal_the_report_on_both_hosts() {
+        let lake = DataLake::new();
+        let registry = ModelRegistry::new();
+        let dimms = setup(&lake, &registry);
+        let outs = outputs(&dimms);
+        let plan = ChaosPlan {
+            events: vec![
+                ChaosEvent {
+                    at_output: 30,
+                    shard: 0,
+                    kind: ChaosKind::Kill { torn_bytes: 13 },
+                },
+                ChaosEvent {
+                    at_output: 75,
+                    shard: 1,
+                    kind: ChaosKind::Hang,
+                },
+                ChaosEvent {
+                    at_output: 100,
+                    shard: 1,
+                    kind: ChaosKind::Kill { torn_bytes: 7 },
+                },
+                ChaosEvent {
+                    at_output: 120,
+                    shard: 0,
+                    kind: ChaosKind::Panic { fails: 2 },
+                },
+                ChaosEvent {
+                    at_output: 140,
+                    shard: 1,
+                    kind: ChaosKind::Panic { fails: 2 },
+                },
+            ],
+        };
+
+        let dir = test_dir("series_thread");
+        let stores = make_stores(2, ProblemConfig::default(), FaultThresholds::default());
+        let sup = Supervisor::new(
+            &dir,
+            &lake,
+            &stores,
+            &registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            traced(),
+            SuperviseConfig::default(),
+        )
+        .unwrap();
+        let reg = mfp_obs::Registry::new();
+        let out = mfp_obs::with_registry(&reg, || sup.run(&outs, END, &plan)).unwrap();
+        assert_series_match_report(&reg, "thread", &out);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = test_dir("series_process");
+        let sup = proc_sup(&dir, 2).unwrap();
+        let reg = mfp_obs::Registry::new();
+        let out = mfp_obs::with_registry(&reg, || sup.run(&outs, END, &plan)).unwrap();
+        assert!(out.report.sigkills > 0, "{:?}", out.report);
+        assert_series_match_report(&reg, "process", &out);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -104,6 +104,19 @@ const HEADER_LEN: usize = 5;
 /// Bytes of `kind ++ seq ++ len` before a record's payload.
 pub(crate) const RECORD_HEADER_LEN: usize = 13;
 
+/// Full length (header, payload and crc) of the `MFW1` record or `MFP1`
+/// frame at the head of `data`, as its length field declares: `None`
+/// when `data` is shorter than a header plus crc, or the sum overflows.
+/// The declared length may exceed `data`; callers decide whether that
+/// is a torn tail or a wait for more bytes.
+pub(crate) fn record_len(data: &[u8]) -> Option<usize> {
+    if data.len() < RECORD_HEADER_LEN + 4 {
+        return None;
+    }
+    let plen = u32::from_be_bytes([data[9], data[10], data[11], data[12]]) as usize;
+    RECORD_HEADER_LEN.checked_add(plen)?.checked_add(4)
+}
+
 /// Slicing-by-16 lookup tables for the reflected IEEE polynomial.
 /// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
 /// the CRC register after byte `b` is followed by `k` zero bytes, so one
@@ -271,6 +284,9 @@ pub enum WalError {
         /// Feature stores the caller supplied.
         stores: usize,
     },
+    /// The caller asked for a root with no shards: nothing could serve,
+    /// and every routed output would index past the shard table.
+    ZeroShards,
 }
 
 impl fmt::Display for WalError {
@@ -284,6 +300,7 @@ impl fmt::Display for WalError {
                 f,
                 "wal shard count mismatch: disk has {captured} shards, caller has {stores} stores"
             ),
+            WalError::ZeroShards => write!(f, "wal root needs at least one shard"),
         }
     }
 }
@@ -338,16 +355,8 @@ pub fn scan(data: &[u8]) -> Result<WalContents, WalError> {
     }
     let mut records = Vec::new();
     let mut offset = HEADER_LEN;
-    loop {
-        let rest = &data[offset..];
-        if rest.is_empty() {
-            break;
-        }
-        let Some(record) = decode_record(rest) else {
-            break;
-        };
-        let plen = u32::from_be_bytes([rest[9], rest[10], rest[11], rest[12]]) as usize;
-        offset += RECORD_HEADER_LEN + plen + 4;
+    while let Some((record, len)) = decode_record(&data[offset..]) {
+        offset += len;
         records.push(record);
     }
     Ok(WalContents {
@@ -357,36 +366,33 @@ pub fn scan(data: &[u8]) -> Result<WalContents, WalError> {
     })
 }
 
-/// Decodes the record at the head of `data`; `None` when it is torn,
-/// corrupt or unknown (the caller stops scanning there).
-pub(crate) fn decode_record(data: &[u8]) -> Option<WalRecord> {
-    if data.len() < RECORD_HEADER_LEN + 4 {
+/// Decodes the record at the head of `data` and returns it with its
+/// encoded length; `None` when it is torn, corrupt or unknown (the
+/// caller stops scanning there).
+pub(crate) fn decode_record(data: &[u8]) -> Option<(WalRecord, usize)> {
+    // Bounds check before any allocation: a corrupted length cannot
+    // over-read the buffer or reserve gigabytes.
+    let total = record_len(data)?;
+    if data.len() < total {
         return None;
     }
     let kind = data[0];
     let seq = u64::from_be_bytes([
         data[1], data[2], data[3], data[4], data[5], data[6], data[7], data[8],
     ]);
-    let plen = u32::from_be_bytes([data[9], data[10], data[11], data[12]]) as usize;
-    // Bounds check before any allocation: a corrupted length cannot
-    // over-read the buffer or reserve gigabytes.
-    let total = RECORD_HEADER_LEN.checked_add(plen)?.checked_add(4)?;
-    if data.len() < total {
-        return None;
-    }
-    let body = &data[..RECORD_HEADER_LEN + plen];
-    let crc = &data[RECORD_HEADER_LEN + plen..total];
+    let body = &data[..total - 4];
+    let crc = &data[total - 4..total];
     if crc32(body) != u32::from_be_bytes([crc[0], crc[1], crc[2], crc[3]]) {
         return None;
     }
     let payload = &body[RECORD_HEADER_LEN..];
-    match kind {
+    let record = match kind {
         1 => {
             let log = BmcLog::decode(payload).ok()?;
-            Some(WalRecord {
+            WalRecord {
                 seq,
                 payload: WalPayload::Events(log.events().to_vec()),
-            })
+            }
         }
         2 => {
             if payload.len() != 21 {
@@ -414,17 +420,29 @@ pub(crate) fn decode_record(data: &[u8]) -> Option<WalRecord> {
                 payload[19],
                 payload[20],
             ]);
-            Some(WalRecord {
+            WalRecord {
                 seq,
                 payload: WalPayload::Gap(GapRecord {
                     dimm: DimmId::new(server, slot),
                     from: SimTime::from_secs(from),
                     to: SimTime::from_secs(to),
                 }),
-            })
+            }
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some((record, total))
+}
+
+/// Expands one WAL record into its `(per-shard seq, output)` pairs, in
+/// log order: the one expansion replay and the worker's feed share.
+pub(crate) fn expand_record(rec: &WalRecord) -> impl Iterator<Item = (u64, IngestOutput)> + '_ {
+    let (events, gap) = match &rec.payload {
+        WalPayload::Events(events) => (events.as_slice(), None),
+        WalPayload::Gap(g) => (&[][..], Some(IngestOutput::Gap(*g))),
+    };
+    let outs = events.iter().map(|e| IngestOutput::Released(*e)).chain(gap);
+    outs.enumerate().map(|(i, out)| (rec.seq + i as u64, out))
 }
 
 /// Execution knobs of the durable engine. None of them affect alarms or
@@ -748,8 +766,11 @@ pub fn scan_quarantine(shard_dir: &Path) -> Result<Vec<WalRecord>, WalError> {
 }
 
 /// Validates (or creates) the `MFW2` meta file recording the root's
-/// shard count.
+/// shard count. A count of zero is refused before anything is written.
 pub(crate) fn check_meta(root: &Path, shards: usize) -> Result<(), WalError> {
+    if shards == 0 {
+        return Err(WalError::ZeroShards);
+    }
     let path = root.join("meta.bin");
     match fs::read(&path) {
         Ok(bytes) => {
@@ -877,29 +898,21 @@ impl<'a> DurableShard<'a> {
         let mut durable_seq = report.checkpoint_applied;
         let mut consumed_seq = report.checkpoint_applied;
         for record in &contents.records {
-            let outs: Vec<(u64, IngestOutput)> = match &record.payload {
-                WalPayload::Events(events) => events
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (record.seq + i as u64, IngestOutput::Released(*e)))
-                    .collect(),
-                WalPayload::Gap(g) => vec![(record.seq, IngestOutput::Gap(*g))],
-            };
-            for (seq, out) in &outs {
+            for (seq, out) in expand_record(record) {
                 durable_seq = durable_seq.max(seq + 1);
-                if *seq < report.checkpoint_applied {
+                if seq < report.checkpoint_applied {
                     report.outputs_skipped += 1;
                     continue;
                 }
                 if report.replay_crashed.is_some() {
                     continue;
                 }
-                if quarantined.contains(seq) {
+                if quarantined.contains(&seq) {
                     report.outputs_quarantined += 1;
                     consumed_seq = seq + 1;
                     continue;
                 }
-                match guard(&mut predictor, out, *seq) {
+                match guard(&mut predictor, &out, seq) {
                     ApplyVerdict::Applied => {
                         report.outputs_replayed += 1;
                         consumed_seq = seq + 1;
@@ -908,7 +921,7 @@ impl<'a> DurableShard<'a> {
                         report.outputs_quarantined += 1;
                         consumed_seq = seq + 1;
                     }
-                    ApplyVerdict::Crashed => report.replay_crashed = Some(*seq),
+                    ApplyVerdict::Crashed => report.replay_crashed = Some(seq),
                 }
             }
         }
@@ -1120,7 +1133,8 @@ impl<'a> ShardedDurable<'a> {
     ///
     /// Everything [`DurableShard::open`] returns, plus
     /// [`WalError::BadMeta`] / [`WalError::ShardCountMismatch`] when the
-    /// root's meta file disagrees with `stores`.
+    /// root's meta file disagrees with `stores`, and
+    /// [`WalError::ZeroShards`] when `stores` is empty.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         dir: impl Into<PathBuf>,

@@ -12,7 +12,11 @@
 #   * the stream counts (events / outputs / alarms / scored) must equal
 #     the committed ones: one config_hash names one simulated stream, so
 #     a changed random stream or engine FAILS here instead of re-recording
-#     the baseline silently.
+#     the baseline silently. The chaos gates' supervision counts (restarts
+#     / spawns / sigkills / heartbeat_misses / kills_injected /
+#     hangs_detected / panics_caught / replayed_outputs / quarantined)
+#     are deterministic too and must equal the committed ones: a change
+#     in how often shards restart, replay or die by SIGKILL FAILS.
 #   * wall_secs / mean_run_secs / events_per_sec / outputs_per_sec are
 #     compared pairwise in document order (mean_run_secs is a chaos
 #     gate's mean run: spawns, WAL replay and re-feed included). When the committed `cores` matches this host's
@@ -33,7 +37,8 @@
 #                                            fabricated baseline pairs
 #                                            (injected identity failure,
 #                                            hash mismatch, count drift,
-#                                            cores skew, slow chaos runs)
+#                                            restart drift, cores skew,
+#                                            slow chaos runs)
 #
 # Environment:
 #   BENCH_CHECK_ONLY="fleet serve"   subset of gates to re-run
@@ -133,11 +138,12 @@ compare_json() { # committed fresh name
   fi
 
   local key cvals fvals
-  for key in events outputs alarms scored; do
+  for key in events outputs alarms scored restarts spawns sigkills heartbeat_misses \
+    kills_injected hangs_detected panics_caught replayed_outputs quarantined; do
     cvals="$(nums "$c" "$key" | paste -sd' ' -)"
     fvals="$(nums "$f" "$key" | paste -sd' ' -)"
     if [ "$cvals" != "$fvals" ]; then
-      say "FAIL $name: $key differs at config_hash $chash (committed ${cvals:-none}, fresh ${fvals:-none}) — the simulated stream or an engine changed"
+      say "FAIL $name: $key differs at config_hash $chash (committed ${cvals:-none}, fresh ${fvals:-none}) — the simulated stream, an engine or the supervision policy changed"
       FAILURES=$((FAILURES + 1))
       return 0
     fi
@@ -190,7 +196,8 @@ self_test() {
 {"bench": "x", "events": 4242, "cores": 4, "config_hash": "abc123",
  "baseline": {"wall_secs": 1.0, "events_per_sec": 1000.0},
  "runs": [{"wall_secs": 0.5, "events_per_sec": 2000.0, "identical": true}],
- "chaos": {"runs": 3, "identical": true, "mean_run_secs": 0.2}}
+ "chaos": {"runs": 3, "identical": true, "restarts": 7, "replayed_outputs": 900,
+           "mean_run_secs": 0.2}}
 EOF
   sed 's/0\.5/0.6/' "$t/good_committed.json" > "$t/good_fresh.json"
 
@@ -202,6 +209,9 @@ EOF
 
   # Same config, different stream.
   sed 's/"events": 4242/"events": 4243/' "$t/good_fresh.json" > "$t/bad_counts.json"
+
+  # Same config and stream, but shards restart more often.
+  sed 's/"restarts": 7/"restarts": 8/' "$t/good_fresh.json" > "$t/bad_restarts.json"
 
   # Different host, much slower: must warn, not fail.
   sed -e 's/"cores": 4/"cores": 64/' -e 's/"wall_secs": 0.5/"wall_secs": 50.0/' \
@@ -232,6 +242,11 @@ EOF
   FAILURES=0
   compare_json "$t/good_committed.json" "$t/bad_counts.json" self-counts
   [ "$FAILURES" -gt 0 ] || { echo "[bench-check] SELF-TEST FAILED: count drift not caught"; exit 1; }
+
+  echo "[bench-check] self-test: restart drift at the same config_hash must fail"
+  FAILURES=0
+  compare_json "$t/good_committed.json" "$t/bad_restarts.json" self-restarts
+  [ "$FAILURES" -gt 0 ] || { echo "[bench-check] SELF-TEST FAILED: restart drift not caught"; exit 1; }
 
   echo "[bench-check] self-test: slow run on a different host must warn only"
   FAILURES=0; WARNINGS=0

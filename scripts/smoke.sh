@@ -13,8 +13,8 @@
 #   serve     serve_scale     sharded serving matrix vs sequential oracle
 #   fleet     fleet_scale     event engine matrix vs sequential tick oracle
 #   wal       wal_replay      WAL crash/recovery bit-identity
-#   failover  failover_chaos  supervised-shard crash chaos
-#   procfail  procfail_chaos  process-isolated SIGKILL chaos
+#   failover  supervise_chaos --host thread   supervised-shard crash chaos
+#   procfail  supervise_chaos --host process  process-isolated SIGKILL chaos
 #
 # Environment (per name; unrelated names ignore them):
 #   MIN_RECALL=0.7            chaos: recall floor (CI uses 0.90)
@@ -74,14 +74,16 @@ resolve() {
             --horizon-days 30 --out "${WAL_OUT:-BENCH_wal.json}")
       ;;
     failover)
-      BIN=failover_chaos
-      ARGS=(--dimms "${DIMMS:-800}" --schedules "${SCHEDULES:-3}"
+      BIN=supervise_chaos
+      ARGS=(--host thread --seed 29 --batch 64
+            --dimms "${DIMMS:-800}" --schedules "${SCHEDULES:-3}"
             --chaos-events "${CHAOS_EVENTS:-6}" --horizon-days 30
             --out "${FAILOVER_OUT:-BENCH_failover.json}")
       ;;
     procfail)
-      BIN=procfail_chaos
-      ARGS=(--dimms "${DIMMS:-400}" --schedules "${SCHEDULES:-2}"
+      BIN=supervise_chaos
+      ARGS=(--host process --seed 31 --batch 32
+            --dimms "${DIMMS:-400}" --schedules "${SCHEDULES:-2}"
             --chaos-events "${CHAOS_EVENTS:-5}" --horizon-days 14
             --out "${PROCFAIL_OUT:-BENCH_procfail.json}")
       ;;
