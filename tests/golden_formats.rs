@@ -20,14 +20,21 @@
 //! * `lake/`: a `DiskLake` root with one partition segment, its `MFL1`
 //!   manifest and its `MFK1` catalog.
 //!
+//! The `MFK1` catalog and the `Init` frame's catalog hold one DIMM whose
+//! spec differs from `DimmSpec::default()` in every field
+//! ([`odd_spec`]), so a spec layout that swapped two fields cannot pass.
+//! Every strict prefix and every single-bit flip of the sealed metadata
+//! files (`meta.bin`, `manifest.bin`, `catalog.bin`, and a sample of
+//! `checkpoint.bin`) must be refused with the format's typed error.
+//!
 //! Regenerate them only when a format changes on purpose:
 //! `cargo test --test golden_formats -- --ignored write_format_fixtures`.
 
 use mfp_dram::address::{CellAddr, DimmId};
 use mfp_dram::bus::ErrorTransfer;
 use mfp_dram::event::{CeEvent, CeStormEvent, MemEvent, UeEvent};
-use mfp_dram::geometry::Platform;
-use mfp_dram::spec::DimmSpec;
+use mfp_dram::geometry::{DataWidth, DeviceGeometry, Platform};
+use mfp_dram::spec::{DieProcess, DimmSpec, Frequency, Manufacturer};
 use mfp_dram::time::SimTime;
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
@@ -39,7 +46,10 @@ use mfp_mlops::procserve::{scan_frames, stream_header, Msg};
 use mfp_mlops::wal::{
     encode_record, scan, shard_dir, WalPayload, WalRecord, WAL_MAGIC, WAL_VERSION,
 };
+use mfp_rng::StdRng;
+use std::collections::BTreeSet;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,6 +61,8 @@ const SHARDS: usize = 2;
 const FIXTURE_SHARD: usize = 0;
 /// The lake partition file the `lake/` fixture holds.
 const LAKE_SEGMENT: &str = "part-purley-0.log";
+/// The DIMM whose catalogued spec is [`odd_spec`].
+const ODD_DIMM: DimmId = DimmId::new(7, 1);
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -111,6 +123,35 @@ fn wal_events() -> Vec<MemEvent> {
             count: 12,
         }),
     ]
+}
+
+/// A spec that differs from `DimmSpec::default()` in every field, enum
+/// codes included (the default's manufacturer and width codes are both
+/// 0).
+fn odd_spec() -> DimmSpec {
+    DimmSpec {
+        manufacturer: Manufacturer::D,
+        width: DataWidth::X8,
+        frequency: Frequency::Mt2400,
+        process: DieProcess::P1z,
+        capacity_gib: 64,
+        ranks: 1,
+        geometry: DeviceGeometry {
+            bank_groups: 2,
+            banks_per_group: 8,
+            row_bits: 16,
+            col_bits: 11,
+        },
+    }
+}
+
+/// The spec the fixture catalogs hold for `d`.
+fn catalog_spec(d: DimmId) -> DimmSpec {
+    if d == ODD_DIMM {
+        odd_spec()
+    } else {
+        DimmSpec::default()
+    }
 }
 
 /// Registers an 8-DIMM Purley fleet and promotes the risky-CE rule.
@@ -190,7 +231,7 @@ fn worker_spec(dimms: &[DimmId]) -> WorkerSpec {
         problem: ProblemConfig::default(),
         thresholds: FaultThresholds::default(),
         model: ModelSpec::default_risky_ce(),
-        catalog: dimms.iter().map(|&d| (d, DimmSpec::default())).collect(),
+        catalog: dimms.iter().map(|&d| (d, catalog_spec(d))).collect(),
         poison: vec![(5, 1)],
     }
 }
@@ -309,7 +350,7 @@ fn write_format_fixtures() {
     let lake_root = test_dir("gen_lake");
     let disk = DiskLake::open(&lake_root).expect("open lake");
     for &d in &dimms {
-        disk.register_dimm(d, Platform::IntelPurley, DimmSpec::default())
+        disk.register_dimm(d, Platform::IntelPurley, catalog_spec(d))
             .expect("register");
     }
     let day: Vec<MemEvent> = outs
@@ -444,6 +485,7 @@ fn mfp1_stream_fixture_decodes_and_reencodes_byte_for_byte() {
             let lake = DataLake::new();
             let dimms = setup(&lake, &ModelRegistry::new());
             assert_eq!(spec, &worker_spec(&dimms));
+            assert!(spec.catalog.contains(&(ODD_DIMM, odd_spec())));
             let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
             assert_eq!(seqs, [0, 15]);
             assert_eq!(records.iter().map(WalRecord::outputs).sum::<u64>(), 16);
@@ -515,6 +557,10 @@ fn disk_lake_fixture_decodes_and_reencodes_byte_for_byte() {
     }
     let disk = DiskLake::open(&root).expect("open the fixture lake");
     assert_eq!(disk.memory().catalog_len(), 8);
+    assert_eq!(
+        disk.memory().dimm_info(ODD_DIMM),
+        Some((Platform::IntelPurley, odd_spec()))
+    );
     let events = disk.query(Platform::IntelPurley, SimTime::ZERO, end());
     assert_eq!(events.len(), 48);
     assert!(events.windows(2).all(|w| w[0].time() <= w[1].time()));
@@ -531,4 +577,117 @@ fn disk_lake_fixture_decodes_and_reencodes_byte_for_byte() {
     }
     let _ = fs::remove_dir_all(&root);
     let _ = fs::remove_dir_all(&again);
+}
+
+/// `bytes` with bit `bit` (counted from the first byte's low bit) flipped.
+fn flipped(bytes: &[u8], bit: usize) -> (String, Vec<u8>) {
+    let mut out = bytes.to_vec();
+    out[bit / 8] ^= 1 << (bit % 8);
+    (format!("with bit {bit} flipped"), out)
+}
+
+/// Every strict prefix of `bytes`.
+fn prefixes(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    (0..bytes.len()).map(|n| (format!("cut to {n} bytes"), bytes[..n].to_vec()))
+}
+
+/// Every strict prefix and every single-bit flip of `bytes`.
+fn every_corruption(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    prefixes(bytes).chain((0..bytes.len() * 8).map(|bit| flipped(bytes, bit)))
+}
+
+#[test]
+fn mfw2_meta_refuses_every_prefix_and_bit_flip() {
+    let bytes = read_fixture("meta.bin");
+    let lake = DataLake::new();
+    let registry = ModelRegistry::new();
+    setup(&lake, &registry);
+    let stores = make_stores(SHARDS, ProblemConfig::default(), FaultThresholds::default());
+    let root = test_dir("mfw2_sweep");
+    for (what, bad) in every_corruption(&bytes) {
+        fs::write(root.join("meta.bin"), &bad).expect("stage meta");
+        let got = ShardedDurable::open(
+            &root,
+            &lake,
+            &stores,
+            &registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            durable_cfg(),
+        )
+        .map(|_| ());
+        assert!(
+            matches!(got, Err(WalError::BadMeta(_))),
+            "meta.bin {what}: {got:?}"
+        );
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn lake_metadata_refuses_every_prefix_and_bit_flip() {
+    let root = test_dir("lake_sweep");
+    for name in ["catalog.bin", "manifest.bin", LAKE_SEGMENT] {
+        fs::write(root.join(name), read_fixture(&format!("lake/{name}"))).expect("stage");
+    }
+    for name in ["manifest.bin", "catalog.bin"] {
+        let good = read_fixture(&format!("lake/{name}"));
+        for (what, bad) in every_corruption(&good) {
+            fs::write(root.join(name), &bad).expect("stage corrupt file");
+            let got = DiskLake::open(&root).map(|_| ());
+            assert!(
+                matches!(got, Err(LakeError::Corrupt(_))),
+                "{name} {what}: {got:?}"
+            );
+        }
+        fs::write(root.join(name), &good).expect("restore");
+    }
+    DiskLake::open(&root).expect("the restored fixture opens");
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn mfd1_checkpoint_refuses_prefixes_and_bit_flips() {
+    let bytes = read_fixture("checkpoint.bin");
+    // Every bit of the 21-byte header (magic, version, applied, payload
+    // length) and of the 4-byte crc, plus a seeded sample of the body's.
+    let body: Range<usize> = 21 * 8..(bytes.len() - 4) * 8;
+    let mut rng = StdRng::seed_from_u64(0x4D46_4431);
+    let mut sample = BTreeSet::new();
+    while sample.len() < 2_000 {
+        sample.insert(rng.random_range(body.clone()));
+    }
+    let bits = (0..body.start)
+        .chain(body.end..bytes.len() * 8)
+        .chain(sample);
+
+    let lake = DataLake::new();
+    let registry = ModelRegistry::new();
+    setup(&lake, &registry);
+    let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
+    let dir = test_dir("mfd1_sweep");
+    let mut apply = |p: &mut OnlinePredictor<'_>, out: &IngestOutput, _seq: u64| {
+        p.apply(out);
+        ApplyVerdict::Applied
+    };
+    for (what, bad) in prefixes(&bytes).chain(bits.map(|bit| flipped(&bytes, bit))) {
+        fs::write(dir.join("checkpoint.bin"), &bad).expect("stage checkpoint");
+        let got = DurableShard::open(
+            &dir,
+            &lake,
+            &store,
+            &registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            durable_cfg(),
+            FIXTURE_SHARD,
+            &mut apply,
+        )
+        .map(|_| ());
+        assert!(
+            matches!(got, Err(WalError::Checkpoint(_))),
+            "checkpoint.bin {what}: {got:?}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
