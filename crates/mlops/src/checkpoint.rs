@@ -10,13 +10,17 @@
 //! [`FeatureStore`](crate::feature_store::FeatureStore)'s per-DIMM rolling
 //! event windows, which are the predictor's only other mutable input.
 //!
-//! Serialization is a hand-rolled binary format in the style of
-//! `mfp_dram::bmc` (magic + version + length-prefixed sections, big
-//! endian, `f32` as raw bits); per-DIMM event windows are embedded as
-//! encoded `BmcLog` payloads so the wire format is shared with the
-//! collectors'. No serde, no floating-point text round-trips, nothing
-//! that could perturb a bit.
+//! Serialization is a hand-rolled binary format written through the
+//! crate's `codec` module: length-prefixed sections (big endian, `f32`
+//! as raw bits) sealed in the codec's magic + version + crc32 envelope;
+//! per-DIMM event windows are embedded as encoded `BmcLog` payloads so
+//! the wire format is shared with the collectors'. No serde, no
+//! floating-point text round-trips, nothing that could perturb a bit.
 
+use crate::codec::{
+    open_sealed, put_alarm, put_dimm, put_f32, put_online, put_platform, put_score, put_time,
+    put_u32, put_u64, seal, CodecError, Reader,
+};
 use crate::feature_store::FeatureStore;
 use crate::lake::DataLake;
 use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
@@ -25,7 +29,7 @@ use mfp_dram::address::DimmId;
 use mfp_dram::bmc::{BmcLog, DecodeError};
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
-use mfp_dram::time::{SimDuration, SimTime};
+use mfp_dram::time::SimTime;
 use std::error::Error;
 use std::fmt;
 
@@ -38,40 +42,8 @@ const MAGIC: [u8; 4] = *b"MFC1";
 /// predictor without replaying history; v2 payloads still decode (their
 /// trace restores as `None`).
 const VERSION: u8 = 3;
-/// Oldest wire-format version [`verify_envelope`] still accepts.
+/// Oldest wire-format version [`OnlineCheckpoint::decode`] still accepts.
 const MIN_VERSION: u8 = 2;
-
-/// Appends the payload CRC: every checkpoint wire
-/// payload is `header ++ body ++ crc32(header ++ body)`.
-fn seal(mut buf: Vec<u8>) -> Vec<u8> {
-    let crc = crate::wal::crc32(&buf);
-    buf.extend_from_slice(&crc.to_be_bytes());
-    buf
-}
-
-/// Checks magic, version and the trailing CRC32; returns the payload
-/// between the 5-byte header and the 4-byte checksum along with the
-/// envelope's version, so decoders can accept the historical formats in
-/// `MIN_VERSION..=VERSION`.
-fn verify_envelope(data: &[u8]) -> Result<(&[u8], u8), CheckpointError> {
-    let mut c = Cursor { data };
-    if c.bytes(4)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = c.u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    if data.len() < 9 {
-        return Err(CheckpointError::Truncated);
-    }
-    let (body, tail) = data.split_at(data.len() - 4);
-    let want = u32::from_be_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    if crate::wal::crc32(body) != want {
-        return Err(CheckpointError::BadChecksum);
-    }
-    Ok((&body[5..], version))
-}
 
 /// A point-in-time snapshot of the online prediction state.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,72 +139,61 @@ impl OnlineCheckpoint {
     /// compatibility tests; production writers always emit `VERSION`.
     pub(crate) fn encode_versioned(&self, version: u8) -> Vec<u8> {
         debug_assert!((MIN_VERSION..=VERSION).contains(&version));
-        let mut buf = Vec::with_capacity(256 + self.streams.len() * 64);
-        buf.extend_from_slice(&MAGIC);
-        buf.push(version);
-        let platform = Platform::ALL
-            .iter()
-            .position(|p| *p == self.platform)
-            .unwrap_or(0) as u8;
-        buf.push(platform);
-        buf.extend_from_slice(&self.cfg.prediction_interval.as_secs().to_be_bytes());
-        buf.extend_from_slice(&(self.cfg.votes as u64).to_be_bytes());
-        buf.extend_from_slice(&self.cfg.alarm_cooldown.as_secs().to_be_bytes());
-        buf.extend_from_slice(&self.cfg.degraded_grace.as_secs().to_be_bytes());
-        buf.extend_from_slice(&self.next_tick.as_secs().to_be_bytes());
-        buf.extend_from_slice(&self.watermark.as_secs().to_be_bytes());
-        buf.extend_from_slice(&self.scored.to_be_bytes());
-        buf.extend_from_slice(&self.stale_rejected.to_be_bytes());
-        buf.extend_from_slice(&(self.streaks.len() as u64).to_be_bytes());
-        for (d, s) in &self.streaks {
-            put_dimm(&mut buf, *d);
-            buf.extend_from_slice(&s.to_be_bytes());
-        }
-        buf.extend_from_slice(&(self.last_alarm.len() as u64).to_be_bytes());
-        for (d, t) in &self.last_alarm {
-            put_dimm(&mut buf, *d);
-            buf.extend_from_slice(&t.as_secs().to_be_bytes());
-        }
-        buf.extend_from_slice(&(self.alarms.len() as u64).to_be_bytes());
-        for a in &self.alarms {
-            put_dimm(&mut buf, a.dimm);
-            buf.extend_from_slice(&a.time.as_secs().to_be_bytes());
-            buf.extend_from_slice(&a.score.to_bits().to_be_bytes());
-        }
-        buf.extend_from_slice(&(self.last_good.len() as u64).to_be_bytes());
-        for (d, t, row) in &self.last_good {
-            put_dimm(&mut buf, *d);
-            buf.extend_from_slice(&t.as_secs().to_be_bytes());
-            buf.extend_from_slice(&(row.len() as u64).to_be_bytes());
-            for v in row {
-                buf.extend_from_slice(&v.to_bits().to_be_bytes());
+        seal(MAGIC, version, |buf| {
+            buf.reserve(256 + self.streams.len() * 64);
+            put_platform(buf, self.platform);
+            put_online(buf, &self.cfg);
+            put_time(buf, self.next_tick);
+            put_time(buf, self.watermark);
+            put_u64(buf, self.scored);
+            put_u64(buf, self.stale_rejected);
+            put_u64(buf, self.streaks.len() as u64);
+            for (d, s) in &self.streaks {
+                put_dimm(buf, *d);
+                put_u32(buf, *s);
             }
-        }
-        buf.extend_from_slice(&(self.streams.len() as u64).to_be_bytes());
-        for (d, events) in &self.streams {
-            put_dimm(&mut buf, *d);
-            // Embedded collector wire format; BmcLog's stable sort keeps
-            // the already-ordered window byte-identical through the trip.
-            let log: BmcLog = events.iter().copied().collect();
-            let payload = log.encode();
-            buf.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        if version >= 3 {
-            match &self.trace {
-                None => buf.push(0),
-                Some(trace) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&(trace.len() as u64).to_be_bytes());
-                    for r in trace {
-                        buf.extend_from_slice(&r.time.as_secs().to_be_bytes());
-                        put_dimm(&mut buf, r.dimm);
-                        buf.extend_from_slice(&r.score.to_bits().to_be_bytes());
+            put_u64(buf, self.last_alarm.len() as u64);
+            for (d, t) in &self.last_alarm {
+                put_dimm(buf, *d);
+                put_time(buf, *t);
+            }
+            put_u64(buf, self.alarms.len() as u64);
+            for a in &self.alarms {
+                put_alarm(buf, a);
+            }
+            put_u64(buf, self.last_good.len() as u64);
+            for (d, t, row) in &self.last_good {
+                put_dimm(buf, *d);
+                put_time(buf, *t);
+                put_u64(buf, row.len() as u64);
+                for v in row {
+                    put_f32(buf, *v);
+                }
+            }
+            put_u64(buf, self.streams.len() as u64);
+            for (d, events) in &self.streams {
+                put_dimm(buf, *d);
+                // Embedded collector wire format; BmcLog's stable sort
+                // keeps the already-ordered window byte-identical through
+                // the trip.
+                let log: BmcLog = events.iter().copied().collect();
+                let payload = log.encode();
+                put_u64(buf, payload.len() as u64);
+                buf.extend_from_slice(&payload);
+            }
+            if version >= 3 {
+                match &self.trace {
+                    None => buf.push(0),
+                    Some(trace) => {
+                        buf.push(1);
+                        put_u64(buf, trace.len() as u64);
+                        for r in trace {
+                            put_score(buf, r);
+                        }
                     }
                 }
             }
-        }
-        seal(buf)
+        })
     }
 
     /// Deserializes a checkpoint.
@@ -243,74 +204,57 @@ impl OnlineCheckpoint {
     /// checksum mismatch (torn write or bit rot), an unknown platform
     /// index, or a malformed embedded event log.
     pub fn decode(data: &[u8]) -> Result<OnlineCheckpoint, CheckpointError> {
-        let (payload, version) = verify_envelope(data)?;
-        let mut c = Cursor { data: payload };
-        let pidx = c.u8()?;
-        let platform = *Platform::ALL
-            .get(pidx as usize)
-            .ok_or(CheckpointError::BadPlatform(pidx))?;
-        let cfg = OnlineConfig {
-            prediction_interval: SimDuration::secs(c.u64()?),
-            votes: c.u64()? as usize,
-            alarm_cooldown: SimDuration::secs(c.u64()?),
-            degraded_grace: SimDuration::secs(c.u64()?),
-        };
-        let next_tick = SimTime::from_secs(c.u64()?);
-        let watermark = SimTime::from_secs(c.u64()?);
+        let (version, body) = open_sealed(data, MAGIC, MIN_VERSION..=VERSION)?;
+        let mut c = Reader::new(body);
+        let platform = c.platform()?;
+        let cfg = c.online()?;
+        let next_tick = c.time()?;
+        let watermark = c.time()?;
         let scored = c.u64()?;
         let stale_rejected = c.u64()?;
-        let n = c.len()?;
+        let n = c.count()?;
         let mut streaks = Vec::with_capacity(n);
         for _ in 0..n {
-            let d = c.dimm()?;
-            streaks.push((d, c.u32()?));
+            streaks.push((c.dimm()?, c.u32()?));
         }
-        let n = c.len()?;
+        let n = c.count()?;
         let mut last_alarm = Vec::with_capacity(n);
         for _ in 0..n {
-            let d = c.dimm()?;
-            last_alarm.push((d, SimTime::from_secs(c.u64()?)));
+            last_alarm.push((c.dimm()?, c.time()?));
         }
-        let n = c.len()?;
+        let n = c.count()?;
         let mut alarms = Vec::with_capacity(n);
         for _ in 0..n {
-            let dimm = c.dimm()?;
-            let time = SimTime::from_secs(c.u64()?);
-            let score = f32::from_bits(c.u32()?);
-            alarms.push(Alarm { dimm, time, score });
+            alarms.push(c.alarm()?);
         }
-        let n = c.len()?;
+        let n = c.count()?;
         let mut last_good = Vec::with_capacity(n);
         for _ in 0..n {
             let d = c.dimm()?;
-            let t = SimTime::from_secs(c.u64()?);
-            let rl = c.len()?;
+            let t = c.time()?;
+            let rl = c.count()?;
             let mut row = Vec::with_capacity(rl);
             for _ in 0..rl {
-                row.push(f32::from_bits(c.u32()?));
+                row.push(c.f32()?);
             }
             last_good.push((d, t, row));
         }
-        let n = c.len()?;
+        let n = c.count()?;
         let mut streams = Vec::with_capacity(n);
         for _ in 0..n {
             let d = c.dimm()?;
-            let plen = c.len()?;
-            let payload = c.bytes(plen)?;
-            let log = BmcLog::decode(payload).map_err(CheckpointError::BadLog)?;
+            let plen = c.count()?;
+            let log = BmcLog::decode(c.take(plen)?).map_err(CheckpointError::BadLog)?;
             streams.push((d, log.events().to_vec()));
         }
         let trace = if version >= 3 {
             match c.u8()? {
                 0 => None,
                 1 => {
-                    let n = c.len()?;
+                    let n = c.count()?;
                     let mut t = Vec::with_capacity(n);
                     for _ in 0..n {
-                        let time = SimTime::from_secs(c.u64()?);
-                        let dimm = c.dimm()?;
-                        let score = f32::from_bits(c.u32()?);
-                        t.push(ScoreRecord { time, dimm, score });
+                        t.push(c.score()?);
                     }
                     Some(t)
                 }
@@ -335,59 +279,6 @@ impl OnlineCheckpoint {
             streams,
             trace,
         })
-    }
-}
-
-fn put_dimm(buf: &mut Vec<u8>, d: DimmId) {
-    buf.extend_from_slice(&d.server.0.to_be_bytes());
-    buf.push(d.slot);
-}
-
-/// Bounds-checked big-endian reader over a byte slice.
-struct Cursor<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.data.len() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let (head, tail) = self.data.split_at(n);
-        self.data = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A u64 length field, sanity-bounded by the remaining payload so a
-    /// corrupted count cannot trigger a huge allocation.
-    fn len(&mut self) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        if n > self.data.len() as u64 {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n as usize)
-    }
-
-    fn dimm(&mut self) -> Result<DimmId, CheckpointError> {
-        let server = self.u32()?;
-        let slot = self.u8()?;
-        Ok(DimmId::new(server, slot))
     }
 }
 
@@ -423,6 +314,20 @@ impl fmt::Display for CheckpointError {
 
 impl Error for CheckpointError {}
 
+/// The codec's refusals as checkpoint errors; the only enum code an
+/// `MFC1` payload carries is the platform index.
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Short | CodecError::Trailing => CheckpointError::Truncated,
+            CodecError::BadMagic => CheckpointError::BadMagic,
+            CodecError::BadVersion(v) => CheckpointError::BadVersion(v),
+            CodecError::BadChecksum => CheckpointError::BadChecksum,
+            CodecError::BadCode { code, .. } => CheckpointError::BadPlatform(code),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,6 +336,7 @@ mod tests {
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::CeEvent;
     use mfp_dram::spec::DimmSpec;
+    use mfp_dram::time::SimDuration;
     use mfp_features::fault_analysis::FaultThresholds;
     use mfp_features::labeling::ProblemConfig;
     use mfp_ml::metrics::{Confusion, Evaluation};

@@ -4,17 +4,21 @@
 //! partitioned by platform and simulated day, alongside the DIMM
 //! specification catalog, and serves range queries to the feature store.
 
+use crate::codec::{
+    atomic_write, open_sealed, put_dimm, put_platform, put_spec, put_u32, put_u64, seal,
+    CodecError, Reader,
+};
 use mfp_dram::address::DimmId;
 use mfp_dram::bmc::{BmcLog, DecodeError};
 use mfp_dram::event::MemEvent;
-use mfp_dram::geometry::{DataWidth, DeviceGeometry, Platform};
-use mfp_dram::spec::{DieProcess, DimmSpec, Frequency, Manufacturer};
+use mfp_dram::geometry::Platform;
+use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -188,15 +192,24 @@ impl From<DecodeError> for LakeError {
     }
 }
 
+/// Every codec refusal in a lake file is corruption.
+impl From<CodecError> for LakeError {
+    fn from(e: CodecError) -> Self {
+        LakeError::Corrupt(match e {
+            CodecError::Short => "truncated",
+            CodecError::Trailing => "trailing bytes",
+            CodecError::BadMagic | CodecError::BadVersion(_) => "not a lake file",
+            CodecError::BadChecksum => "checksum mismatch",
+            CodecError::BadCode { what, .. } => what,
+        })
+    }
+}
+
 /// Magic bytes of the lake manifest file.
 const MANIFEST_MAGIC: [u8; 4] = *b"MFL1";
 /// Magic bytes of the lake catalog file.
 const CATALOG_MAGIC: [u8; 4] = *b"MFK1";
 const LAKE_VERSION: u8 = 1;
-/// Bytes per manifest entry: platform, day, committed, events, min, max.
-const MANIFEST_ENTRY_LEN: usize = 1 + 8 + 8 + 8 + 8 + 8;
-/// Bytes per catalog entry: DIMM id, platform, and the full spec.
-const CATALOG_ENTRY_LEN: usize = 4 + 1 + 1 + 11;
 
 /// Per-partition manifest state: how much of the partition file is
 /// committed (a crash mid-append leaves bytes past this point, which
@@ -214,162 +227,59 @@ struct ManifestEntry {
     max_time: u64,
 }
 
-fn platform_index(p: Platform) -> Result<u8, LakeError> {
-    Platform::ALL
-        .iter()
-        .position(|&q| q == p)
-        .map(|i| i as u8)
-        .ok_or(LakeError::Corrupt("platform missing from Platform::ALL"))
-}
-
-fn encode_manifest(entries: &BTreeMap<PartitionKey, ManifestEntry>) -> Result<Vec<u8>, LakeError> {
-    let mut out = Vec::with_capacity(5 + 8 + entries.len() * MANIFEST_ENTRY_LEN + 4);
-    out.extend_from_slice(&MANIFEST_MAGIC);
-    out.push(LAKE_VERSION);
-    out.extend_from_slice(&(entries.len() as u64).to_be_bytes());
-    for ((platform, day), e) in entries {
-        out.push(platform_index(*platform)?);
-        out.extend_from_slice(&day.to_be_bytes());
-        out.extend_from_slice(&e.committed_bytes.to_be_bytes());
-        out.extend_from_slice(&e.events.to_be_bytes());
-        out.extend_from_slice(&e.min_time.to_be_bytes());
-        out.extend_from_slice(&e.max_time.to_be_bytes());
-    }
-    out.extend_from_slice(&crate::wal::crc32(&out).to_be_bytes());
-    Ok(out)
+/// The manifest file: a count, then `platform day committed events min
+/// max` per partition.
+fn encode_manifest(entries: &BTreeMap<PartitionKey, ManifestEntry>) -> Vec<u8> {
+    seal(MANIFEST_MAGIC, LAKE_VERSION, |b| {
+        put_u64(b, entries.len() as u64);
+        for ((platform, day), e) in entries {
+            put_platform(b, *platform);
+            for v in [*day, e.committed_bytes, e.events, e.min_time, e.max_time] {
+                put_u64(b, v);
+            }
+        }
+    })
 }
 
 fn decode_manifest(data: &[u8]) -> Result<BTreeMap<PartitionKey, ManifestEntry>, LakeError> {
-    let body = verify_lake_envelope(data, &MANIFEST_MAGIC, "manifest")?;
-    let n = read_u64(body, 0, "manifest count")? as usize;
-    if n > body.len() {
-        return Err(LakeError::Corrupt("manifest count exceeds file"));
-    }
-    if body.len() != 8 + n * MANIFEST_ENTRY_LEN {
-        return Err(LakeError::Corrupt("manifest length mismatch"));
-    }
+    let (_, body) = open_sealed(data, MANIFEST_MAGIC, LAKE_VERSION..=LAKE_VERSION)?;
+    let mut r = Reader::new(body);
     let mut entries = BTreeMap::new();
-    for i in 0..n {
-        let at = 8 + i * MANIFEST_ENTRY_LEN;
-        let platform = *Platform::ALL
-            .get(body[at] as usize)
-            .ok_or(LakeError::Corrupt("manifest platform index"))?;
-        let day = read_u64(body, at + 1, "manifest day")?;
-        entries.insert(
-            (platform, day),
-            ManifestEntry {
-                committed_bytes: read_u64(body, at + 9, "manifest committed")?,
-                events: read_u64(body, at + 17, "manifest events")?,
-                min_time: read_u64(body, at + 25, "manifest min")?,
-                max_time: read_u64(body, at + 33, "manifest max")?,
-            },
-        );
+    for _ in 0..r.count()? {
+        let key = (r.platform()?, r.u64()?);
+        let entry = ManifestEntry {
+            committed_bytes: r.u64()?,
+            events: r.u64()?,
+            min_time: r.u64()?,
+            max_time: r.u64()?,
+        };
+        entries.insert(key, entry);
     }
+    r.done()?;
     Ok(entries)
 }
 
-fn encode_catalog(catalog: &BTreeMap<DimmId, (Platform, DimmSpec)>) -> Result<Vec<u8>, LakeError> {
-    let mut out = Vec::with_capacity(5 + 8 + catalog.len() * CATALOG_ENTRY_LEN + 4);
-    out.extend_from_slice(&CATALOG_MAGIC);
-    out.push(LAKE_VERSION);
-    out.extend_from_slice(&(catalog.len() as u64).to_be_bytes());
-    for (id, (platform, spec)) in catalog {
-        out.extend_from_slice(&id.server.0.to_be_bytes());
-        out.push(id.slot);
-        out.push(platform_index(*platform)?);
-        out.push(spec.manufacturer.index() as u8);
-        out.push(match spec.width {
-            DataWidth::X4 => 0,
-            DataWidth::X8 => 1,
-        });
-        out.push(
-            Frequency::ALL
-                .iter()
-                .position(|&f| f == spec.frequency)
-                .ok_or(LakeError::Corrupt("frequency missing from Frequency::ALL"))?
-                as u8,
-        );
-        out.push(spec.process.index() as u8);
-        out.extend_from_slice(&spec.capacity_gib.to_be_bytes());
-        out.push(spec.ranks);
-        out.push(spec.geometry.bank_groups);
-        out.push(spec.geometry.banks_per_group);
-        out.push(spec.geometry.row_bits);
-        out.push(spec.geometry.col_bits);
-    }
-    out.extend_from_slice(&crate::wal::crc32(&out).to_be_bytes());
-    Ok(out)
+/// The catalog file: a count, then `dimm platform spec` per DIMM.
+fn encode_catalog(catalog: &BTreeMap<DimmId, (Platform, DimmSpec)>) -> Vec<u8> {
+    seal(CATALOG_MAGIC, LAKE_VERSION, |b| {
+        put_u64(b, catalog.len() as u64);
+        for (id, (platform, spec)) in catalog {
+            put_dimm(b, *id);
+            put_platform(b, *platform);
+            put_spec(b, spec);
+        }
+    })
 }
 
 fn decode_catalog(data: &[u8]) -> Result<BTreeMap<DimmId, (Platform, DimmSpec)>, LakeError> {
-    let body = verify_lake_envelope(data, &CATALOG_MAGIC, "catalog")?;
-    let n = read_u64(body, 0, "catalog count")? as usize;
-    if n > body.len() {
-        return Err(LakeError::Corrupt("catalog count exceeds file"));
-    }
-    if body.len() != 8 + n * CATALOG_ENTRY_LEN {
-        return Err(LakeError::Corrupt("catalog length mismatch"));
-    }
+    let (_, body) = open_sealed(data, CATALOG_MAGIC, LAKE_VERSION..=LAKE_VERSION)?;
+    let mut r = Reader::new(body);
     let mut catalog = BTreeMap::new();
-    for i in 0..n {
-        let at = 8 + i * CATALOG_ENTRY_LEN;
-        let e = &body[at..at + CATALOG_ENTRY_LEN];
-        let id = DimmId::new(u32::from_be_bytes([e[0], e[1], e[2], e[3]]), e[4]);
-        let platform = *Platform::ALL
-            .get(e[5] as usize)
-            .ok_or(LakeError::Corrupt("catalog platform index"))?;
-        let spec = DimmSpec {
-            manufacturer: *Manufacturer::ALL
-                .get(e[6] as usize)
-                .ok_or(LakeError::Corrupt("catalog manufacturer index"))?,
-            width: match e[7] {
-                0 => DataWidth::X4,
-                1 => DataWidth::X8,
-                _ => return Err(LakeError::Corrupt("catalog width code")),
-            },
-            frequency: *Frequency::ALL
-                .get(e[8] as usize)
-                .ok_or(LakeError::Corrupt("catalog frequency index"))?,
-            process: *DieProcess::ALL
-                .get(e[9] as usize)
-                .ok_or(LakeError::Corrupt("catalog process index"))?,
-            capacity_gib: u16::from_be_bytes([e[10], e[11]]),
-            ranks: e[12],
-            geometry: DeviceGeometry {
-                bank_groups: e[13],
-                banks_per_group: e[14],
-                row_bits: e[15],
-                col_bits: e[16],
-            },
-        };
-        catalog.insert(id, (platform, spec));
+    for _ in 0..r.count()? {
+        catalog.insert(r.dimm()?, (r.platform()?, r.spec()?));
     }
+    r.done()?;
     Ok(catalog)
-}
-
-/// Checks magic, version and the trailing CRC of a lake metadata file;
-/// returns the body between the 5-byte header and the 4-byte checksum.
-fn verify_lake_envelope<'a>(
-    data: &'a [u8],
-    magic: &[u8; 4],
-    what: &'static str,
-) -> Result<&'a [u8], LakeError> {
-    if data.len() < 9 || &data[..4] != magic || data[4] != LAKE_VERSION {
-        return Err(LakeError::Corrupt(what));
-    }
-    let (body, tail) = data.split_at(data.len() - 4);
-    if crate::wal::crc32(body) != u32::from_be_bytes([tail[0], tail[1], tail[2], tail[3]]) {
-        return Err(LakeError::Corrupt(what));
-    }
-    Ok(&body[5..])
-}
-
-fn read_u64(data: &[u8], at: usize, what: &'static str) -> Result<u64, LakeError> {
-    let bytes: [u8; 8] = data
-        .get(at..at + 8)
-        .and_then(|s| s.try_into().ok())
-        .ok_or(LakeError::Corrupt(what))?;
-    Ok(u64::from_be_bytes(bytes))
 }
 
 /// A crash-safe, log-structured [`DataLake`] under a root directory.
@@ -433,21 +343,13 @@ impl DiskLake {
                 if (data.len() as u64) < entry.committed_bytes {
                     return Err(LakeError::Corrupt("partition shorter than committed"));
                 }
-                let committed = &data[..entry.committed_bytes as usize];
                 // `entry.events` is untrusted until the count check below,
                 // so it must not size an allocation.
                 let mut events: Vec<MemEvent> = Vec::new();
-                let mut at = 0usize;
-                while at < committed.len() {
-                    let len = committed
-                        .get(at..at + 4)
-                        .map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]) as usize)
-                        .ok_or(LakeError::Corrupt("partition chunk header"))?;
-                    let chunk = committed
-                        .get(at + 4..at + 4 + len)
-                        .ok_or(LakeError::Corrupt("partition chunk body"))?;
-                    events.extend_from_slice(BmcLog::decode(chunk)?.events());
-                    at += 4 + len;
+                let mut chunks = Reader::new(&data[..entry.committed_bytes as usize]);
+                while !chunks.rest().is_empty() {
+                    let len = chunks.u32()? as usize;
+                    events.extend_from_slice(BmcLog::decode(chunks.take(len)?)?.events());
                 }
                 if events.len() as u64 != entry.events {
                     return Err(LakeError::Corrupt("partition event count mismatch"));
@@ -519,8 +421,8 @@ impl DiskLake {
     }
 
     fn persist_catalog(&self) -> Result<(), LakeError> {
-        let bytes = encode_catalog(&self.mem.catalog.read().expect(POISONED))?;
-        Ok(atomic_write_file(&self.root.join("catalog.bin"), &bytes)?)
+        let bytes = encode_catalog(&self.mem.catalog.read().expect(POISONED));
+        Ok(atomic_write(&self.root.join("catalog.bin"), &bytes)?)
     }
 
     /// Ingests events: committed to partition files first (append +
@@ -550,7 +452,7 @@ impl DiskLake {
             let log: BmcLog = group.iter().copied().collect();
             let payload = log.encode();
             let mut chunk = Vec::with_capacity(4 + payload.len());
-            chunk.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            put_u32(&mut chunk, payload.len() as u32);
             chunk.extend_from_slice(&payload);
             let path = self.root.join(partition_file(*key));
             let mut file = fs::OpenOptions::new()
@@ -576,10 +478,7 @@ impl DiskLake {
             entry.max_time = entry.max_time.max(hi);
         }
         if !groups.is_empty() {
-            atomic_write_file(
-                &self.root.join("manifest.bin"),
-                &encode_manifest(&manifest)?,
-            )?;
+            atomic_write(&self.root.join("manifest.bin"), &encode_manifest(&manifest))?;
         }
         drop(manifest);
         Ok(self.mem.ingest(events))
@@ -634,17 +533,6 @@ impl DiskLake {
 
 fn partition_file(key: PartitionKey) -> String {
     format!("part-{}-{}.log", key.0.code(), key.1)
-}
-
-/// Atomic tmp-write-then-rename, shared by catalog and manifest.
-fn atomic_write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

@@ -10,6 +10,11 @@
 //!   re-sequencing with quarantine, and collection-gap detection.
 //! * [`checkpoint`] — crash/restore for the online path: bit-exact
 //!   serialization of predictor + feature-stream state.
+//! * `codec` — the byte layouts every sealed format shares: one
+//!   bounds-checked big-endian reader, one `magic version body crc32`
+//!   envelope, one `kind seq len payload crc32` frame with its prefix
+//!   scan, one layout per shared record (DIMM id and spec, online
+//!   config, alarm, score) and one atomic file write.
 //! * [`feature_store`] — transformation (batch + streaming), storage,
 //!   cataloging and serving of features, with an executable train/serve
 //!   consistency check.
@@ -47,6 +52,7 @@
 
 pub mod checkpoint;
 pub mod cicd;
+pub(crate) mod codec;
 pub mod drift;
 pub mod feature_store;
 pub mod ingest;

@@ -42,6 +42,11 @@
 //! [`crate::serve::ServeError::ShardUnavailable`] via
 //! [`crate::supervise::SupervisedOutcome::dimm_status`].
 
+use crate::codec::{
+    frame, frame_len, header, put_alarm, put_dimm, put_f32, put_online, put_platform, put_score,
+    put_spec, put_time, put_u16, put_u32, put_u64, read_frame, scan_prefix, CodecError, Reader,
+    FRAME_HEADER_LEN, HEADER_LEN,
+};
 use crate::feature_store::FeatureStore;
 use crate::ingest::IngestOutput;
 use crate::lake::DataLake;
@@ -52,12 +57,12 @@ use crate::supervise::{
     Started, Step, Stop, SuperviseConfig, SupervisedOutcome,
 };
 use crate::wal::{
-    batch_outputs, check_meta, crc32, decode_record, encode_record, expand_record, record_len,
-    shard_dir, DurableConfig, DurableShard, FlushStatus, WalError, WalRecord, RECORD_HEADER_LEN,
+    batch_outputs, check_meta, decode_record, encode_record, expand_record, shard_dir,
+    DurableConfig, DurableShard, FlushStatus, WalError, WalRecord,
 };
 use mfp_dram::address::DimmId;
-use mfp_dram::geometry::{DataWidth, DeviceGeometry, Platform};
-use mfp_dram::spec::{DieProcess, DimmSpec, Frequency, Manufacturer};
+use mfp_dram::geometry::Platform;
+use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::{SimDuration, SimTime};
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
@@ -83,13 +88,10 @@ pub const IPC_VERSION: u8 = 1;
 /// the test-harness entry).
 pub const WORKER_ENV: &str = "MFP_SHARD_WORKER";
 
-/// Stream-header length: magic + version.
-const STREAM_HEADER_LEN: usize = IPC_MAGIC.len() + 1;
-
 /// Upper bound on a whole frame (header, payload of at most 2^28 bytes,
 /// crc); a length field above this is treated as corruption rather than
 /// an allocation request.
-const MAX_FRAME_LEN: usize = RECORD_HEADER_LEN + (1 << 28) + 4;
+const MAX_FRAME_LEN: usize = FRAME_HEADER_LEN + (1 << 28) + 4;
 
 // Frame kinds, router → worker.
 const K_INIT: u8 = 1;
@@ -160,12 +162,21 @@ impl From<WalError> for ProcError {
     }
 }
 
+/// A payload the codec refuses breaks the protocol; a bad enum code is a
+/// malformed spec field.
+impl From<CodecError> for ProcError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadCode { what, .. } => ProcError::Spec(what),
+            CodecError::Trailing => ProcError::Protocol("trailing bytes after payload"),
+            _ => ProcError::Protocol("payload shorter than declared"),
+        }
+    }
+}
+
 /// The 5-byte stream opener every side writes before its first frame.
-pub fn stream_header() -> [u8; STREAM_HEADER_LEN] {
-    let mut h = [0u8; STREAM_HEADER_LEN];
-    h[..4].copy_from_slice(&IPC_MAGIC);
-    h[4] = IPC_VERSION;
-    h
+pub fn stream_header() -> [u8; HEADER_LEN] {
+    header(IPC_MAGIC, IPC_VERSION)
 }
 
 /// One decoded `MFP1` frame, kind-agnostic.
@@ -181,32 +192,17 @@ pub struct RawFrame {
 
 /// Encodes one frame: the `MFW1` record layout with an arbitrary kind.
 pub fn encode_frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + 4);
-    buf.push(kind);
-    buf.extend_from_slice(&seq.to_be_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(payload);
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_be_bytes());
-    buf
+    frame(kind, seq, payload)
 }
 
 /// Decodes one frame from exactly `data`: `None` on any length or crc
-/// mismatch.
+/// mismatch, or a frame longer than [`MAX_FRAME_LEN`].
 pub(crate) fn decode_frame(data: &[u8]) -> Option<RawFrame> {
-    let total = record_len(data)?;
-    if total > MAX_FRAME_LEN || data.len() != total {
-        return None;
-    }
-    let body = &data[..total - 4];
-    let stored = u32::from_be_bytes(data[total - 4..].try_into().ok()?);
-    if crc32(body) != stored {
-        return None;
-    }
-    Some(RawFrame {
-        kind: data[0],
-        seq: u64::from_be_bytes(data[1..9].try_into().ok()?),
-        payload: body[RECORD_HEADER_LEN..].to_vec(),
+    let (f, len) = read_frame(data)?;
+    (len <= MAX_FRAME_LEN && len == data.len()).then(|| RawFrame {
+        kind: f.kind,
+        seq: f.seq,
+        payload: f.payload.to_vec(),
     })
 }
 
@@ -227,39 +223,15 @@ pub struct FrameScan {
 /// undecodable frame ends the valid prefix — everything after it counts
 /// as torn, never as a misparsed frame.
 pub fn scan_frames(data: &[u8]) -> Result<FrameScan, ProcError> {
-    let header = stream_header();
-    if data.len() < STREAM_HEADER_LEN {
-        if data == &header[..data.len()] {
-            return Ok(FrameScan {
-                frames: Vec::new(),
-                valid_bytes: 0,
-                torn_bytes: data.len() as u64,
-            });
-        }
-        return Err(ProcError::BadHeader);
-    }
-    if data[..STREAM_HEADER_LEN] != header {
-        return Err(ProcError::BadHeader);
-    }
-    let mut frames = Vec::new();
-    let mut pos = STREAM_HEADER_LEN;
-    loop {
-        let rest = &data[pos..];
-        let Some(total) = record_len(rest).filter(|&t| t <= rest.len()) else {
-            break;
-        };
-        match decode_frame(&rest[..total]) {
-            Some(f) => {
-                frames.push(f);
-                pos += total;
-            }
-            None => break,
-        }
-    }
+    let prefix = scan_prefix(data, stream_header(), |rest| {
+        let len = frame_len(rest)?;
+        Some((decode_frame(rest.get(..len)?)?, len))
+    })
+    .ok_or(ProcError::BadHeader)?;
     Ok(FrameScan {
-        frames,
-        valid_bytes: pos as u64,
-        torn_bytes: (data.len() - pos) as u64,
+        frames: prefix.items,
+        valid_bytes: prefix.valid_bytes,
+        torn_bytes: prefix.torn_bytes,
     })
 }
 
@@ -300,24 +272,20 @@ impl FrameReader {
     pub fn next_step(&mut self) -> FrameStep {
         if !self.locked {
             let header = stream_header();
-            match self
-                .buf
-                .windows(STREAM_HEADER_LEN)
-                .position(|w| w == header)
-            {
+            match self.buf.windows(HEADER_LEN).position(|w| w == header) {
                 Some(i) => {
-                    self.buf.drain(..i + STREAM_HEADER_LEN);
+                    self.buf.drain(..i + HEADER_LEN);
                     self.locked = true;
                 }
                 None => {
                     // Keep a possible partial header at the tail.
-                    let keep = self.buf.len().min(STREAM_HEADER_LEN - 1);
+                    let keep = self.buf.len().min(HEADER_LEN - 1);
                     self.buf.drain(..self.buf.len() - keep);
                     return FrameStep::NeedMore;
                 }
             }
         }
-        let Some(total) = record_len(&self.buf) else {
+        let Some(total) = frame_len(&self.buf) else {
             return FrameStep::NeedMore;
         };
         if total > MAX_FRAME_LEN {
@@ -332,63 +300,6 @@ impl FrameReader {
                 FrameStep::Frame(f)
             }
             None => FrameStep::Corrupt,
-        }
-    }
-}
-
-/// A bounds-checked big-endian read cursor over a frame payload.
-struct Cur<'b> {
-    data: &'b [u8],
-}
-
-impl<'b> Cur<'b> {
-    fn new(data: &'b [u8]) -> Self {
-        Cur { data }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'b [u8], ProcError> {
-        let (head, rest) = self
-            .data
-            .split_at_checked(n)
-            .ok_or(ProcError::Protocol("payload shorter than declared"))?;
-        self.data = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProcError> {
-        let (head, rest) = self
-            .data
-            .split_first_chunk::<N>()
-            .ok_or(ProcError::Protocol("payload shorter than declared"))?;
-        self.data = rest;
-        Ok(*head)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProcError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProcError> {
-        Ok(u16::from_be_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProcError> {
-        Ok(u32::from_be_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProcError> {
-        Ok(u64::from_be_bytes(self.array()?))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProcError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn done(&self) -> Result<(), ProcError> {
-        if self.data.is_empty() {
-            Ok(())
-        } else {
-            Err(ProcError::Protocol("trailing bytes after payload"))
         }
     }
 }
@@ -420,15 +331,15 @@ impl ModelSpec {
         match self {
             ModelSpec::RiskyCe { params, threshold } => {
                 buf.push(1);
-                buf.extend_from_slice(&params.min_complex.to_bits().to_be_bytes());
+                put_f32(buf, params.min_complex);
                 buf.push(params.require_interval4 as u8);
-                buf.extend_from_slice(&params.min_rows.to_bits().to_be_bytes());
-                buf.extend_from_slice(&threshold.to_bits().to_be_bytes());
+                put_f32(buf, params.min_rows);
+                put_f32(buf, *threshold);
             }
         }
     }
 
-    fn decode_from(cur: &mut Cur<'_>) -> Result<Self, ProcError> {
+    fn decode_from(cur: &mut Reader<'_>) -> Result<Self, ProcError> {
         match cur.u8()? {
             1 => Ok(ModelSpec::RiskyCe {
                 params: RiskyCeParams {
@@ -441,17 +352,6 @@ impl ModelSpec {
             k => Err(ProcError::UnsupportedModel(k)),
         }
     }
-}
-
-fn enum_idx<T: PartialEq + Copy>(all: &[T], v: T, what: &'static str) -> Result<u8, ProcError> {
-    all.iter()
-        .position(|x| *x == v)
-        .map(|i| i as u8)
-        .ok_or(ProcError::Spec(what))
-}
-
-fn enum_at<T: Copy>(all: &[T], i: u8, what: &'static str) -> Result<T, ProcError> {
-    all.get(i as usize).copied().ok_or(ProcError::Spec(what))
 }
 
 /// Everything a worker needs to rebuild its serving world from scratch:
@@ -485,33 +385,26 @@ pub struct WorkerSpec {
 
 impl WorkerSpec {
     fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), ProcError> {
-        buf.extend_from_slice(&(self.shard as u32).to_be_bytes());
+        put_u32(buf, self.shard as u32);
         let dir = self
             .dir
             .to_str()
             .ok_or(ProcError::Spec("non-utf8 shard dir"))?;
-        buf.extend_from_slice(&(dir.len() as u16).to_be_bytes());
+        put_u16(buf, dir.len() as u16);
         buf.extend_from_slice(dir.as_bytes());
-        buf.push(enum_idx(&Platform::ALL, self.platform, "platform")?);
-        for secs in [
-            self.online.prediction_interval.as_secs(),
-            self.online.votes as u64,
-            self.online.alarm_cooldown.as_secs(),
-            self.online.degraded_grace.as_secs(),
-        ] {
-            buf.extend_from_slice(&secs.to_be_bytes());
-        }
-        buf.extend_from_slice(&(self.durable.batch as u64).to_be_bytes());
-        buf.extend_from_slice(&self.durable.compact_every.to_be_bytes());
+        put_platform(buf, self.platform);
+        put_online(buf, &self.online);
+        put_u64(buf, self.durable.batch as u64);
+        put_u64(buf, self.durable.compact_every);
         buf.push(self.durable.fsync as u8);
         buf.push(self.durable.record_scores as u8);
-        for secs in [
-            self.problem.observation.as_secs(),
-            self.problem.lead.as_secs(),
-            self.problem.prediction.as_secs(),
-            self.problem.sample_interval.as_secs(),
+        for d in [
+            self.problem.observation,
+            self.problem.lead,
+            self.problem.prediction,
+            self.problem.sample_interval,
         ] {
-            buf.extend_from_slice(&secs.to_be_bytes());
+            put_u64(buf, d.as_secs());
         }
         for t in [
             self.thresholds.cell_repeats,
@@ -519,51 +412,29 @@ impl WorkerSpec {
             self.thresholds.col_distinct_rows,
             self.thresholds.bank_distinct,
         ] {
-            buf.extend_from_slice(&t.to_be_bytes());
+            put_u32(buf, t);
         }
         self.model.encode_into(buf);
-        buf.extend_from_slice(&(self.catalog.len() as u32).to_be_bytes());
+        put_u32(buf, self.catalog.len() as u32);
         for (id, spec) in &self.catalog {
-            buf.extend_from_slice(&id.server.0.to_be_bytes());
-            buf.push(id.slot);
-            buf.push(enum_idx(
-                &Manufacturer::ALL,
-                spec.manufacturer,
-                "manufacturer",
-            )?);
-            buf.push(match spec.width {
-                DataWidth::X4 => 0,
-                DataWidth::X8 => 1,
-            });
-            buf.push(enum_idx(&Frequency::ALL, spec.frequency, "frequency")?);
-            buf.push(enum_idx(&DieProcess::ALL, spec.process, "die process")?);
-            buf.extend_from_slice(&spec.capacity_gib.to_be_bytes());
-            buf.push(spec.ranks);
-            buf.push(spec.geometry.bank_groups);
-            buf.push(spec.geometry.banks_per_group);
-            buf.push(spec.geometry.row_bits);
-            buf.push(spec.geometry.col_bits);
+            put_dimm(buf, *id);
+            put_spec(buf, spec);
         }
-        buf.extend_from_slice(&(self.poison.len() as u32).to_be_bytes());
+        put_u32(buf, self.poison.len() as u32);
         for &(seq, fails) in &self.poison {
-            buf.extend_from_slice(&seq.to_be_bytes());
-            buf.extend_from_slice(&fails.to_be_bytes());
+            put_u64(buf, seq);
+            put_u32(buf, fails);
         }
         Ok(())
     }
 
-    fn decode_from(cur: &mut Cur<'_>) -> Result<Self, ProcError> {
+    fn decode_from(cur: &mut Reader<'_>) -> Result<Self, ProcError> {
         let shard = cur.u32()? as usize;
         let dlen = cur.u16()? as usize;
         let dir = std::str::from_utf8(cur.take(dlen)?)
             .map_err(|_| ProcError::Spec("non-utf8 shard dir"))?;
-        let platform = enum_at(&Platform::ALL, cur.u8()?, "platform")?;
-        let online = OnlineConfig {
-            prediction_interval: SimDuration::secs(cur.u64()?),
-            votes: cur.u64()? as usize,
-            alarm_cooldown: SimDuration::secs(cur.u64()?),
-            degraded_grace: SimDuration::secs(cur.u64()?),
-        };
+        let platform = cur.platform()?;
+        let online = cur.online()?;
         let durable = DurableConfig {
             batch: cur.u64()? as usize,
             compact_every: cur.u64()?,
@@ -583,42 +454,13 @@ impl WorkerSpec {
             bank_distinct: cur.u32()?,
         };
         let model = ModelSpec::decode_from(cur)?;
-        let n_dimms = cur.u32()? as usize;
-        let mut catalog = Vec::with_capacity(n_dimms.min(1 << 20));
+        let n_dimms = cur.count_u32()?;
+        let mut catalog = Vec::with_capacity(n_dimms);
         for _ in 0..n_dimms {
-            let server = cur.u32()?;
-            let slot = cur.u8()?;
-            let manufacturer = enum_at(&Manufacturer::ALL, cur.u8()?, "manufacturer")?;
-            let width = match cur.u8()? {
-                0 => DataWidth::X4,
-                1 => DataWidth::X8,
-                _ => return Err(ProcError::Spec("data width")),
-            };
-            let frequency = enum_at(&Frequency::ALL, cur.u8()?, "frequency")?;
-            let process = enum_at(&DieProcess::ALL, cur.u8()?, "die process")?;
-            let capacity_gib = cur.u16()?;
-            let ranks = cur.u8()?;
-            let geometry = DeviceGeometry {
-                bank_groups: cur.u8()?,
-                banks_per_group: cur.u8()?,
-                row_bits: cur.u8()?,
-                col_bits: cur.u8()?,
-            };
-            catalog.push((
-                DimmId::new(server, slot),
-                DimmSpec {
-                    manufacturer,
-                    width,
-                    frequency,
-                    process,
-                    capacity_gib,
-                    ranks,
-                    geometry,
-                },
-            ));
+            catalog.push((cur.dimm()?, cur.spec()?));
         }
-        let n_poison = cur.u32()? as usize;
-        let mut poison = Vec::with_capacity(n_poison.min(1 << 20));
+        let n_poison = cur.count_u32()?;
+        let mut poison = Vec::with_capacity(n_poison);
         for _ in 0..n_poison {
             poison.push((cur.u64()?, cur.u32()?));
         }
@@ -701,66 +543,65 @@ pub enum Msg {
 impl Msg {
     /// Encodes the message as one complete frame.
     pub fn encode(&self) -> Result<Vec<u8>, ProcError> {
-        let (kind, seq, payload) = match self {
+        let mut p = Vec::new();
+        let (kind, seq) = match self {
             Msg::Init(spec) => {
-                let mut p = Vec::new();
                 spec.encode_into(&mut p)?;
-                (K_INIT, spec.shard as u64, p)
+                (K_INIT, spec.shard as u64)
             }
             Msg::Outputs { records } => {
-                let mut p = Vec::new();
                 for r in records {
                     p.extend_from_slice(&encode_record(r));
                 }
-                (K_OUTPUTS, records.first().map_or(0, |r| r.seq), p)
+                (K_OUTPUTS, records.first().map_or(0, |r| r.seq))
             }
-            Msg::Poison { seq, fails } => (K_POISON, *seq, fails.to_be_bytes().to_vec()),
-            Msg::Hang => (K_HANG, 0, Vec::new()),
-            Msg::Finish { until } => (K_FINISH, 0, until.as_secs().to_be_bytes().to_vec()),
-            Msg::Exit => (K_EXIT, 0, Vec::new()),
+            Msg::Poison { seq, fails } => {
+                put_u32(&mut p, *fails);
+                (K_POISON, *seq)
+            }
+            Msg::Hang => (K_HANG, 0),
+            Msg::Finish { until } => {
+                put_time(&mut p, *until);
+                (K_FINISH, 0)
+            }
+            Msg::Exit => (K_EXIT, 0),
             Msg::Hello {
                 fed,
                 replayed,
                 quarantined,
             } => {
-                let mut p = Vec::with_capacity(16);
-                p.extend_from_slice(&replayed.to_be_bytes());
-                p.extend_from_slice(&quarantined.to_be_bytes());
-                (K_HELLO, *fed, p)
+                put_u64(&mut p, *replayed);
+                put_u64(&mut p, *quarantined);
+                (K_HELLO, *fed)
             }
             Msg::Progress { consumed, durable } => {
-                (K_PROGRESS, *consumed, durable.to_be_bytes().to_vec())
+                put_u64(&mut p, *durable);
+                (K_PROGRESS, *consumed)
             }
-            Msg::Crashed { seq } => (K_CRASHED, *seq, Vec::new()),
+            Msg::Crashed { seq } => (K_CRASHED, *seq),
             Msg::Report {
                 alarms,
                 scores,
                 scored,
             } => {
-                let mut p = Vec::with_capacity(8 + alarms.len() * 17 + scores.len() * 17);
-                p.extend_from_slice(&(alarms.len() as u32).to_be_bytes());
+                p.reserve(8 + alarms.len() * 17 + scores.len() * 17);
+                put_u32(&mut p, alarms.len() as u32);
                 for a in alarms {
-                    p.extend_from_slice(&a.dimm.server.0.to_be_bytes());
-                    p.push(a.dimm.slot);
-                    p.extend_from_slice(&a.time.as_secs().to_be_bytes());
-                    p.extend_from_slice(&a.score.to_bits().to_be_bytes());
+                    put_alarm(&mut p, a);
                 }
-                p.extend_from_slice(&(scores.len() as u32).to_be_bytes());
+                put_u32(&mut p, scores.len() as u32);
                 for r in scores {
-                    p.extend_from_slice(&r.time.as_secs().to_be_bytes());
-                    p.extend_from_slice(&r.dimm.server.0.to_be_bytes());
-                    p.push(r.dimm.slot);
-                    p.extend_from_slice(&r.score.to_bits().to_be_bytes());
+                    put_score(&mut p, r);
                 }
-                (K_REPORT, *scored, p)
+                (K_REPORT, *scored)
             }
         };
-        Ok(encode_frame(kind, seq, &payload))
+        Ok(encode_frame(kind, seq, &p))
     }
 
     /// Parses one decoded frame into a message.
     pub fn parse(frame: &RawFrame) -> Result<Msg, ProcError> {
-        let mut cur = Cur::new(&frame.payload);
+        let mut cur = Reader::new(&frame.payload);
         let msg = match frame.kind {
             K_INIT => Msg::Init(WorkerSpec::decode_from(&mut cur)?),
             K_OUTPUTS => {
@@ -780,9 +621,7 @@ impl Msg {
                 fails: cur.u32()?,
             },
             K_HANG => Msg::Hang,
-            K_FINISH => Msg::Finish {
-                until: SimTime::from_secs(cur.u64()?),
-            },
+            K_FINISH => Msg::Finish { until: cur.time()? },
             K_EXIT => Msg::Exit,
             K_HELLO => Msg::Hello {
                 fed: frame.seq,
@@ -795,28 +634,15 @@ impl Msg {
             },
             K_CRASHED => Msg::Crashed { seq: frame.seq },
             K_REPORT => {
-                let n_alarms = cur.u32()? as usize;
-                let mut alarms = Vec::with_capacity(n_alarms.min(1 << 20));
+                let n_alarms = cur.count_u32()?;
+                let mut alarms = Vec::with_capacity(n_alarms);
                 for _ in 0..n_alarms {
-                    let server = cur.u32()?;
-                    let slot = cur.u8()?;
-                    alarms.push(Alarm {
-                        dimm: DimmId::new(server, slot),
-                        time: SimTime::from_secs(cur.u64()?),
-                        score: cur.f32()?,
-                    });
+                    alarms.push(cur.alarm()?);
                 }
-                let n_scores = cur.u32()? as usize;
-                let mut scores = Vec::with_capacity(n_scores.min(1 << 20));
+                let n_scores = cur.count_u32()?;
+                let mut scores = Vec::with_capacity(n_scores);
                 for _ in 0..n_scores {
-                    let time = SimTime::from_secs(cur.u64()?);
-                    let server = cur.u32()?;
-                    let slot = cur.u8()?;
-                    scores.push(ScoreRecord {
-                        time,
-                        dimm: DimmId::new(server, slot),
-                        score: cur.f32()?,
-                    });
+                    scores.push(cur.score()?);
                 }
                 Msg::Report {
                     alarms,

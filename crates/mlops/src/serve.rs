@@ -88,13 +88,15 @@ pub fn shard_route(out: &crate::ingest::IngestOutput, shards: usize) -> usize {
 /// Builds one [`FeatureStore`] per shard with identical configuration.
 /// The slice outlives the engine (predictors borrow their stores), so
 /// callers hold it and pass `&stores` to
-/// [`ShardedDurable::open`](crate::wal::ShardedDurable::open).
+/// [`ShardedDurable::open`](crate::wal::ShardedDurable::open). Zero
+/// shards build zero stores, which every engine refuses with
+/// [`WalError::ZeroShards`](crate::wal::WalError::ZeroShards).
 pub fn make_stores(
     shards: usize,
     problem: ProblemConfig,
     thresholds: FaultThresholds,
 ) -> Vec<FeatureStore> {
-    (0..shards.max(1))
+    (0..shards)
         .map(|_| FeatureStore::new(problem, thresholds))
         .collect()
 }

@@ -1622,9 +1622,20 @@ mod tests {
             !dir.join("meta.bin").exists(),
             "a refused root records no shard count"
         );
-        // The store helper still rounds a request for none up to one.
+        // The store helper builds no store for no shards, so the thread
+        // host refuses a request for none as the process host does.
         let stores = make_stores(0, ProblemConfig::default(), FaultThresholds::default());
-        assert_eq!(stores.len(), 1);
+        let sup = Supervisor::new(
+            &dir,
+            &lake,
+            &stores,
+            &registry,
+            Platform::IntelPurley,
+            OnlineConfig::default(),
+            traced(),
+            SuperviseConfig::default(),
+        );
+        assert!(matches!(sup, Err(WalError::ZeroShards)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

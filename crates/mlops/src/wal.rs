@@ -64,8 +64,9 @@
 //! time sort is the identity on the already-ordered run), `kind` 2 is a
 //! collection gap (server, slot, from, to). `seq` is the per-shard
 //! sequence number of the record's first output, so a batch of `k`
-//! events covers `seq..seq+k`. Decoding is bounds-checked like `MFC1`: a
-//! corrupted length can neither over-read nor over-allocate.
+//! events covers `seq..seq+k`. The record is the `codec` module's frame,
+//! shared with the `MFP1` pipe; decoding is bounds-checked: a corrupted
+//! length can neither over-read nor over-allocate.
 //!
 //! # Apply guard
 //!
@@ -77,13 +78,16 @@
 //! of write-ahead ordering) from a crash loop into a skipped output.
 
 use crate::checkpoint::{CheckpointError, OnlineCheckpoint};
+use crate::codec::{
+    atomic_write, frame, header, open_sealed, put_dimm, put_time, put_u32, put_u64, read_frame,
+    scan_prefix, seal, CodecError, Reader, HEADER_LEN,
+};
 use crate::feature_store::FeatureStore;
 use crate::ingest::{GapRecord, IngestOutput};
 use crate::lake::DataLake;
 use crate::online::{Alarm, OnlineConfig, OnlinePredictor, ScoreRecord};
 use crate::registry::ModelRegistry;
 use crate::serve::shard_route;
-use mfp_dram::address::DimmId;
 use mfp_dram::bmc::BmcLog;
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
@@ -99,23 +103,6 @@ use std::path::{Path, PathBuf};
 pub const WAL_MAGIC: [u8; 4] = *b"MFW1";
 /// WAL wire-format version.
 pub const WAL_VERSION: u8 = 1;
-/// Bytes of `magic ++ version` before the first record.
-const HEADER_LEN: usize = 5;
-/// Bytes of `kind ++ seq ++ len` before a record's payload.
-pub(crate) const RECORD_HEADER_LEN: usize = 13;
-
-/// Full length (header, payload and crc) of the `MFW1` record or `MFP1`
-/// frame at the head of `data`, as its length field declares: `None`
-/// when `data` is shorter than a header plus crc, or the sum overflows.
-/// The declared length may exceed `data`; callers decide whether that
-/// is a torn tail or a wait for more bytes.
-pub(crate) fn record_len(data: &[u8]) -> Option<usize> {
-    if data.len() < RECORD_HEADER_LEN + 4 {
-        return None;
-    }
-    let plen = u32::from_be_bytes([data[9], data[10], data[11], data[12]]) as usize;
-    RECORD_HEADER_LEN.checked_add(plen)?.checked_add(4)
-}
 
 /// Slicing-by-16 lookup tables for the reflected IEEE polynomial.
 /// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
@@ -233,20 +220,18 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
         }
         WalPayload::Gap(gap) => {
             let mut p = Vec::with_capacity(21);
-            p.extend_from_slice(&gap.dimm.server.0.to_be_bytes());
-            p.push(gap.dimm.slot);
-            p.extend_from_slice(&gap.from.as_secs().to_be_bytes());
-            p.extend_from_slice(&gap.to.as_secs().to_be_bytes());
+            put_dimm(&mut p, gap.dimm);
+            put_time(&mut p, gap.from);
+            put_time(&mut p, gap.to);
             (2, p)
         }
     };
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + 4);
-    out.push(kind);
-    out.extend_from_slice(&record.seq.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&out).to_be_bytes());
-    out
+    frame(kind, record.seq, &payload)
+}
+
+/// The 5-byte `MFW1` file header.
+fn wal_header() -> [u8; HEADER_LEN] {
+    header(WAL_MAGIC, WAL_VERSION)
 }
 
 /// The result of scanning a WAL file: the records of the longest valid
@@ -332,37 +317,11 @@ impl From<CheckpointError> for WalError {
 /// [`WalError::BadHeader`] when the leading bytes mismatch the `MFW1`
 /// header (as opposed to merely being cut short).
 pub fn scan(data: &[u8]) -> Result<WalContents, WalError> {
-    let header = [
-        WAL_MAGIC[0],
-        WAL_MAGIC[1],
-        WAL_MAGIC[2],
-        WAL_MAGIC[3],
-        WAL_VERSION,
-    ];
-    if data.len() < HEADER_LEN {
-        return if header.starts_with(data) {
-            Ok(WalContents {
-                records: Vec::new(),
-                valid_bytes: 0,
-                torn_bytes: data.len() as u64,
-            })
-        } else {
-            Err(WalError::BadHeader)
-        };
-    }
-    if data[..HEADER_LEN] != header {
-        return Err(WalError::BadHeader);
-    }
-    let mut records = Vec::new();
-    let mut offset = HEADER_LEN;
-    while let Some((record, len)) = decode_record(&data[offset..]) {
-        offset += len;
-        records.push(record);
-    }
+    let prefix = scan_prefix(data, wal_header(), decode_record).ok_or(WalError::BadHeader)?;
     Ok(WalContents {
-        records,
-        valid_bytes: offset as u64,
-        torn_bytes: (data.len() - offset) as u64,
+        records: prefix.items,
+        valid_bytes: prefix.valid_bytes,
+        torn_bytes: prefix.torn_bytes,
     })
 }
 
@@ -370,68 +329,19 @@ pub fn scan(data: &[u8]) -> Result<WalContents, WalError> {
 /// encoded length; `None` when it is torn, corrupt or unknown (the
 /// caller stops scanning there).
 pub(crate) fn decode_record(data: &[u8]) -> Option<(WalRecord, usize)> {
-    // Bounds check before any allocation: a corrupted length cannot
-    // over-read the buffer or reserve gigabytes.
-    let total = record_len(data)?;
-    if data.len() < total {
-        return None;
-    }
-    let kind = data[0];
-    let seq = u64::from_be_bytes([
-        data[1], data[2], data[3], data[4], data[5], data[6], data[7], data[8],
-    ]);
-    let body = &data[..total - 4];
-    let crc = &data[total - 4..total];
-    if crc32(body) != u32::from_be_bytes([crc[0], crc[1], crc[2], crc[3]]) {
-        return None;
-    }
-    let payload = &body[RECORD_HEADER_LEN..];
-    let record = match kind {
-        1 => {
-            let log = BmcLog::decode(payload).ok()?;
-            WalRecord {
-                seq,
-                payload: WalPayload::Events(log.events().to_vec()),
-            }
-        }
+    let (frame, len) = read_frame(data)?;
+    let payload = match frame.kind {
+        1 => WalPayload::Events(BmcLog::decode(frame.payload).ok()?.events().to_vec()),
         2 => {
-            if payload.len() != 21 {
-                return None;
-            }
-            let server = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-            let slot = payload[4];
-            let from = u64::from_be_bytes([
-                payload[5],
-                payload[6],
-                payload[7],
-                payload[8],
-                payload[9],
-                payload[10],
-                payload[11],
-                payload[12],
-            ]);
-            let to = u64::from_be_bytes([
-                payload[13],
-                payload[14],
-                payload[15],
-                payload[16],
-                payload[17],
-                payload[18],
-                payload[19],
-                payload[20],
-            ]);
-            WalRecord {
-                seq,
-                payload: WalPayload::Gap(GapRecord {
-                    dimm: DimmId::new(server, slot),
-                    from: SimTime::from_secs(from),
-                    to: SimTime::from_secs(to),
-                }),
-            }
+            let mut r = Reader::new(frame.payload);
+            let (dimm, from, to) = (r.dimm().ok()?, r.time().ok()?, r.time().ok()?);
+            r.done().ok()?;
+            WalPayload::Gap(GapRecord { dimm, from, to })
         }
         _ => return None,
     };
-    Some((record, total))
+    let seq = frame.seq;
+    Some((WalRecord { seq, payload }, len))
 }
 
 /// Expands one WAL record into its `(per-shard seq, output)` pairs, in
@@ -541,54 +451,6 @@ const CKPT_VERSION: u8 = 1;
 const META_MAGIC: [u8; 4] = *b"MFW2";
 const META_VERSION: u8 = 1;
 
-/// Wraps an `MFC1` payload in the `MFD1` container: magic, version,
-/// the applied-output watermark, the payload length-prefixed, and a
-/// trailing CRC over everything before it.
-fn encode_durable_envelope(applied: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 16 + payload.len() + 4);
-    out.extend_from_slice(&CKPT_MAGIC);
-    out.push(CKPT_VERSION);
-    out.extend_from_slice(&applied.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&out).to_be_bytes());
-    out
-}
-
-/// Unwraps an `MFD1` container, returning the applied watermark and the
-/// embedded `MFC1` payload, still encoded.
-fn decode_durable_envelope(data: &[u8]) -> Result<(u64, &[u8]), WalError> {
-    if data.len() < HEADER_LEN + 16 + 4 || data[..4] != CKPT_MAGIC || data[4] != CKPT_VERSION {
-        return Err(WalError::Checkpoint(CheckpointError::BadMagic));
-    }
-    let (body, tail) = data.split_at(data.len() - 4);
-    if crc32(body) != u32::from_be_bytes([tail[0], tail[1], tail[2], tail[3]]) {
-        return Err(WalError::Checkpoint(CheckpointError::BadChecksum));
-    }
-    let applied = u64::from_be_bytes([
-        data[5], data[6], data[7], data[8], data[9], data[10], data[11], data[12],
-    ]);
-    let plen = u64::from_be_bytes([
-        data[13], data[14], data[15], data[16], data[17], data[18], data[19], data[20],
-    ]) as usize;
-    if body.len() - (HEADER_LEN + 16) != plen {
-        return Err(WalError::Checkpoint(CheckpointError::Truncated));
-    }
-    Ok((applied, &body[HEADER_LEN + 16..]))
-}
-
-/// Writes `bytes` to `path` atomically: a sibling temp file is written,
-/// synced, then renamed over the target.
-fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, path)
-}
-
 /// Syncs a directory's entry table. An atomic rename is only durable
 /// against power loss once the *directory* is synced — without this, the
 /// checkpoint rename and the WAL reset that follows it can reorder on
@@ -601,8 +463,7 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 /// Creates a fresh WAL file at `path` containing only the header.
 fn create_wal(path: &Path) -> Result<File, WalError> {
     let mut f = File::create(path)?;
-    f.write_all(&WAL_MAGIC)?;
-    f.write_all(&[WAL_VERSION])?;
+    f.write_all(&wal_header())?;
     f.sync_data()?;
     Ok(f)
 }
@@ -611,10 +472,7 @@ fn create_wal(path: &Path) -> Result<File, WalError> {
 /// for append: a crash here leaves either the old full log (outputs
 /// skipped on replay) or the fresh empty one.
 fn reset_wal(path: &Path) -> Result<File, WalError> {
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&WAL_MAGIC);
-    header.push(WAL_VERSION);
-    atomic_write(path, &header)?;
+    atomic_write(path, &wal_header())?;
     Ok(OpenOptions::new().append(true).open(path)?)
 }
 
@@ -629,8 +487,7 @@ fn recover_wal_file(path: &Path) -> Result<(File, WalContents), WalError> {
             let file = if contents.valid_bytes < HEADER_LEN as u64 {
                 file.set_len(0)?;
                 let mut f = file;
-                f.write_all(&WAL_MAGIC)?;
-                f.write_all(&[WAL_VERSION])?;
+                f.write_all(&wal_header())?;
                 f.sync_data()?;
                 f
             } else {
@@ -774,15 +631,19 @@ pub(crate) fn check_meta(root: &Path, shards: usize) -> Result<(), WalError> {
     let path = root.join("meta.bin");
     match fs::read(&path) {
         Ok(bytes) => {
-            if bytes.len() != 4 + 1 + 4 + 4 || bytes[..4] != META_MAGIC || bytes[4] != META_VERSION
-            {
-                return Err(WalError::BadMeta("not an MFW2 meta file"));
-            }
-            let (body, tail) = bytes.split_at(bytes.len() - 4);
-            if crc32(body) != u32::from_be_bytes([tail[0], tail[1], tail[2], tail[3]]) {
-                return Err(WalError::BadMeta("meta checksum mismatch"));
-            }
-            let captured = u32::from_be_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]) as usize;
+            let captured = open_sealed(&bytes, META_MAGIC, META_VERSION..=META_VERSION)
+                .and_then(|(_, body)| {
+                    let mut r = Reader::new(body);
+                    let n = r.u32()?;
+                    r.done()?;
+                    Ok(n as usize)
+                })
+                .map_err(|e| {
+                    WalError::BadMeta(match e {
+                        CodecError::BadChecksum => "meta checksum mismatch",
+                        _ => "not an MFW2 meta file",
+                    })
+                })?;
             if captured != shards {
                 return Err(WalError::ShardCountMismatch {
                     captured,
@@ -792,12 +653,8 @@ pub(crate) fn check_meta(root: &Path, shards: usize) -> Result<(), WalError> {
             Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            let mut out = Vec::with_capacity(13);
-            out.extend_from_slice(&META_MAGIC);
-            out.push(META_VERSION);
-            out.extend_from_slice(&(shards as u32).to_be_bytes());
-            out.extend_from_slice(&crc32(&out).to_be_bytes());
-            atomic_write(&path, &out)?;
+            let meta = seal(META_MAGIC, META_VERSION, |b| put_u32(b, shards as u32));
+            atomic_write(&path, &meta)?;
             Ok(())
         }
         Err(e) => Err(e.into()),
@@ -871,7 +728,18 @@ impl<'a> DurableShard<'a> {
         // 1. This shard's checkpoint, if any.
         let mut predictor = match fs::read(dir.join("checkpoint.bin")) {
             Ok(bytes) => {
-                let (applied, payload) = decode_durable_envelope(&bytes)?;
+                // MFD1: the sealed applied watermark and MFC1 payload.
+                let (applied, payload) =
+                    open_sealed(&bytes, CKPT_MAGIC, CKPT_VERSION..=CKPT_VERSION)
+                        .and_then(|(_, body)| {
+                            let mut r = Reader::new(body);
+                            let applied = r.u64()?;
+                            let n = r.count()?;
+                            let payload = r.take(n)?;
+                            r.done()?;
+                            Ok((applied, payload))
+                        })
+                        .map_err(CheckpointError::from)?;
                 let cp = OnlineCheckpoint::decode(payload)?;
                 report.checkpoint_applied = applied;
                 cp.restore(lake, store, registry)
@@ -1028,8 +896,12 @@ impl<'a> DurableShard<'a> {
             self.consumed_seq, self.durable_seq,
             "cannot checkpoint a crashed shard"
         );
-        let cp = OnlineCheckpoint::capture(&self.predictor, self.store);
-        let bytes = encode_durable_envelope(self.durable_seq, &cp.encode());
+        let payload = OnlineCheckpoint::capture(&self.predictor, self.store).encode();
+        let bytes = seal(CKPT_MAGIC, CKPT_VERSION, |b| {
+            put_u64(b, self.durable_seq);
+            put_u64(b, payload.len() as u64);
+            b.extend_from_slice(&payload);
+        });
         atomic_write(&self.dir.join("checkpoint.bin"), &bytes)?;
         if self.cfg.fsync {
             fsync_dir(&self.dir)?;
@@ -1271,7 +1143,7 @@ mod tests {
     use crate::feature_store::FeatureStore;
     use crate::online::OnlinePredictor;
     use crate::serve::make_stores;
-    use mfp_dram::address::CellAddr;
+    use mfp_dram::address::{CellAddr, DimmId};
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::CeEvent;
     use mfp_dram::spec::DimmSpec;
@@ -1579,6 +1451,15 @@ mod tests {
         }
     }
 
+    /// An `MFD1` container around `payload`, as compaction writes it.
+    fn seal_mfd1(applied: u64, payload: &[u8]) -> Vec<u8> {
+        seal(CKPT_MAGIC, CKPT_VERSION, |b| {
+            put_u64(b, applied);
+            put_u64(b, payload.len() as u64);
+            b.extend_from_slice(payload);
+        })
+    }
+
     /// Byte offsets of every record boundary of a WAL image, starting
     /// with the end of the header.
     fn record_boundaries(image: &[u8]) -> Vec<usize> {
@@ -1591,7 +1472,7 @@ mod tests {
                 image[off + 11],
                 image[off + 12],
             ]) as usize;
-            off += RECORD_HEADER_LEN + plen + 4;
+            off += crate::codec::FRAME_HEADER_LEN + plen + 4;
             b.push(off);
         }
         b
@@ -1745,7 +1626,7 @@ mod tests {
         for (s, store) in live.iter().enumerate() {
             let shard = writer.shard(s);
             let cp = OnlineCheckpoint::capture(shard.predictor(), store);
-            let ckpt = encode_durable_envelope(shard.durable(), &cp.encode());
+            let ckpt = seal_mfd1(shard.durable(), &cp.encode());
             fs::write(shard_dir(&crash_dir, s).join("checkpoint.bin"), ckpt).unwrap();
         }
         drop(writer);
@@ -1784,7 +1665,7 @@ mod tests {
         // is not MFC1.
         for bytes in [
             b"MFD1\x01garbage-that-is-long-enough....".to_vec(),
-            encode_durable_envelope(0, b"not a checkpoint"),
+            seal_mfd1(0, b"not a checkpoint"),
         ] {
             let dir = test_dir("badckpt");
             fs::create_dir_all(shard_dir(&dir, 0)).unwrap();
