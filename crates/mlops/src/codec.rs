@@ -386,7 +386,7 @@ pub fn frame_len(data: &[u8]) -> Option<usize> {
 }
 
 /// One frame's fields, borrowed from its input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Frame<'a> {
     /// The payload kind.
     pub kind: u8,
@@ -412,7 +412,7 @@ pub fn read_frame(data: &[u8]) -> Option<(Frame<'_>, usize)> {
 }
 
 /// The longest valid prefix of a `header frame*` image.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Prefix<T> {
     /// What the valid frames decoded to, in order.
     pub items: Vec<T>,
