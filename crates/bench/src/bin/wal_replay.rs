@@ -110,6 +110,7 @@ fn main() {
             }
         }
     }
+    require(shards > 0, "--shards must be at least 1");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let fleet_cfg = purley_fleet(dimms, horizon_days, seed);
