@@ -266,8 +266,6 @@ fn fleet_scale(filter: Option<&str>) {
 fn online_score(filter: Option<&str>) {
     use mfp_dram::event::MemEvent;
     use mfp_dram::time::{SimDuration, SimTime};
-    use mfp_ml::metrics::{Confusion, Evaluation};
-    use mfp_ml::risky_ce::RiskyCePattern;
     use mfp_mlops::prelude::*;
 
     // Purley slice of the smoke fleet behind a promoted pattern model:
@@ -277,25 +275,7 @@ fn online_score(filter: Option<&str>) {
     for t in &fleet.dimms {
         lake.register_dimm(t.id, t.platform, t.spec);
     }
-    let registry = ModelRegistry::new();
-    let eval = Evaluation::from_confusion(
-        Confusion {
-            tp: 1,
-            fp: 0,
-            fn_: 0,
-            tn: 1,
-        },
-        0.5,
-    );
-    let mid = registry.register(
-        Algorithm::RiskyCePattern,
-        Platform::IntelPurley,
-        SimTime::ZERO,
-        eval,
-        0.5,
-        Model::RiskyCe(RiskyCePattern::default()),
-    );
-    registry.promote(mid);
+    let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
     let events: Vec<MemEvent> = fleet
         .log
         .events()

@@ -15,6 +15,7 @@
 //! Exits non-zero if any stage fails or any swept rate's alarm recall
 //! drops below the floor.
 
+use mfp_bench::gate::{self, check};
 use mfp_dram::address::DimmId;
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
@@ -27,13 +28,6 @@ use mfp_sim::chaos::{inject_chaos, ChaosConfig};
 use mfp_sim::config::FleetConfig;
 use mfp_sim::fleet::simulate_fleet;
 use std::collections::BTreeSet;
-
-fn check(name: &str, ok: bool) {
-    println!("[{}] {name}", if ok { "PASS" } else { "FAIL" });
-    if !ok {
-        std::process::exit(1);
-    }
-}
 
 /// One pass of a delivery-ordered stream through the full hardened path:
 /// ingestor (validate / dedup / re-sequence / gap-detect) feeding a fresh
@@ -109,39 +103,15 @@ fn main() {
     let mut rates = vec![0.0f64, 0.1, 0.3];
     let mut min_recall = 0.65f64;
     let mut seed = 23u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let value = |args: &mut dyn Iterator<Item = String>| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--rates" => {
-                rates = value(&mut args)
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .expect("--rates takes comma-separated floats")
-                    })
-                    .collect();
-            }
-            "--min-recall" => {
-                min_recall = value(&mut args)
-                    .parse()
-                    .expect("--min-recall takes a float");
-            }
-            "--seed" => {
-                seed = value(&mut args).parse().expect("--seed takes an integer");
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    gate::flags(|flag, v| {
+        match flag {
+            "--rates" => rates = gate::list(flag, v)?,
+            "--min-recall" => min_recall = gate::value(flag, v)?,
+            "--seed" => seed = gate::value(flag, v)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
 
     let platform = Platform::IntelPurley;
     let fleet_cfg = FleetConfig::calibrated(50.0, seed);

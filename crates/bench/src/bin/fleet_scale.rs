@@ -8,11 +8,16 @@
 //!
 //! `--dimms` rescales the calibrated three-platform fleet proportionally,
 //! so the Table I population mix is preserved at any size. Every
-//! `(shards, workers)` cell runs twice: a **timed** run whose sink only
-//! counts and folds a cheap digest (so the measurement is the engine's
-//! cost, not the comparator's), and an **untimed** verification run
-//! compared event-by-event against the retained sequential baseline. A
-//! divergence exits non-zero.
+//! `(shards, workers)` cell runs a **timed** run [`PASSES`] times, each
+//! with a sink that only counts and folds a cheap digest (so the
+//! measurement is the engine's cost, not the comparator's; every pass's
+//! digest must equal the first's), and one **untimed** verification run
+//! compared event-by-event against the sequential tick oracle. The tick
+//! baseline is timed over [`PASSES`] passes too; each pass's log is
+//! dropped before the next starts, and the last one is the oracle. Times
+//! are medians. Each row records the shard and worker counts that ran:
+//! the engine never runs more workers than shards. A divergence exits
+//! non-zero.
 //!
 //! The event engine's win over the tick walk is algorithmic (quiet time
 //! is skipped) and shows up even on one core; worker speedups need a
@@ -20,32 +25,13 @@
 //! baseline (JSON) recording `cores`, so a single-core CI number is never
 //! mistaken for a regression.
 
+use mfp_bench::gate::{self, PASSES};
 use mfp_bench::report::baseline::{config_hash, num};
 use mfp_dram::event::MemEvent;
-use mfp_dram::time::SimDuration;
-use mfp_sim::config::FleetConfig;
 use mfp_sim::events::EventFleet;
 use mfp_sim::fleet::simulate_fleet_tick;
 use mfp_sim::sharded::ShardConfig;
 use std::time::Instant;
-
-/// The calibrated fleet rescaled to roughly `dimms` total DIMMs, keeping
-/// the per-platform proportions of the full-population config.
-fn fleet_of(dimms: usize, horizon_days: u64, seed: u64) -> FleetConfig {
-    let mut cfg = FleetConfig::calibrated(1.0, seed);
-    let total: usize = cfg
-        .platforms
-        .iter()
-        .map(|p| p.dimms_with_ces + p.sudden_only_dimms)
-        .sum();
-    let ratio = dimms as f64 / total as f64;
-    for pc in &mut cfg.platforms {
-        pc.dimms_with_ces = ((pc.dimms_with_ces as f64 * ratio).round() as usize).max(1);
-        pc.sudden_only_dimms = (pc.sudden_only_dimms as f64 * ratio).round() as usize;
-    }
-    cfg.horizon = SimDuration::days(horizon_days);
-    cfg
-}
 
 /// Cheap event digest for the timed sink: folds the merge key so the
 /// measured run still touches every event, without the 152-byte
@@ -66,49 +52,20 @@ fn main() {
     let mut horizon_days = 90u64;
     let mut seed = 23u64;
     let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--dimms" => dimms = value().parse().expect("--dimms takes an integer"),
-            "--shards" => {
-                shard_counts = value()
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .expect("--shards takes comma-separated integers")
-                    })
-                    .collect();
-            }
-            "--workers" => {
-                worker_counts = value()
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .expect("--workers takes comma-separated integers")
-                    })
-                    .collect();
-            }
-            "--horizon-days" => {
-                horizon_days = value().parse().expect("--horizon-days takes an integer");
-            }
-            "--seed" => seed = value().parse().expect("--seed takes an integer"),
-            "--out" => out = Some(value()),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    gate::flags(|flag, v| {
+        match flag {
+            "--dimms" => dimms = gate::value(flag, v)?,
+            "--shards" => shard_counts = gate::list(flag, v)?,
+            "--workers" => worker_counts = gate::list(flag, v)?,
+            "--horizon-days" => horizon_days = gate::value(flag, v)?,
+            "--seed" => seed = gate::value(flag, v)?,
+            "--out" => out = Some(v.to_string()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
 
-    let cfg = fleet_of(dimms, horizon_days, seed);
+    let cfg = gate::fleet(dimms, horizon_days, seed, None);
     let fleet = EventFleet::plan(&cfg);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -116,12 +73,20 @@ fn main() {
         fleet.dimm_count(),
     );
 
-    let t0 = Instant::now();
-    let baseline = simulate_fleet_tick(&cfg);
-    let seq_secs = t0.elapsed().as_secs_f64();
+    // One tick log alive at a time: at 100k DIMMs a log takes gigabytes.
+    let mut tick_secs = Vec::with_capacity(PASSES);
+    let mut baseline = None;
+    for _ in 0..PASSES {
+        drop(baseline.take());
+        let t0 = Instant::now();
+        baseline = Some(simulate_fleet_tick(&cfg));
+        tick_secs.push(t0.elapsed().as_secs_f64());
+    }
+    let baseline = baseline.expect("PASSES is not zero");
+    let seq_secs = gate::median(tick_secs);
     let seq_events = baseline.log.events();
     println!(
-        "  sequential tick: {:>9} events in {seq_secs:>7.2}s  (baseline & oracle)",
+        "  sequential tick: {:>9} events in {seq_secs:>7.2}s  (baseline & oracle, median of {PASSES})",
         seq_events.len(),
     );
 
@@ -135,16 +100,25 @@ fn main() {
         for &workers in &worker_counts {
             let scfg = ShardConfig::new(shards, workers);
 
-            // Timed run: count + digest only.
-            let mut digest = 0u64;
-            let t = Instant::now();
-            let outcome = fleet.run_stream(&scfg, |e| digest = fold_event(digest, &e));
-            let secs = t.elapsed().as_secs_f64();
+            // Timed runs: count + digest only.
+            let mut secs = Vec::with_capacity(PASSES);
+            let mut digests = Vec::with_capacity(PASSES);
+            let mut outcome = None;
+            for _ in 0..PASSES {
+                drop(outcome.take());
+                let mut digest = 0u64;
+                let t = Instant::now();
+                outcome = Some(fleet.run_stream(&scfg, |e| digest = fold_event(digest, &e)));
+                secs.push(t.elapsed().as_secs_f64());
+                digests.push(digest);
+            }
+            let secs = gate::median(secs);
+            let outcome = outcome.expect("PASSES is not zero");
 
             // Verification run (untimed): event-by-event against the
             // sequential oracle.
             let mut idx = 0usize;
-            let mut identical = true;
+            let mut identical = digests.iter().all(|&d| d == digests[0]);
             let _ = fleet.run_stream(&scfg, |e| {
                 identical &= seq_events.get(idx) == Some(&e);
                 idx += 1;
@@ -154,6 +128,7 @@ fn main() {
             identical &= outcome.dimms == baseline.dimms;
             all_identical &= identical;
 
+            let (shards, workers) = (outcome.stats.shards, outcome.stats.workers);
             println!(
                 "  {shards:<7} {workers:<8} {:>9} {secs:>9.2} {:>7.2}x {identical:>10}",
                 outcome.stats.merged_events,
@@ -174,7 +149,10 @@ fn main() {
             "{{\n  \"bench\": \"fleet_scale\",\n  \"dimms\": {},\n  \"events\": {},\n  \
              \"horizon_days\": {horizon_days},\n  \"seed\": {seed},\n  \
              \"cores\": {cores},\n  \"config_hash\": \"{}\",\n  \"baseline\": \
-             {{\"engine\": \"tick\", \"wall_secs\": {}, \"events_per_sec\": {}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
+             {{\"engine\": \"tick\", \"wall_secs\": {}, \"events_per_sec\": {}}},\n  \"runs\": [\n{}\n  ],\n  \
+             \"note\": \"baseline.wall_secs and every run's wall_secs are the median of {PASSES} \
+             passes; every event pass's digest is checked against the first pass's, and one \
+             untimed run per cell is compared event by event with the tick oracle\"\n}}\n",
             fleet.dimm_count(),
             seq_events.len(),
             config_hash(&format!("{cfg:?}")),
@@ -185,9 +163,9 @@ fn main() {
         std::fs::write(&path, &json).expect("write baseline json");
         println!("wrote {path}");
     }
-    if !all_identical {
-        eprintln!("FAIL: a run diverged from the sequential tick baseline");
-        std::process::exit(1);
-    }
+    gate::require(
+        all_identical,
+        "a run diverged from the sequential tick baseline",
+    );
     println!("all runs bit-identical to the sequential tick baseline");
 }

@@ -11,6 +11,7 @@
 //! is bit-identical to the materialized `simulate_fleet` path, so every
 //! downstream check and number must be unchanged.
 
+use mfp_bench::gate::{self, check};
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::{SimDuration, SimTime};
@@ -23,13 +24,6 @@ use mfp_sim::events::EventFleet;
 use mfp_sim::fleet::{simulate_fleet, DimmTruth};
 use mfp_sim::sharded::ShardConfig;
 use std::collections::BTreeMap;
-
-fn check(name: &str, ok: bool) {
-    println!("[{}] {name}", if ok { "PASS" } else { "FAIL" });
-    if !ok {
-        std::process::exit(1);
-    }
-}
 
 /// Batches historical events into the lake so the streaming path holds at
 /// most one batch at a time.
@@ -68,23 +62,14 @@ impl<'a> LakeLoader<'a> {
 fn main() {
     let mut shards = 0usize;
     let mut workers = ShardConfig::default().workers;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--shards" => shards = value().parse().expect("--shards takes an integer"),
-            "--workers" => workers = value().parse().expect("--workers takes an integer"),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    gate::flags(|flag, v| {
+        match flag {
+            "--shards" => shards = gate::value(flag, v)?,
+            "--workers" => workers = gate::value(flag, v)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
 
     let platform = Platform::IntelPurley;
     let fleet_cfg = FleetConfig::calibrated(50.0, 23);

@@ -1,7 +1,7 @@
 //! Sample-set assembly: from a fleet's BMC log to labelled feature matrices.
 //!
 //! Assembly streams each DIMM's history once through a
-//! [`FeatureStream`](crate::stream::FeatureStream) and fans DIMMs out across
+//! [`FeatureStream`] and fans DIMMs out across
 //! worker threads; the merged [`SampleSet`] is bit-identical regardless of
 //! worker count because DIMMs are chunked and merged in fleet generation
 //! order and each per-DIMM extraction is deterministic.
@@ -270,7 +270,7 @@ pub fn build_samples(
 ///
 /// DIMMs are chunked in fleet generation order across `workers` scoped
 /// threads, each streaming its chunk with a
-/// [`FeatureStream`](crate::stream::FeatureStream); partial sets are merged
+/// [`FeatureStream`]; partial sets are merged
 /// back in chunk order. The result is bit-identical for every worker count
 /// (and to the batch extractor — see `tests/prop_features.rs`).
 pub fn build_samples_with_workers(

@@ -143,7 +143,7 @@ where
 
 /// Incremental fault-mode classification over a sliding CE window.
 ///
-/// Keeps the window's addresses as an [`AddrCounts`] multiset — the same
+/// Keeps the window's addresses as an `AddrCounts` multiset — the same
 /// spatial aggregations as [`classify_ces`], with eviction — plus
 /// counters of how many cells, rows, columns and banks currently satisfy
 /// each threshold, updated when a step crosses one. [`Self::classify`] is

@@ -24,7 +24,7 @@
 //!   features_at`] returns a vector bit-identical to the batch extractor
 //!   over the events the stream holds at that moment: both paths reduce
 //!   to the same integer aggregates and share
-//!   [`assemble_features`](crate::extract::assemble_features) for all f32
+//!   `assemble_features` for all f32
 //!   arithmetic. `tests/prop_features.rs` asserts this on random
 //!   histories and on random feature-store traffic.
 //! * **Push.** [`FeatureStream::push`] is a sorted insert placed after

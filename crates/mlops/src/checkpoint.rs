@@ -4,10 +4,10 @@
 //! checkpoint and replaying the remaining events has to produce the
 //! *bit-identical* alarm sequence an uninterrupted run would have raised.
 //! [`OnlineCheckpoint`] therefore captures every piece of state the
-//! [`OnlinePredictor`](crate::online::OnlinePredictor) folds over — tick
+//! [`OnlinePredictor`] folds over — tick
 //! cursor, watermark, vote streaks, cooldown entries, raised alarms,
 //! degraded-mode feature cache — plus the
-//! [`FeatureStore`](crate::feature_store::FeatureStore)'s per-DIMM rolling
+//! [`FeatureStore`]'s per-DIMM rolling
 //! event windows, which are the predictor's only other mutable input.
 //!
 //! Serialization is a hand-rolled binary format written through the
@@ -332,6 +332,7 @@ impl From<CodecError> for CheckpointError {
 mod tests {
     use super::*;
     use crate::feature_store::FeatureStore;
+    use crate::procserve::ModelSpec;
     use mfp_dram::address::CellAddr;
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::CeEvent;
@@ -339,9 +340,6 @@ mod tests {
     use mfp_dram::time::SimDuration;
     use mfp_features::fault_analysis::FaultThresholds;
     use mfp_features::labeling::ProblemConfig;
-    use mfp_ml::metrics::{Confusion, Evaluation};
-    use mfp_ml::model::{Algorithm, Model};
-    use mfp_ml::risky_ce::RiskyCePattern;
 
     fn risky_ce(t: u64, dimm: DimmId) -> MemEvent {
         MemEvent::Ce(CeEvent {
@@ -352,28 +350,10 @@ mod tests {
         })
     }
 
-    fn setup(lake: &DataLake, registry: &ModelRegistry, dimms: &[DimmId]) {
+    fn setup(lake: &DataLake, dimms: &[DimmId]) {
         for &id in dimms {
             lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
         }
-        let eval = Evaluation::from_confusion(
-            Confusion {
-                tp: 1,
-                fp: 0,
-                fn_: 0,
-                tn: 1,
-            },
-            0.5,
-        );
-        let mid = registry.register(
-            Algorithm::RiskyCePattern,
-            Platform::IntelPurley,
-            SimTime::ZERO,
-            eval,
-            0.5,
-            Model::RiskyCe(RiskyCePattern::default()),
-        );
-        registry.promote(mid);
     }
 
     fn store() -> FeatureStore {
@@ -390,9 +370,9 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_is_exact() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let dimms = [DimmId::new(1, 0), DimmId::new(2, 1)];
-        setup(&lake, &registry, &dimms);
+        setup(&lake, &dimms);
         let s = store();
         let mut p = OnlinePredictor::new(
             &lake,
@@ -472,9 +452,9 @@ mod tests {
     /// sweeps below.
     fn sweep_payload() -> Vec<u8> {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let dimms = [DimmId::new(1, 0), DimmId::new(2, 1)];
-        setup(&lake, &registry, &dimms);
+        setup(&lake, &dimms);
         let s = store();
         let mut p = OnlinePredictor::new(
             &lake,
@@ -524,9 +504,9 @@ mod tests {
         // The v3 envelope of the same state additionally carries the
         // score trace through the crash.
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let dimms = [DimmId::new(1, 0), DimmId::new(2, 1)];
-        setup(&lake, &registry, &dimms);
+        setup(&lake, &dimms);
         let events = stream(&dimms);
         let end = SimTime::from_secs(6 * 86_400);
         let cut = events.len() / 2;
@@ -596,9 +576,9 @@ mod tests {
     #[test]
     fn crash_at_any_event_restores_identical_alarms() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let dimms = [DimmId::new(1, 0), DimmId::new(2, 1)];
-        setup(&lake, &registry, &dimms);
+        setup(&lake, &dimms);
         let events = stream(&dimms);
         let end = SimTime::from_secs(6 * 86_400);
         let cfg = OnlineConfig {

@@ -390,6 +390,7 @@ impl<'a> OnlinePredictor<'a> {
 mod tests {
     use super::*;
     use crate::ingest::IngestOutput;
+    use crate::procserve::ModelSpec;
     use mfp_dram::address::CellAddr;
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::CeEvent;
@@ -397,9 +398,6 @@ mod tests {
     use mfp_dram::spec::DimmSpec;
     use mfp_features::fault_analysis::FaultThresholds;
     use mfp_features::labeling::ProblemConfig;
-    use mfp_ml::metrics::{Confusion, Evaluation};
-    use mfp_ml::model::{Algorithm, Model};
-    use mfp_ml::risky_ce::RiskyCePattern;
 
     /// A CE carrying the Purley risky signature (accumulates to 2 DQs with
     /// a 4-beat interval within one device).
@@ -417,35 +415,16 @@ mod tests {
         })
     }
 
-    fn setup(lake: &DataLake, registry: &ModelRegistry) {
+    fn setup(lake: &DataLake) {
         let id = DimmId::new(1, 0);
         lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
-        let entry_model = Model::RiskyCe(RiskyCePattern::default());
-        let eval = Evaluation::from_confusion(
-            Confusion {
-                tp: 1,
-                fp: 0,
-                fn_: 0,
-                tn: 1,
-            },
-            0.5,
-        );
-        let mid = registry.register(
-            Algorithm::RiskyCePattern,
-            Platform::IntelPurley,
-            SimTime::ZERO,
-            eval,
-            0.5,
-            entry_model,
-        );
-        registry.promote(mid);
     }
 
     #[test]
     fn risky_stream_raises_one_alarm() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
         let mut p = OnlinePredictor::new(
             &lake,
@@ -472,8 +451,8 @@ mod tests {
     #[test]
     fn benign_stream_stays_silent() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
         let mut p = OnlinePredictor::new(
             &lake,
@@ -497,8 +476,8 @@ mod tests {
         // after weeks of silence completed the "consecutive" vote and
         // alarmed. Votes separated by inactivity are not consecutive.
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         // A 4-hour observation window (< the 6-hour tick interval) keeps a
         // lone CE's DIMM active for exactly one tick.
         let problem = ProblemConfig {
@@ -535,8 +514,8 @@ mod tests {
     #[test]
     fn expired_cooldown_entries_are_pruned() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
         let mut p = OnlinePredictor::new(
             &lake,
@@ -563,8 +542,8 @@ mod tests {
     #[test]
     fn stale_events_are_rejected_at_the_watermark() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
         let mut p = OnlinePredictor::new(
             &lake,
@@ -590,8 +569,8 @@ mod tests {
     #[test]
     fn degraded_mode_scores_quiet_dimms_with_last_good_row() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         // 4-hour observation: a lone CE keeps its DIMM active for exactly
         // one 6-hour tick, then the stream is "quiet".
         let problem = ProblemConfig {
@@ -647,8 +626,8 @@ mod tests {
     #[test]
     fn note_gap_restarts_vote_streaks() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        setup(&lake);
         let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
         let mut p = OnlinePredictor::new(
             &lake,
@@ -855,8 +834,8 @@ mod tests {
         for case in 0..96u64 {
             let mut rng = mfp_rng::StdRng::seed_from_u64(case);
             let lake = DataLake::new();
-            let registry = ModelRegistry::new();
-            setup(&lake, &registry);
+            let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+            setup(&lake);
             let dimms: Vec<DimmId> = (1..5).map(|s| DimmId::new(s, 0)).collect();
             for &d in &dimms[1..] {
                 lake.register_dimm(d, Platform::IntelPurley, DimmSpec::default());

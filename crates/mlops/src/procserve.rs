@@ -29,7 +29,7 @@
 //! # Supervision
 //!
 //! [`ProcSupervisor`] is the process host of the one supervision state
-//! machine, [`crate::supervise::supervise`]: the machine owns logical
+//! machine, `crate::supervise::supervise`: the machine owns logical
 //! time, backoff, the restart budget, poison and quarantine; this host
 //! spawns workers, feeds them acked frames and captures their exit
 //! status and death signal. A worker that misses an ack deadline or is
@@ -84,7 +84,7 @@ pub const IPC_MAGIC: [u8; 4] = *b"MFP1";
 pub const IPC_VERSION: u8 = 1;
 
 /// Environment variable that switches a re-exec'd binary into worker
-/// mode (set by [`WorkerCommand::spawn`], checked by `src/main.rs` and
+/// mode (set by `WorkerCommand::spawn`, checked by `src/main.rs` and
 /// the test-harness entry).
 pub const WORKER_ENV: &str = "MFP_SHARD_WORKER";
 
@@ -325,6 +325,34 @@ impl ModelSpec {
             params: RiskyCeParams::default(),
             threshold: 0.5,
         }
+    }
+
+    /// A registry serving this model: registered on `platform` at the
+    /// spec's threshold and promoted. Every worker builds its registry
+    /// here, so an in-process run that must score like the workers builds
+    /// it here too.
+    pub fn registry(&self, platform: Platform) -> ModelRegistry {
+        let ModelSpec::RiskyCe { params, threshold } = *self;
+        let registry = ModelRegistry::new();
+        let eval = Evaluation::from_confusion(
+            Confusion {
+                tp: 1,
+                fp: 0,
+                fn_: 0,
+                tn: 1,
+            },
+            threshold,
+        );
+        let id = registry.register(
+            Algorithm::RiskyCePattern,
+            platform,
+            SimTime::ZERO,
+            eval,
+            threshold,
+            Model::RiskyCe(RiskyCePattern::new(params)),
+        );
+        registry.promote(id);
+        registry
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -721,26 +749,7 @@ fn worker_run() -> Result<i32, ProcError> {
         lake.register_dimm(*id, spec.platform, *dimm_spec);
     }
     let store = FeatureStore::new(spec.problem, spec.thresholds);
-    let registry = ModelRegistry::new();
-    let ModelSpec::RiskyCe { params, threshold } = spec.model;
-    let eval = Evaluation::from_confusion(
-        Confusion {
-            tp: 1,
-            fp: 0,
-            fn_: 0,
-            tn: 1,
-        },
-        threshold,
-    );
-    let mid = registry.register(
-        Algorithm::RiskyCePattern,
-        spec.platform,
-        SimTime::ZERO,
-        eval,
-        threshold,
-        Model::RiskyCe(RiskyCePattern::new(params)),
-    );
-    registry.promote(mid);
+    let registry = spec.model.registry(spec.platform);
     let mut poison: BTreeMap<u64, u32> = spec.poison.iter().copied().collect();
 
     let (mut unit, recovery) = {
@@ -997,7 +1006,7 @@ fn spawn_reader(mut stdout: ChildStdout) -> (Receiver<Result<Msg, ProcError>>, J
 }
 
 /// Runs one worker process per shard over a canonical output stream:
-/// the process host of [`crate::supervise::supervise`]. `Kill` becomes
+/// the process host of `crate::supervise::supervise`. `Kill` becomes
 /// a real `SIGKILL` (plus a torn WAL tail), `Hang` wedges the worker
 /// until the heartbeat deadline kills it, and `Panic`/`Poison` arm the
 /// worker's apply guard over the wire.
@@ -1095,7 +1104,7 @@ impl ProcSupervisor {
     /// Feeds the worker fleet the canonical output stream under the
     /// injected failure schedule, drains every restart, finishes
     /// prediction up to `end`, and merges live shards' reports. The
-    /// identity contract is [`crate::supervise::supervise`]'s.
+    /// identity contract is `crate::supervise::supervise`'s.
     ///
     /// # Errors
     ///
@@ -1331,25 +1340,7 @@ mod tests {
         for (id, spec) in cat {
             lake.register_dimm(*id, Platform::IntelPurley, *spec);
         }
-        let registry = ModelRegistry::new();
-        let eval = Evaluation::from_confusion(
-            Confusion {
-                tp: 1,
-                fp: 0,
-                fn_: 0,
-                tn: 1,
-            },
-            0.5,
-        );
-        let mid = registry.register(
-            Algorithm::RiskyCePattern,
-            Platform::IntelPurley,
-            SimTime::ZERO,
-            eval,
-            0.5,
-            Model::RiskyCe(RiskyCePattern::default()),
-        );
-        registry.promote(mid);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
         let mut p = OnlinePredictor::new(
             &lake,
@@ -1489,6 +1480,76 @@ mod tests {
         frame[9..13].copy_from_slice(&u32::MAX.to_be_bytes());
         reader.push(&frame);
         assert!(matches!(reader.next_step(), FrameStep::Corrupt));
+    }
+
+    /// `ModelSpec::registry` serves exactly the spec's rule: one model,
+    /// promoted on the requested platform only, at the spec's threshold,
+    /// scoring every row as `RiskyCePattern::new(params)` does. The second
+    /// spec differs from the default in every parameter and the threshold.
+    #[test]
+    fn spec_registry_promotes_the_spec_rule_on_one_platform() {
+        let odd = ModelSpec::RiskyCe {
+            params: RiskyCeParams {
+                min_complex: 2.5,
+                require_interval4: false,
+                min_rows: 1.5,
+            },
+            threshold: 0.75,
+        };
+        // Every combination of the five features the rule reads.
+        let names = mfp_features::extract::feature_names();
+        let at = |n: &str| names.iter().position(|x| x == n).expect("rule feature");
+        let features = [
+            "eb_complex",
+            "eb_interval4",
+            "rows_5d",
+            "ebu_dev_dq",
+            "ebu_dev_interval4",
+        ]
+        .map(at);
+        let rows: Vec<Vec<f32>> = (0..4usize.pow(5))
+            .map(|k| {
+                let mut row = vec![0.0f32; names.len()];
+                for (j, &f) in features.iter().enumerate() {
+                    row[f] = (k / 4usize.pow(j as u32) % 4) as f32;
+                }
+                row
+            })
+            .collect();
+        let mut scores = Vec::new();
+        for (spec, platform) in [
+            (ModelSpec::default_risky_ce(), Platform::IntelPurley),
+            (odd, Platform::K920),
+        ] {
+            let ModelSpec::RiskyCe { params, threshold } = spec;
+            let registry = spec.registry(platform);
+            let entries = registry.list();
+            assert_eq!(entries.len(), 1, "one model registered");
+            let entry = registry.production(platform).expect("promoted");
+            assert_eq!(entry.id, entries[0].id);
+            assert_eq!(entry.algorithm, Algorithm::RiskyCePattern);
+            assert_eq!(entry.threshold.to_bits(), threshold.to_bits());
+            assert_eq!(entry.benchmark.threshold.to_bits(), threshold.to_bits());
+            for other in Platform::ALL.into_iter().filter(|&p| p != platform) {
+                assert!(
+                    registry.production(other).is_none(),
+                    "{other} serves nothing"
+                );
+            }
+            let rule = RiskyCePattern::new(params);
+            assert!(matches!(&*entry.model, Model::RiskyCe(m) if *m == rule));
+            let served: Vec<u32> = rows
+                .iter()
+                .map(|r| entry.model.predict_proba(r).to_bits())
+                .collect();
+            let direct: Vec<u32> = rows
+                .iter()
+                .map(|r| rule.predict_proba(r).to_bits())
+                .collect();
+            assert_eq!(served, direct);
+            scores.push(served);
+        }
+        assert_ne!(scores[0], scores[1], "the rows tell the two rules apart");
     }
 
     #[test]

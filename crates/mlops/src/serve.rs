@@ -509,14 +509,12 @@ where
 mod tests {
     use super::*;
     use crate::feature_store::FeatureStore;
+    use crate::procserve::ModelSpec;
     use mfp_dram::address::CellAddr;
     use mfp_dram::bus::ErrorTransfer;
     use mfp_dram::event::CeEvent;
     use mfp_dram::spec::DimmSpec;
     use mfp_dram::time::SimDuration;
-    use mfp_ml::metrics::{Confusion, Evaluation};
-    use mfp_ml::model::{Algorithm, Model};
-    use mfp_ml::risky_ce::RiskyCePattern;
 
     const NDIMMS: u32 = 12;
 
@@ -534,29 +532,11 @@ mod tests {
         })
     }
 
-    fn setup(lake: &DataLake, registry: &ModelRegistry) -> Vec<DimmId> {
+    fn setup(lake: &DataLake) -> Vec<DimmId> {
         let dimms: Vec<DimmId> = (0..NDIMMS).map(|k| DimmId::new(k, (k % 2) as u8)).collect();
         for &id in &dimms {
             lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
         }
-        let eval = Evaluation::from_confusion(
-            Confusion {
-                tp: 1,
-                fp: 0,
-                fn_: 0,
-                tn: 1,
-            },
-            0.5,
-        );
-        let mid = registry.register(
-            Algorithm::RiskyCePattern,
-            Platform::IntelPurley,
-            SimTime::ZERO,
-            eval,
-            0.5,
-            Model::RiskyCe(RiskyCePattern::default()),
-        );
-        registry.promote(mid);
         dimms
     }
 
@@ -622,8 +602,8 @@ mod tests {
     #[test]
     fn pipeline_matches_sequential_across_the_worker_matrix() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let events = stream(&dimms);
         let end =
             SimTime::from_secs(events.last().unwrap().time().as_secs()) + SimDuration::days(2);
@@ -702,8 +682,8 @@ mod tests {
     #[test]
     fn pipeline_workers_record_into_the_callers_registry() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let events = stream(&dimms);
         let end =
             SimTime::from_secs(events.last().unwrap().time().as_secs()) + SimDuration::days(2);
@@ -736,8 +716,8 @@ mod tests {
     #[test]
     fn pipeline_routes_gaps_to_the_home_shard() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         // Sparse risky stream with a long per-DIMM hole in the middle.
         let mut events: Vec<MemEvent> = Vec::new();
         for k in 0..8u64 {
@@ -807,8 +787,8 @@ mod tests {
     #[test]
     fn latency_stats_are_populated() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let events = stream(&dimms);
         let end = SimTime::from_secs(events.last().unwrap().time().as_secs());
         let outcome = serve_pipeline(

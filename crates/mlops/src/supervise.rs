@@ -4,7 +4,7 @@
 //! [`crate::wal::ShardedDurable`] gives every shard its own log and
 //! checkpoint chain (the `MFW2` layout), but leaves the caller to decide
 //! what happens when a shard misbehaves. This module is that decision,
-//! written once as [`supervise`] over a [`ShardHost`]: the host says how
+//! written once as `supervise` over a `ShardHost`: the host says how
 //! a shard's unit starts, is fed, finishes and dies, and the machine owns
 //! every policy decision. There are two hosts:
 //!
@@ -40,7 +40,7 @@
 //! * **Poison.** The machine keeps the master table of armed injected
 //!   panics and decrements it once per reported crash; each unit keeps
 //!   its own copy, seeded when it starts and updated by
-//!   [`ShardHost::arm`]. A unit stops consuming at its first crash, so
+//!   `ShardHost::arm`. A unit stops consuming at its first crash, so
 //!   every armed apply produces exactly one crash report and the two
 //!   tables agree.
 //!
@@ -870,7 +870,7 @@ pub(crate) struct ThreadUnit<'a> {
 
 /// Runs one [`DurableShard`] per feature store as restartable units in
 /// the caller's thread, under the policy of [`SuperviseConfig`] and the
-/// injected failures of a [`ChaosPlan`] (see [`supervise`]).
+/// injected failures of a [`ChaosPlan`] (see `supervise`).
 #[derive(Debug)]
 pub struct Supervisor<'a> {
     dir: PathBuf,
@@ -921,7 +921,7 @@ impl<'a> Supervisor<'a> {
     /// Feeds the canonical output stream through the supervised shards
     /// under the injected failure schedule, then drains every restart
     /// and finishes prediction ticks up to `end`. The identity contract
-    /// is [`supervise`]'s.
+    /// is `supervise`'s.
     ///
     /// # Errors
     ///
@@ -1045,9 +1045,6 @@ mod tests {
     use mfp_dram::spec::DimmSpec;
     use mfp_features::fault_analysis::FaultThresholds;
     use mfp_features::labeling::ProblemConfig;
-    use mfp_ml::metrics::{Confusion, Evaluation};
-    use mfp_ml::model::{Algorithm, Model};
-    use mfp_ml::risky_ce::RiskyCePattern;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique scratch directory per test invocation (parallel-safe).
@@ -1077,29 +1074,11 @@ mod tests {
         })
     }
 
-    fn setup(lake: &DataLake, registry: &ModelRegistry) -> Vec<DimmId> {
+    fn setup(lake: &DataLake) -> Vec<DimmId> {
         let dimms: Vec<DimmId> = (0..8u32).map(|k| DimmId::new(k, (k % 2) as u8)).collect();
         for &id in &dimms {
             lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
         }
-        let eval = Evaluation::from_confusion(
-            Confusion {
-                tp: 1,
-                fp: 0,
-                fn_: 0,
-                tn: 1,
-            },
-            0.5,
-        );
-        let mid = registry.register(
-            Algorithm::RiskyCePattern,
-            Platform::IntelPurley,
-            SimTime::ZERO,
-            eval,
-            0.5,
-            Model::RiskyCe(RiskyCePattern::default()),
-        );
-        registry.promote(mid);
         dimms
     }
 
@@ -1168,8 +1147,8 @@ mod tests {
     fn clean_supervised_run_matches_the_sequential_oracle() {
         for shards in [1usize, 2, 4] {
             let lake = DataLake::new();
-            let registry = ModelRegistry::new();
-            let dimms = setup(&lake, &registry);
+            let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+            let dimms = setup(&lake);
             let outs = outputs(&dimms);
             let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, END);
             assert!(
@@ -1205,8 +1184,8 @@ mod tests {
     fn seeded_chaos_schedules_recover_bit_identically() {
         for shards in [1usize, 2, 4] {
             let lake = DataLake::new();
-            let registry = ModelRegistry::new();
-            let dimms = setup(&lake, &registry);
+            let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+            let dimms = setup(&lake);
             let outs = outputs(&dimms);
             let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, END);
 
@@ -1256,8 +1235,8 @@ mod tests {
         // gate is the full score identity, not just alarms.
         for shards in [2usize, 4] {
             let lake = DataLake::new();
-            let registry = ModelRegistry::new();
-            let dimms = setup(&lake, &registry);
+            let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+            let dimms = setup(&lake);
             let outs = outputs(&dimms);
             let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, END);
             let plan = ChaosPlan::seeded(5, shards, outs.len(), 6, 2);
@@ -1317,8 +1296,8 @@ mod tests {
     #[test]
     fn injected_panics_are_caught_and_retried_to_identity() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, END);
 
@@ -1362,8 +1341,8 @@ mod tests {
     #[test]
     fn hung_shards_are_detected_and_restarted() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, END);
 
@@ -1399,8 +1378,8 @@ mod tests {
     #[test]
     fn poison_outputs_are_quarantined_and_persist_across_runs() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let shards = 2usize;
         let target = 50usize;
@@ -1481,8 +1460,8 @@ mod tests {
     #[test]
     fn exhausted_restart_budget_fails_the_shard_but_others_serve() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let shards = 2usize;
         let target = 50usize;
@@ -1539,8 +1518,8 @@ mod tests {
     #[test]
     fn same_seed_means_same_outcome() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let plan = ChaosPlan::seeded(1234, 2, outs.len(), 8, 2);
         assert_eq!(plan, ChaosPlan::seeded(1234, 2, outs.len(), 8, 2));
@@ -1682,8 +1661,8 @@ mod tests {
     #[test]
     fn supervision_series_equal_the_report_on_both_hosts() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let plan = ChaosPlan {
             events: vec![

@@ -144,7 +144,7 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 /// Shared by the WAL record format, the `MFP1` frames and the `MFC1`,
 /// `MFD1`, `MFW2` and lake envelopes: one detection primitive for every
 /// durability and wire payload. Each step folds 16 bytes through the 16
-/// tables of [`CRC_TABLES`]; the last 0–15 bytes go bytewise. The values
+/// tables of `CRC_TABLES`; the last 0–15 bytes go bytewise. The values
 /// equal the bytewise loop's (`wal::tests` keeps it as the oracle).
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
@@ -1142,6 +1142,7 @@ mod tests {
     use super::*;
     use crate::feature_store::FeatureStore;
     use crate::online::OnlinePredictor;
+    use crate::procserve::ModelSpec;
     use crate::serve::make_stores;
     use mfp_dram::address::{CellAddr, DimmId};
     use mfp_dram::bus::ErrorTransfer;
@@ -1149,9 +1150,6 @@ mod tests {
     use mfp_dram::spec::DimmSpec;
     use mfp_features::fault_analysis::FaultThresholds;
     use mfp_features::labeling::ProblemConfig;
-    use mfp_ml::metrics::{Confusion, Evaluation};
-    use mfp_ml::model::{Algorithm, Model};
-    use mfp_ml::risky_ce::RiskyCePattern;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique scratch directory per test invocation (parallel-safe).
@@ -1181,29 +1179,11 @@ mod tests {
         })
     }
 
-    fn setup(lake: &DataLake, registry: &ModelRegistry) -> Vec<DimmId> {
+    fn setup(lake: &DataLake) -> Vec<DimmId> {
         let dimms: Vec<DimmId> = (0..8u32).map(|k| DimmId::new(k, (k % 2) as u8)).collect();
         for &id in &dimms {
             lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
         }
-        let eval = Evaluation::from_confusion(
-            Confusion {
-                tp: 1,
-                fp: 0,
-                fn_: 0,
-                tn: 1,
-            },
-            0.5,
-        );
-        let mid = registry.register(
-            Algorithm::RiskyCePattern,
-            Platform::IntelPurley,
-            SimTime::ZERO,
-            eval,
-            0.5,
-            Model::RiskyCe(RiskyCePattern::default()),
-        );
-        registry.promote(mid);
         dimms
     }
 
@@ -1481,8 +1461,8 @@ mod tests {
     #[test]
     fn truncating_the_wal_anywhere_recovers_bit_identically() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -1546,8 +1526,8 @@ mod tests {
     #[test]
     fn compaction_bounds_the_wal_and_recovery_still_matches() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, _, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -1605,8 +1585,8 @@ mod tests {
         // reset: pair every shard's *full* WAL with a checkpoint that
         // covers all of it. Replay must skip, not double-apply.
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -1659,8 +1639,8 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_detected_not_restored() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let _ = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let _ = setup(&lake);
         // A torn container, and a sealed container around a payload that
         // is not MFC1.
         for bytes in [
@@ -1681,8 +1661,8 @@ mod tests {
     #[test]
     fn sharded_durable_matches_the_sequential_oracle() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -1724,8 +1704,8 @@ mod tests {
     #[test]
     fn shards_cut_at_different_offsets_recover_independently() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -1774,8 +1754,8 @@ mod tests {
     #[test]
     fn single_shard_recovery_never_reads_sibling_files() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let shards = 2usize;
 
@@ -1860,8 +1840,8 @@ mod tests {
     #[test]
     fn meta_file_mismatch_and_corruption_are_typed_errors() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let _ = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let _ = setup(&lake);
         let dir = test_dir("meta");
         let two = shard_stores(2);
         let (sd, _) = open_root(&dir, &lake, &two, &registry, traced()).unwrap();
@@ -1895,8 +1875,8 @@ mod tests {
     #[test]
     fn finish_compacts_at_shutdown_so_a_kill_after_it_loses_nothing() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, _, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -1942,8 +1922,8 @@ mod tests {
     #[test]
     fn quarantine_log_roundtrips_and_recovery_skips_listed_outputs() {
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake);
         let outs = outputs(&dimms);
         let end = SimTime::from_secs(40 * 86_400);
 

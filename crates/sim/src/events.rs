@@ -32,7 +32,7 @@
 //!   nonzero beats in a shared lane arena. [`MemEvent`]s are
 //!   reconstructed on the fly as the merge hands them to the sink.
 //! * **Beat-level decode memoization.** One
-//!   [`BeatMemoEcc`](mfp_ecc::platforms::BeatMemoEcc) per worker replaces
+//!   [`BeatMemoEcc`] per worker replaces
 //!   the per-platform mutex-guarded burst caches; per-DIMM scratch
 //!   (hit lists, storm windows, fault-active flags) is arena-reused
 //!   across a worker's DIMMs.
@@ -72,7 +72,7 @@
 //! The event engine re-derives the oracle's behaviour from the same RNG
 //! streams but shares none of its execution code — decode goes through a
 //! different cache, events through a different container, ordering
-//! through a different queue. [`tests`] and `tests/prop_events.rs` pin
+//! through a different queue. `tests` and `tests/prop_events.rs` pin
 //! the two against each other across seeds, shard counts, worker counts,
 //! CE storms and RAS policies (ADDDC included); a refactor that breaks
 //! any replicated invariant (draw order, storm bookkeeping, merge key)

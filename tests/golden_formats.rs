@@ -38,9 +38,6 @@ use mfp_dram::spec::{DieProcess, DimmSpec, Frequency, Manufacturer};
 use mfp_dram::time::SimTime;
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
-use mfp_ml::metrics::{Confusion, Evaluation};
-use mfp_ml::model::{Algorithm, Model};
-use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_mlops::procserve::{scan_frames, stream_header, Msg};
 use mfp_mlops::wal::{
@@ -154,30 +151,12 @@ fn catalog_spec(d: DimmId) -> DimmSpec {
     }
 }
 
-/// Registers an 8-DIMM Purley fleet and promotes the risky-CE rule.
-fn setup(lake: &DataLake, registry: &ModelRegistry) -> Vec<DimmId> {
+/// Registers an 8-DIMM Purley fleet in the lake.
+fn setup(lake: &DataLake) -> Vec<DimmId> {
     let dimms: Vec<DimmId> = (0..8u32).map(|k| DimmId::new(k, (k % 2) as u8)).collect();
     for &id in &dimms {
         lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
     }
-    let eval = Evaluation::from_confusion(
-        Confusion {
-            tp: 1,
-            fp: 0,
-            fn_: 0,
-            tn: 1,
-        },
-        0.5,
-    );
-    let mid = registry.register(
-        Algorithm::RiskyCePattern,
-        Platform::IntelPurley,
-        SimTime::ZERO,
-        eval,
-        0.5,
-        Model::RiskyCe(RiskyCePattern::default()),
-    );
-    registry.promote(mid);
     dimms
 }
 
@@ -274,8 +253,8 @@ fn write_format_fixtures() {
 
     // MFD1 + MFW2: a compacted 2-shard durable run with score tracing.
     let lake = DataLake::new();
-    let registry = ModelRegistry::new();
-    let dimms = setup(&lake, &registry);
+    let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+    let dimms = setup(&lake);
     let outs = stream(&dimms);
     let root = test_dir("gen");
     let stores = make_stores(SHARDS, ProblemConfig::default(), FaultThresholds::default());
@@ -427,8 +406,8 @@ fn mfd1_checkpoint_fixture_decodes_and_reencodes_byte_for_byte() {
     assert_eq!((cp.alarms.len(), trace.len(), cp.scored), (2, 72, 72));
 
     let lake = DataLake::new();
-    let registry = ModelRegistry::new();
-    setup(&lake, &registry);
+    let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+    setup(&lake);
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
     let dir = test_dir("mfd1");
     fs::write(dir.join("checkpoint.bin"), &bytes).expect("stage fixture");
@@ -483,7 +462,7 @@ fn mfp1_stream_fixture_decodes_and_reencodes_byte_for_byte() {
             scored,
         }] => {
             let lake = DataLake::new();
-            let dimms = setup(&lake, &ModelRegistry::new());
+            let dimms = setup(&lake);
             assert_eq!(spec, &worker_spec(&dimms));
             assert!(spec.catalog.contains(&(ODD_DIMM, odd_spec())));
             let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
@@ -511,8 +490,8 @@ fn mfw2_meta_fixture_decodes_and_reencodes_byte_for_byte() {
     assert_eq!(u32::from_be_bytes(bytes[5..9].try_into().unwrap()), 2);
 
     let lake = DataLake::new();
-    let registry = ModelRegistry::new();
-    setup(&lake, &registry);
+    let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+    setup(&lake);
     let open = |root: &Path, shards: usize| {
         let stores = make_stores(shards, ProblemConfig::default(), FaultThresholds::default());
         ShardedDurable::open(
@@ -600,8 +579,8 @@ fn every_corruption(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '
 fn mfw2_meta_refuses_every_prefix_and_bit_flip() {
     let bytes = read_fixture("meta.bin");
     let lake = DataLake::new();
-    let registry = ModelRegistry::new();
-    setup(&lake, &registry);
+    let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+    setup(&lake);
     let stores = make_stores(SHARDS, ProblemConfig::default(), FaultThresholds::default());
     let root = test_dir("mfw2_sweep");
     for (what, bad) in every_corruption(&bytes) {
@@ -662,8 +641,8 @@ fn mfd1_checkpoint_refuses_prefixes_and_bit_flips() {
         .chain(sample);
 
     let lake = DataLake::new();
-    let registry = ModelRegistry::new();
-    setup(&lake, &registry);
+    let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+    setup(&lake);
     let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
     let dir = test_dir("mfd1_sweep");
     let mut apply = |p: &mut OnlinePredictor<'_>, out: &IngestOutput, _seq: u64| {

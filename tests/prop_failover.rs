@@ -15,9 +15,6 @@ use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::SimTime;
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
-use mfp_ml::metrics::{Confusion, Evaluation};
-use mfp_ml::model::{Algorithm, Model};
-use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_mlops::supervise::ChaosPlan;
 use mfp_mlops::wal::{scan, shard_dir};
@@ -55,33 +52,15 @@ fn risky_ce(t: u64, dimm: DimmId, flip: bool) -> MemEvent {
     })
 }
 
-/// Registers a small fleet plus a deployed pattern model; returns the
+/// Registers a small Purley fleet in the lake; returns the
 /// catalog so streams can address it.
-fn setup(lake: &DataLake, registry: &ModelRegistry, n_dimms: usize) -> Vec<DimmId> {
+fn setup(lake: &DataLake, n_dimms: usize) -> Vec<DimmId> {
     let dimms: Vec<DimmId> = (0..n_dimms as u32)
         .map(|k| DimmId::new(k, (k % 2) as u8))
         .collect();
     for &id in &dimms {
         lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
     }
-    let eval = Evaluation::from_confusion(
-        Confusion {
-            tp: 1,
-            fp: 0,
-            fn_: 0,
-            tn: 1,
-        },
-        0.5,
-    );
-    let mid = registry.register(
-        Algorithm::RiskyCePattern,
-        Platform::IntelPurley,
-        SimTime::ZERO,
-        eval,
-        0.5,
-        Model::RiskyCe(RiskyCePattern::default()),
-    );
-    registry.promote(mid);
     dimms
 }
 
@@ -163,8 +142,8 @@ fn supervised_chaos_recovery_is_bit_identical() {
         let shards = rng.random_range(1usize..=4);
         let chaos_events = rng.random_range(0usize..8);
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry, 6);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake, 6);
         let outs = stream(&dimms, seed, 60);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -212,8 +191,8 @@ fn per_shard_wal_scan_is_a_prefix_decoder_at_arbitrary_cuts() {
             let shards = rng.random_range(1usize..=4);
             let cut_fracs: Vec<f64> = (0..4).map(|_| rng.random::<f64>()).collect();
             let lake = DataLake::new();
-            let registry = ModelRegistry::new();
-            let dimms = setup(&lake, &registry, 6);
+            let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+            let dimms = setup(&lake, 6);
             let outs = stream(&dimms, seed, 60);
             let end = SimTime::from_secs(40 * 86_400);
             let (ref_alarms, ref_scores, ref_scored) = oracle(&lake, &registry, &outs, end);
@@ -288,8 +267,8 @@ fn single_shard_recovery_ignores_sibling_garbage() {
         let shards = rng.random_range(2usize..=4);
         let victim_garbage = vec_of(rng, 1..64, |r| r.next_u64() as u8);
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry, 6);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake, 6);
         let outs = stream(&dimms, seed, 40);
 
         let dir = test_dir("isolation");

@@ -15,9 +15,6 @@ use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::{SimDuration, SimTime};
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
-use mfp_ml::metrics::{Confusion, Evaluation};
-use mfp_ml::model::{Algorithm, Model};
-use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_rng::StdRng;
 use mfp_sim::chaos::{inject_chaos, ChaosConfig};
@@ -40,31 +37,6 @@ fn lake_with_dimms() -> DataLake {
         );
     }
     lake
-}
-
-/// Registers + promotes the deterministic risky-CE production model, as
-/// the online unit tests do.
-fn registry_with_model() -> ModelRegistry {
-    let registry = ModelRegistry::new();
-    let eval = Evaluation::from_confusion(
-        Confusion {
-            tp: 1,
-            fp: 0,
-            fn_: 0,
-            tn: 1,
-        },
-        0.5,
-    );
-    let mid = registry.register(
-        Algorithm::RiskyCePattern,
-        Platform::IntelPurley,
-        SimTime::ZERO,
-        eval,
-        0.5,
-        Model::RiskyCe(RiskyCePattern::default()),
-    );
-    registry.promote(mid);
-    registry
 }
 
 /// A CE on a valid address; `flip` carries the Purley risky signature.
@@ -263,7 +235,7 @@ fn lossless_chaos_preserves_alarms() {
         let events = random_stream(rng);
         let seed = rng.random_range(0u64..1_000);
         let lake = lake_with_dimms();
-        let registry = registry_with_model();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let end = SimTime::from_secs(events.last().map_or(0, |e| e.time().as_secs()))
             + SimDuration::days(2);
 
@@ -291,7 +263,7 @@ fn sharded_serving_matches_sequential() {
         let seed = rng.random_range(0u64..1_000);
         let shards = [1usize, 2, 4][rng.random_range(0..3)];
         let lake = lake_with_dimms();
-        let registry = registry_with_model();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let end = SimTime::from_secs(events.last().map_or(0, |e| e.time().as_secs()))
             + SimDuration::days(2);
         let (delivery, stats) = inject_chaos(&events, &ChaosConfig::lossless(seed));
@@ -321,7 +293,7 @@ fn sharded_crash_restore_is_bit_identical() {
         let crash_frac = rng.random::<f64>();
         let shards = [1usize, 2, 4][rng.random_range(0..3)];
         let lake = lake_with_dimms();
-        let registry = registry_with_model();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let cfg = OnlineConfig::default();
         let end = SimTime::from_secs(events.last().map_or(0, |e| e.time().as_secs()))
             + SimDuration::days(2);
@@ -388,7 +360,7 @@ fn crash_restore_is_bit_identical() {
         let crash_frac = rng.random::<f64>();
         let seed = rng.random_range(0u64..1_000);
         let lake = lake_with_dimms();
-        let registry = registry_with_model();
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
         let cfg = OnlineConfig {
             degraded_grace: SimDuration::hours(30),
             ..OnlineConfig::default()

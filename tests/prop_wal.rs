@@ -14,9 +14,6 @@ use mfp_dram::spec::DimmSpec;
 use mfp_dram::time::SimTime;
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
-use mfp_ml::metrics::{Confusion, Evaluation};
-use mfp_ml::model::{Algorithm, Model};
-use mfp_ml::risky_ce::RiskyCePattern;
 use mfp_mlops::prelude::*;
 use mfp_mlops::wal::{encode_record, scan, shard_dir, WalPayload, WalRecord};
 use mfp_rng::StdRng;
@@ -53,33 +50,15 @@ fn risky_ce(t: u64, dimm: DimmId, flip: bool) -> MemEvent {
     })
 }
 
-/// Registers a small fleet plus a deployed pattern model; returns the
+/// Registers a small Purley fleet in the lake; returns the
 /// catalog so streams can address it.
-fn setup(lake: &DataLake, registry: &ModelRegistry, n_dimms: usize) -> Vec<DimmId> {
+fn setup(lake: &DataLake, n_dimms: usize) -> Vec<DimmId> {
     let dimms: Vec<DimmId> = (0..n_dimms as u32)
         .map(|k| DimmId::new(k, (k % 2) as u8))
         .collect();
     for &id in &dimms {
         lake.register_dimm(id, Platform::IntelPurley, DimmSpec::default());
     }
-    let eval = Evaluation::from_confusion(
-        Confusion {
-            tp: 1,
-            fp: 0,
-            fn_: 0,
-            tn: 1,
-        },
-        0.5,
-    );
-    let mid = registry.register(
-        Algorithm::RiskyCePattern,
-        Platform::IntelPurley,
-        SimTime::ZERO,
-        eval,
-        0.5,
-        Model::RiskyCe(RiskyCePattern::default()),
-    );
-    registry.promote(mid);
     dimms
 }
 
@@ -221,8 +200,8 @@ fn crash_recovery_resumes_bit_identically() {
         };
         let cut_fracs: Vec<f64> = (0..shards).map(|_| rng.random::<f64>()).collect();
         let lake = DataLake::new();
-        let registry = ModelRegistry::new();
-        let dimms = setup(&lake, &registry, 6);
+        let registry = ModelSpec::default_risky_ce().registry(Platform::IntelPurley);
+        let dimms = setup(&lake, 6);
         let outs = stream(&dimms, seed, 60);
         let end = SimTime::from_secs(40 * 86_400);
         let (ref_alarms, ref_scored) = oracle(&lake, &registry, &outs, end);
