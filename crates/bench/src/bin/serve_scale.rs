@@ -18,6 +18,13 @@
 //! shard and worker counts that ran: the engine clamps workers to
 //! `1..=shards`.
 //!
+//! The baseline row also records the sequential predictor's tick
+//! latency, `tick_p50_us` / `tick_p90_us`: in passes of their own, every
+//! `apply`/`finish` call that advanced the predictor's watermark is timed
+//! (the due ticks plus the event that closed their interval), each tick
+//! takes its median over [`gate::PASSES`] passes, and the row reports the
+//! nearest-rank 50th and 90th percentiles over ticks.
+//!
 //! Speedup numbers are only meaningful on a multi-core host — the JSON
 //! records `cores` so a single-core CI value is never mistaken for a
 //! regression. The identity check is the point on any host.
@@ -146,18 +153,84 @@ fn main() {
         ));
     }
 
+    let ticks = tick_latencies(&served, &registry, platform, online_cfg, &seq_alarms);
+    let (tick_p50_us, tick_p90_us) = (percentile(&ticks, 0.5), percentile(&ticks, 0.9));
+    println!(
+        "  sequential ticks: {} per pass, p50 {tick_p50_us:.2} us, p90 {tick_p90_us:.2} us \
+         (median of {} passes)",
+        ticks.len(),
+        gate::PASSES,
+    );
+
     let json = format!(
         "{{\n  \"bench\": \"serve_scale\",\n  \"dimms\": {},\n  \"events\": {},\n  \
          \"horizon_days\": {horizon_days},\n  \"seed\": {seed},\n  \"cores\": {cores},\n  \
          \"config_hash\": \"{cfg_hash}\",\n  \"baseline\": {{\"wall_secs\": {}, \
-         \"events_per_sec\": {}, \"alarms\": {}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
+         \"events_per_sec\": {}, \"alarms\": {}, \"tick_p50_us\": {}, \
+         \"tick_p90_us\": {}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         served.fleet.dimm_count(),
         served.events.len(),
         num(seq_secs),
         num(seq_eps),
         seq_alarms.len(),
+        num(tick_p50_us),
+        num(tick_p90_us),
         runs.join(",\n"),
     );
     std::fs::write(&out, &json).expect("write baseline json");
     println!("all sharded runs bit-identical to the sequential baseline; wrote {out}");
+}
+
+/// Each tick's latency in microseconds: the median over [`gate::PASSES`]
+/// passes of the sequential predictor over the served outputs, on fresh
+/// stores, of every `apply`/`finish` call that advanced the watermark.
+/// Every pass must raise `alarms` and time the same number of ticks.
+fn tick_latencies(
+    served: &Served,
+    registry: &ModelRegistry,
+    platform: Platform,
+    online: OnlineConfig,
+    alarms: &[Alarm],
+) -> Vec<f64> {
+    let mut passes: Vec<Vec<f64>> = Vec::with_capacity(gate::PASSES);
+    for _ in 0..gate::PASSES {
+        let store = FeatureStore::new(ProblemConfig::default(), FaultThresholds::default());
+        let mut seq = OnlinePredictor::new(&served.lake, &store, registry, platform, online);
+        let mut ticks = Vec::new();
+        let mut timed = |seq: &mut OnlinePredictor<'_>, call: &dyn Fn(&mut OnlinePredictor<'_>)| {
+            let mark = seq.watermark();
+            let t = Instant::now();
+            call(seq);
+            let us = t.elapsed().as_secs_f64() * 1e6;
+            if seq.watermark() > mark {
+                ticks.push(us);
+            }
+        };
+        for o in &served.outputs {
+            timed(&mut seq, &|p| {
+                p.apply(o);
+            });
+        }
+        timed(&mut seq, &|p| p.finish(served.end));
+        gate::require(
+            seq.alarms() == alarms,
+            "a tick-timing pass diverged from the sequential baseline",
+        );
+        passes.push(ticks);
+    }
+    let n = passes[0].len();
+    gate::require(
+        passes.iter().all(|p| p.len() == n),
+        "tick-timing passes ran different numbers of ticks",
+    );
+    (0..n)
+        .map(|k| gate::median(passes.iter().map(|p| p[k]).collect()))
+        .collect()
+}
+
+/// The nearest-rank `q`-th percentile of `xs`.
+fn percentile(xs: &[f64], q: f64) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[((q * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1]
 }

@@ -105,14 +105,16 @@ impl<'a> DimmHistory<'a> {
 }
 
 /// A two-pointer cursor over a time-sorted event sequence, tracking the
-/// index range `[lo, hi)` of a sliding half-open time window `[from, to)`.
+/// index range `[lo, hi)` of a sliding half-open time window.
 ///
-/// As long as successive windows are non-decreasing in both bounds (the
-/// case for a fixed-length window sliding forward in time), every event
-/// enters the range exactly once and leaves it exactly once, so a whole
-/// sweep over `n` events costs O(n) pointer moves regardless of how many
-/// windows are evaluated. [`FeatureStream`](crate::stream::FeatureStream)
-/// keys its per-window rolling state off the ranges this cursor reports.
+/// Events enter at the end one at a time ([`Self::enter_next`]) and leave
+/// at the start once the window's start passes them ([`Self::expire`]).
+/// As long as the start is non-decreasing across calls (the case for a
+/// fixed-length window sliding forward in time), every event enters the
+/// range exactly once and leaves it exactly once, so a whole sweep over
+/// `n` events costs O(n) pointer moves regardless of how many windows are
+/// evaluated. [`FeatureStream`](crate::stream::FeatureStream) keys its
+/// per-window rolling state off the events this cursor moves past.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowCursor {
     lo: usize,
@@ -125,30 +127,25 @@ impl WindowCursor {
         WindowCursor::default()
     }
 
-    /// Slides the window to `[from, to)` over a sequence of `len` events
-    /// whose `i`-th is stamped `time_at(i)`, and reports the index ranges
-    /// of events that *entered* and *left* the window, in that order.
+    /// Extends the range by one step at its end: the event at the old end
+    /// entered. The caller enters events in sequence order and only events
+    /// that exist.
+    pub fn enter_next(&mut self) {
+        self.hi += 1;
+    }
+
+    /// Moves the range's start past every entered event stamped before
+    /// `from`, where `time_at(i)` is the stamp of the `i`-th event, and
+    /// returns the index range of the events that left.
     ///
-    /// Bounds must be non-decreasing across successive calls (the caller
-    /// rewinds by recreating the cursor); `from <= to` is required.
-    pub fn advance(
-        &mut self,
-        len: usize,
-        time_at: impl Fn(usize) -> SimTime,
-        from: SimTime,
-        to: SimTime,
-    ) -> (Range<usize>, Range<usize>) {
-        debug_assert!(from <= to, "window bounds inverted");
-        let old_hi = self.hi;
-        while self.hi < len && time_at(self.hi) < to {
-            self.hi += 1;
-        }
-        let entered = old_hi..self.hi;
+    /// `from` must be non-decreasing across calls (the caller rewinds by
+    /// recreating the cursor).
+    pub fn expire(&mut self, time_at: impl Fn(usize) -> SimTime, from: SimTime) -> Range<usize> {
         let old_lo = self.lo;
         while self.lo < self.hi && time_at(self.lo) < from {
             self.lo += 1;
         }
-        (entered, old_lo..self.lo)
+        old_lo..self.lo
     }
 
     /// Shifts the range down by one for an event removed from the front of
@@ -250,6 +247,23 @@ mod tests {
         assert_eq!(h.last_ce_before(SimTime::from_secs(10)), None);
     }
 
+    /// Slides `cur` to `[from, to)` over `events`: enters every event
+    /// stamped before `to`, then expires; returns how many entered and
+    /// how many left.
+    fn slide(
+        cur: &mut WindowCursor,
+        events: &[&MemEvent],
+        from: SimTime,
+        to: SimTime,
+    ) -> (usize, usize) {
+        let mut entered = 0;
+        while events.get(cur.range().end).is_some_and(|e| e.time() < to) {
+            cur.enter_next();
+            entered += 1;
+        }
+        (entered, cur.expire(|i| events[i].time(), from).len())
+    }
+
     #[test]
     fn window_cursor_tracks_sliding_window() {
         let events = [ce(10), ce(50), storm(60), ce(100), ue(150)];
@@ -259,9 +273,7 @@ mod tests {
         for t in [5u64, 20, 55, 70, 110, 160, 300] {
             let to = SimTime::from_secs(t);
             let from = to.saturating_sub(SimDuration::secs(60));
-            let (entered, left) = cur.advance(refs.len(), |i| refs[i].time(), from, to);
-            // Every index enters and leaves at most once, in order.
-            assert!(entered.end >= entered.start && left.end >= left.start);
+            slide(&mut cur, &refs, from, to);
             // The range always equals the binary-search answer.
             assert_eq!(cur.range(), h.idx_at(from)..h.idx_at(to));
         }
@@ -277,9 +289,9 @@ mod tests {
         for t in (0..40).map(|k| k * 10) {
             let to = SimTime::from_secs(t);
             let from = to.saturating_sub(SimDuration::secs(30));
-            let (entered, left) = cur.advance(refs.len(), |i| refs[i].time(), from, to);
-            entered_total += entered.len();
-            left_total += left.len();
+            let (entered, left) = slide(&mut cur, &refs, from, to);
+            entered_total += entered;
+            left_total += left;
         }
         assert_eq!(entered_total, 4, "each event enters exactly once");
         assert_eq!(left_total, 4, "each event leaves exactly once");
@@ -290,12 +302,11 @@ mod tests {
     fn window_cursor_pop_front_shifts_the_range() {
         let events = [ce(10), ce(50), ce(100), ce(150)];
         let refs: Vec<&MemEvent> = events.iter().collect();
-        let time_at = |i: usize| refs[i].time();
         // Window [40, 120) holds indices 1..3; index 0 is outside it.
         let mut cur = WindowCursor::new();
-        cur.advance(
-            refs.len(),
-            time_at,
+        slide(
+            &mut cur,
+            &refs,
             SimTime::from_secs(40),
             SimTime::from_secs(120),
         );

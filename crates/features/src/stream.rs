@@ -15,8 +15,10 @@
 //! Because the stream owns its window, one instance serves both callers:
 //! dataset assembly pushes a DIMM's whole history and then queries its
 //! sample times, and the online feature store keeps one stream per DIMM
-//! alive between prediction ticks, pushing events as they arrive and
-//! evicting them past its retention.
+//! alive between prediction ticks, pushing events as they arrive,
+//! entering each into the windows right away
+//! ([`FeatureStream::enter_newest`]) and evicting them past its
+//! retention, so a tick's query only expires what aged out.
 //!
 //! # Invariants
 //!
@@ -26,22 +28,37 @@
 //!   to the same integer aggregates and share
 //!   `assemble_features` for all f32
 //!   arithmetic. `tests/prop_features.rs` asserts this on random
-//!   histories and on random feature-store traffic.
+//!   histories, on random feature-store traffic and on random
+//!   interleavings of pushes, evictions, early entries and queries.
 //! * **Push.** [`FeatureStream::push`] is a sorted insert placed after
-//!   equal timestamps. Every window ends at the last evaluation time, so
-//!   an event stamped at or after it lands beyond every cursor and costs
-//!   O(1) when it arrives in order. An event stamped before it falls
-//!   inside windows already entered and rewinds the stream.
+//!   equal timestamps. The windows hold the events stamped before the
+//!   last evaluation time plus any entered early since, so an event
+//!   stamped at or after both lands beyond every cursor and costs O(1)
+//!   when it arrives in order. An event stamped before the last
+//!   evaluation time, or before an early-entered event, falls inside
+//!   windows already entered and rewinds the stream.
+//! * **Enter.** [`FeatureStream::enter_newest`] takes the newest held
+//!   event into every window's rolling state ahead of the next query,
+//!   provided the stream has been queried, every earlier held event is
+//!   inside the windows and the newest is stamped at or after the last
+//!   evaluation time. Every window's rolling state is an integer
+//!   aggregate of the multiset of events inside it, so entering early
+//!   and letting the next query expire reaches the same state as the
+//!   query entering it: rows stay bit-identical, and the entering work
+//!   moves from the query to the push.
 //! * **Evict.** [`FeatureStream::evict_before`] pops events older than a
 //!   cutoff off the front. An evicted event still inside a window at the
 //!   last evaluation time (the 30-day fault window, or any window when
 //!   queries lag far behind pushes) first leaves that window's rolling
 //!   state; then every cursor shifts down by one.
-//! * **Rewind.** A query earlier than its predecessor, an out-of-order
-//!   push before the last query, or a change of device width drops the
-//!   rolling state, and the next query replays from the front: correct,
-//!   but not incremental. Each rewind increments the
-//!   `features_stream_rewinds` counter.
+//! * **Rewind.** A query earlier than its predecessor or at or before an
+//!   early-entered event's stamp, an out-of-order push before the last
+//!   query or before an early-entered event, or a change of device width
+//!   drops the rolling state, and the next query replays from the front:
+//!   correct, but not incremental. Each rewind increments the
+//!   `features_stream_rewinds` counter. Time-ordered serving, which
+//!   queries each tick before pushing the events stamped at or after it,
+//!   never rewinds.
 //! * **Determinism.** The stream holds no RNG and no ambient state; output
 //!   depends only on `(events, spec, cfg, thresholds, t)`. This is what
 //!   lets [`build_samples`](crate::dataset::build_samples) fan DIMMs out
@@ -123,26 +140,21 @@ struct Counted {
 }
 
 impl Counted {
-    /// Slides the window to `[from, to)`, updating its counts; returns the
-    /// index ranges that entered and left.
-    fn advance(
-        &mut self,
-        events: &[Entry],
-        from: SimTime,
-        to: SimTime,
-    ) -> (Range<usize>, Range<usize>) {
-        let (entered, left) = self
-            .cur
-            .advance(events.len(), |i| events[i].time(), from, to);
-        for i in entered.clone() {
-            let e = &events[i].event;
-            self.ces += u32::from(e.as_ce().is_some());
-            self.storms += u32::from(e.as_storm().is_some());
-        }
+    /// Takes `e`, the event just past the window's end, into the window.
+    fn enter(&mut self, e: &MemEvent) {
+        self.cur.enter_next();
+        self.ces += u32::from(e.as_ce().is_some());
+        self.storms += u32::from(e.as_storm().is_some());
+    }
+
+    /// Moves the window's start up to `from`, updating its counts; returns
+    /// the index range that left.
+    fn expire(&mut self, events: &[Entry], from: SimTime) -> Range<usize> {
+        let left = self.cur.expire(|i| events[i].time(), from);
         for i in left.clone() {
             self.remove(&events[i].event);
         }
-        (entered, left)
+        left
     }
 
     fn remove(&mut self, e: &MemEvent) {
@@ -161,7 +173,10 @@ impl Counted {
     }
 }
 
-/// The rolling state of every window at the last evaluation time.
+/// The rolling state of every window at the last evaluation time, plus
+/// the events entered since (see [`FeatureStream::enter_newest`]). Every
+/// window has entered the same events: its cursor's range ends at the
+/// same index.
 #[derive(Debug, Clone)]
 struct Windows {
     w15m: Counted,
@@ -199,48 +214,62 @@ impl Windows {
         }
     }
 
-    /// Slides every window to end at `t`.
-    fn advance(&mut self, events: &[Entry], t: SimTime, observation: SimDuration) {
-        // Count-only windows.
-        self.w15m
-            .advance(events, t.saturating_sub(SimDuration::minutes(15)), t);
-        self.w1h
-            .advance(events, t.saturating_sub(SimDuration::hours(1)), t);
-        self.w6h
-            .advance(events, t.saturating_sub(SimDuration::hours(6)), t);
-        let (entered, _) = self.total.advance(events, SimTime::ZERO, t);
-        if let Some(e) = events[entered]
-            .iter()
-            .rev()
-            .find(|e| e.event.as_ce().is_some())
-        {
+    /// How many held events, from the front, every window has entered.
+    fn entered(&self) -> usize {
+        self.total.cur.range().end
+    }
+
+    /// Takes `e`, the held event just past every window's end, into every
+    /// window's rolling state.
+    fn enter(&mut self, e: &Entry) {
+        for w in [
+            &mut self.w15m,
+            &mut self.w1h,
+            &mut self.w6h,
+            &mut self.w1d,
+            &mut self.obs,
+            &mut self.total,
+        ] {
+            w.enter(&e.event);
+        }
+        self.fault.enter_next();
+        if let Some((addr, p)) = e.ce() {
             self.last_ce = Some(e.time());
+            self.eb_1d.insert(p);
+            self.spatial.insert(addr);
+            self.eb_obs.insert(p);
+            self.faults.insert(addr, p.device_mask);
+        }
+    }
+
+    /// Slides every window to end at `t`: enters the held events stamped
+    /// before `t` that no window holds yet, then expires from each window
+    /// what its start passed.
+    fn advance(&mut self, events: &[Entry], t: SimTime, observation: SimDuration) {
+        for e in events[self.entered()..].iter().take_while(|e| e.time() < t) {
+            self.enter(e);
         }
 
+        // Count-only windows; `total` starts at zero and never expires.
+        self.w15m
+            .expire(events, t.saturating_sub(SimDuration::minutes(15)));
+        self.w1h
+            .expire(events, t.saturating_sub(SimDuration::hours(1)));
+        self.w6h
+            .expire(events, t.saturating_sub(SimDuration::hours(6)));
+
         // One-day window: counts plus rolling error-bit state.
-        let (entered, left) = self
+        for i in self
             .w1d
-            .advance(events, t.saturating_sub(SimDuration::days(1)), t);
-        for i in entered {
-            if let Some(p) = events[i].profile.as_ref() {
-                self.eb_1d.insert(p);
-            }
-        }
-        for i in left {
+            .expire(events, t.saturating_sub(SimDuration::days(1)))
+        {
             if let Some(p) = events[i].profile.as_ref() {
                 self.eb_1d.remove(p);
             }
         }
 
         // Observation window: spatial dispersion and error-bit state.
-        let (entered, left) = self.obs.advance(events, t.saturating_sub(observation), t);
-        for i in entered {
-            if let Some((addr, p)) = events[i].ce() {
-                self.spatial.insert(addr);
-                self.eb_obs.insert(p);
-            }
-        }
-        for i in left {
+        for i in self.obs.expire(events, t.saturating_sub(observation)) {
             if let Some((addr, p)) = events[i].ce() {
                 self.spatial.remove(addr);
                 self.eb_obs.remove(p);
@@ -248,18 +277,8 @@ impl Windows {
         }
 
         // 30-day fault-mode lookback.
-        let (entered, left) = self.fault.advance(
-            events.len(),
-            |i| events[i].time(),
-            t.saturating_sub(SimDuration::days(30)),
-            t,
-        );
-        for i in entered {
-            if let Some((addr, p)) = events[i].ce() {
-                self.faults.insert(addr, p.device_mask);
-            }
-        }
-        for i in left {
+        let from = t.saturating_sub(SimDuration::days(30));
+        for i in self.fault.expire(|i| events[i].time(), from) {
             if let Some((addr, p)) = events[i].ce() {
                 self.faults.remove(addr, p.device_mask);
             }
@@ -304,8 +323,10 @@ impl Windows {
 ///
 /// Push events (in any order, cheapest in time order), then call
 /// [`Self::features_at`] at non-decreasing evaluation times; evict old
-/// events with [`Self::evict_before`]. See the module docs for the
-/// invariants.
+/// events with [`Self::evict_before`]. A caller that queries between
+/// pushes, as online serving does, enters each pushed event with
+/// [`Self::enter_newest`] so the next query only expires. See the module
+/// docs for the invariants.
 ///
 /// # Examples
 ///
@@ -388,11 +409,13 @@ impl FeatureStream {
     }
 
     /// Inserts `event` in time order, after any held events with the same
-    /// timestamp. An event stamped before the last evaluation time lands
+    /// timestamp. An event stamped before the last evaluation time, or
+    /// before an event entered early ([`Self::enter_newest`]), lands
     /// inside windows already entered, so the stream rewinds.
     pub fn push(&mut self, event: MemEvent) {
         let t = event.time();
-        if self.last_t.is_some_and(|prev| t < prev) {
+        if self.last_t.is_some_and(|prev| t < prev) || self.newest_entered().is_some_and(|n| t < n)
+        {
             self.rewind();
         }
         let entry = Entry {
@@ -420,12 +443,37 @@ impl FeatureStream {
         }
     }
 
+    /// Enters the newest held event into every window's rolling state now
+    /// instead of at the next query, which then only expires what aged
+    /// out. The online feature store calls this after each push, so a
+    /// prediction tick does not pay for the events of its interval.
+    ///
+    /// Does nothing unless the stream has been queried, every earlier held
+    /// event is inside the windows, and the newest is stamped at or after
+    /// the last query: then every window of a later query holds it. A
+    /// query at or before its stamp, or a push stamped before it, rewinds.
+    pub fn enter_newest(&mut self) {
+        let (Some(prev), Some(newest)) = (self.last_t, self.events.back()) else {
+            return;
+        };
+        if self.win.entered() + 1 == self.events.len() {
+            // The last query entered every event stamped before it, and a
+            // later push stamped before it rewound.
+            debug_assert!(
+                newest.time() >= prev,
+                "an event before the last query is out"
+            );
+            self.win.enter(newest);
+        }
+    }
+
     /// Extracts the feature vector at evaluation time `t`, bit-identical to
     /// the batch [`extract_features`](crate::extract::extract_features)
     /// over the held events.
     ///
     /// Amortized O(events entering/leaving windows) when `t` is
-    /// non-decreasing across calls; an earlier `t` rewinds the rolling
+    /// non-decreasing across calls and later than every early-entered
+    /// event ([`Self::enter_newest`]); any other `t` rewinds the rolling
     /// state and replays, which is correct but not incremental.
     ///
     /// # Panics
@@ -448,7 +496,8 @@ impl FeatureStream {
         let spec = self
             .spec
             .expect("FeatureStream::features_at needs the DIMM spec");
-        if self.last_t.is_some_and(|prev| t < prev) {
+        if self.last_t.is_some_and(|prev| t < prev) || self.newest_entered().is_some_and(|n| n >= t)
+        {
             self.rewind();
         }
         self.last_t = Some(t);
@@ -514,6 +563,13 @@ impl FeatureStream {
     /// Time of the newest held event.
     pub fn latest(&self) -> Option<SimTime> {
         self.events.back().map(Entry::time)
+    }
+
+    /// Stamp of the newest event inside the windows. Only an event entered
+    /// early can be stamped at or after the last evaluation time.
+    fn newest_entered(&self) -> Option<SimTime> {
+        let n = self.win.entered();
+        n.checked_sub(1).map(|i| self.events[i].time())
     }
 
     /// Drops all rolling state so the next query replays from the front.

@@ -8,8 +8,11 @@
 //! a model.
 //!
 //! Online serving keeps one owned [`FeatureStream`] per DIMM alive between
-//! prediction ticks, so a tick costs O(active DIMMs + events entering or
-//! leaving windows) instead of a rebuild of every active DIMM's window.
+//! prediction ticks, and [`FeatureStore::stream_ingest`] enters each
+//! event into its stream's windows when it is pushed
+//! ([`FeatureStream::enter_newest`]). A tick therefore costs O(active
+//! DIMMs + events leaving windows) instead of a rebuild of every active
+//! DIMM's window; entering is paid at the push, once per event.
 //! A tick serves every active DIMM in one pass
 //! ([`FeatureStore::serve_active`]); [`FeatureStore::active_dimms`] and
 //! [`FeatureStore::serve`] answer the same questions one DIMM at a time.
@@ -156,7 +159,8 @@ impl FeatureStore {
     /// at their timestamp position. Events older than the retention
     /// cutoff are dropped outright — never spliced into a window that has
     /// already been evicted around them. Expired events are popped from
-    /// the front of the stream.
+    /// the front of the stream, and then the event enters the stream's
+    /// windows, so the next tick does not have to enter it.
     pub fn stream_ingest(&self, event: &MemEvent) {
         let mut streams = self.streams.lock().expect(POISONED);
         let s = streams
@@ -178,6 +182,7 @@ impl FeatureStore {
         }
         s.push(*event);
         s.evict_before(cutoff);
+        s.enter_newest();
     }
 
     /// Exports every per-DIMM stream (checkpoint support): the complete

@@ -17,9 +17,11 @@
 #     hangs_detected / panics_caught / replayed_outputs / quarantined)
 #     are deterministic too and must equal the committed ones: a change
 #     in how often shards restart, replay or die by SIGKILL FAILS.
-#   * wall_secs / mean_run_secs / events_per_sec / outputs_per_sec are
-#     compared pairwise in document order (mean_run_secs is a chaos
-#     gate's mean run: spawns, WAL replay and re-feed included). When the committed `cores` matches this host's
+#   * wall_secs / mean_run_secs / tick_p50_us / events_per_sec /
+#     outputs_per_sec are compared pairwise in document order
+#     (mean_run_secs is a chaos gate's mean run: spawns, WAL replay and
+#     re-feed included; tick_p50_us is the serve gate's median sequential
+#     prediction tick, lower is better). When the committed `cores` matches this host's
 #     recorded cores the comparison is enforced (a fresh value worse
 #     than the committed one by more than BENCH_CHECK_MAX_REGRESSION x
 #     FAILS); when cores differ — the usual case on shared CI runners —
@@ -38,7 +40,7 @@
 #                                            (injected identity failure,
 #                                            hash mismatch, count drift,
 #                                            restart drift, cores skew,
-#                                            slow chaos runs)
+#                                            slow chaos runs, slow ticks)
 #
 # Environment:
 #   BENCH_CHECK_ONLY="fleet serve"   subset of gates to re-run
@@ -159,6 +161,7 @@ compare_json() { # committed fresh name
   before=$FAILURES
   perf_key "$c" "$f" "$name" wall_secs wall "$enforce"
   perf_key "$c" "$f" "$name" mean_run_secs wall "$enforce"
+  perf_key "$c" "$f" "$name" tick_p50_us wall "$enforce"
   perf_key "$c" "$f" "$name" events_per_sec rate "$enforce"
   perf_key "$c" "$f" "$name" outputs_per_sec rate "$enforce"
   if [ "$FAILURES" -eq "$before" ]; then
@@ -194,7 +197,7 @@ self_test() {
   # A healthy pair: same hash, same cores, identity true, similar perf.
   cat > "$t/good_committed.json" <<'EOF'
 {"bench": "x", "events": 4242, "cores": 4, "config_hash": "abc123",
- "baseline": {"wall_secs": 1.0, "events_per_sec": 1000.0},
+ "baseline": {"wall_secs": 1.0, "events_per_sec": 1000.0, "tick_p50_us": 100.0},
  "runs": [{"wall_secs": 0.5, "events_per_sec": 2000.0, "identical": true}],
  "chaos": {"runs": 3, "identical": true, "restarts": 7, "replayed_outputs": 900,
            "mean_run_secs": 0.2}}
@@ -222,6 +225,9 @@ EOF
 
   # Same host, chaos runs 10x slower (recovery got costlier): must fail.
   sed 's/"mean_run_secs": 0.2/"mean_run_secs": 2.0/' "$t/good_committed.json" > "$t/slow_chaos_runs.json"
+
+  # Same host, prediction ticks 10x slower: must fail.
+  sed 's/"tick_p50_us": 100.0/"tick_p50_us": 1000.0/' "$t/good_committed.json" > "$t/slow_ticks.json"
 
   echo "[bench-check] self-test: healthy pair must pass"
   FAILURES=0
@@ -263,6 +269,11 @@ EOF
   FAILURES=0
   compare_json "$t/good_committed.json" "$t/slow_chaos_runs.json" self-chaosruns
   [ "$FAILURES" -gt 0 ] || { echo "[bench-check] SELF-TEST FAILED: slower mean_run_secs not caught"; exit 1; }
+
+  echo "[bench-check] self-test: same-host ticks 10x slower must fail"
+  FAILURES=0
+  compare_json "$t/good_committed.json" "$t/slow_ticks.json" self-ticks
+  [ "$FAILURES" -gt 0 ] || { echo "[bench-check] SELF-TEST FAILED: slower tick_p50_us not caught"; exit 1; }
 
   echo "[bench-check] self-test: recorded identity=false in a committed file must fail"
   FAILURES=0

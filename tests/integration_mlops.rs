@@ -328,3 +328,98 @@ fn online_scores_match_the_rebuild_oracle() {
     assert!(!oracle.alarms.is_empty(), "the threshold must raise alarms");
     assert_eq!(online.alarms(), oracle.alarms.as_slice());
 }
+
+/// Runs `engine` under a private registry and checks that it never took
+/// a feature stream's rewind path.
+fn without_rewinds<R>(name: &str, engine: impl FnOnce() -> R) -> R {
+    let reg = mfp_obs::Registry::new();
+    let out = mfp_obs::with_registry(&reg, engine);
+    let rewinds = reg.counter("features_stream_rewinds", &[]).get();
+    assert_eq!(rewinds, 0, "{name} rewound {rewinds} feature streams");
+    out
+}
+
+/// Time-ordered serving enters every event into its windows at the push
+/// and never rewinds: over a smoke fleet's Purley stream behind the
+/// hardened ingest, the sequential predictor, `serve_pipeline` at 2
+/// shards × 2 workers and a `ShardedDurable` run (live, dropped
+/// mid-stream, reopened, resumed and finished) each leave
+/// `features_stream_rewinds` at 0, with alarms and score traces equal to
+/// the sequential run's.
+#[test]
+fn time_ordered_serving_never_rewinds() {
+    let (fleet, lake) = setup();
+    let (problem, th) = (ProblemConfig::default(), FaultThresholds::default());
+    let platform = Platform::IntelPurley;
+    let registry = ModelSpec::default_risky_ce().registry(platform);
+    let (online, icfg) = (OnlineConfig::default(), IngestConfig::default());
+    let events: Vec<MemEvent> = fleet
+        .log
+        .events()
+        .iter()
+        .filter(|e| lake.dimm_info(e.dimm()).map(|(p, _)| p) == Some(platform))
+        .copied()
+        .collect();
+    let replay = |emit: &mut dyn FnMut(MemEvent)| events.iter().for_each(|e| emit(*e));
+    let mut outputs = Vec::new();
+    ingest_bounded(&lake, icfg, 4, 256, replay, |o| outputs.push(o));
+    let end = SimTime::ZERO + fleet.config.horizon + SimDuration::days(2);
+
+    let (alarms, scores) = without_rewinds("the sequential predictor", || {
+        let store = FeatureStore::new(problem, th);
+        let mut p = OnlinePredictor::new(&lake, &store, &registry, platform, online);
+        p.set_score_trace(true);
+        for o in &outputs {
+            p.apply(o);
+        }
+        p.finish(end);
+        (p.alarms().to_vec(), p.score_trace().to_vec())
+    });
+    assert!(scores.len() > 1_000, "only {} scores", scores.len());
+    assert!(!alarms.is_empty(), "the stream must raise alarms");
+
+    let served = without_rewinds("serve_pipeline", || {
+        let scfg = ServeConfig {
+            online,
+            record_scores: true,
+            ..ServeConfig::new(2, 2)
+        };
+        serve_pipeline(
+            &lake, &registry, platform, problem, th, icfg, &scfg, end, replay,
+        )
+    });
+    assert_eq!(served.alarms, alarms, "serve_pipeline alarms");
+    assert_eq!(served.scores, scores, "serve_pipeline scores");
+
+    let dir = std::env::temp_dir().join(format!("mfp_never_rewinds_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DurableConfig {
+        batch: 32,
+        compact_every: 8,
+        record_scores: true,
+        ..DurableConfig::default()
+    };
+    let open = |stores| {
+        ShardedDurable::open(&dir, &lake, stores, &registry, platform, online, cfg)
+            .expect("open the WAL root")
+            .0
+    };
+    let (live, restored) = (make_stores(2, problem, th), make_stores(2, problem, th));
+    let (durable_alarms, durable_scores) = without_rewinds("ShardedDurable", || {
+        let mut sd = open(&live);
+        for o in &outputs[..outputs.len() / 2] {
+            sd.push(*o).expect("push");
+        }
+        drop(sd);
+        let mut sd = open(&restored);
+        assert!(sd.consumed() > 0, "the reopened root recovered nothing");
+        for o in &outputs {
+            sd.push(*o).expect("push");
+        }
+        sd.finish(end).expect("finish");
+        (sd.alarms(), sd.scores())
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(durable_alarms, alarms, "ShardedDurable alarms");
+    assert_eq!(durable_scores, scores, "ShardedDurable scores");
+}

@@ -465,6 +465,109 @@ fn store_traffic_cases() {
     });
 }
 
+/// Early entry is invisible: one stream driven through random
+/// interleavings of pushes (in order, at equal stamps, and out of order
+/// before and after the newest early-entered event), `evict_before` cuts
+/// inside every window, the entering step `FeatureStream::enter_newest`,
+/// device-width changes and queries (later ones, ones at the newest held
+/// event's own stamp and ones before it) serves every row bit-identical
+/// to the batch extractor over the events it holds.
+#[test]
+fn early_entry_matches_batch_oracle() {
+    let reg = mfp_obs::Registry::new();
+    mfp_obs::with_registry(&reg, early_entry_cases);
+    assert!(
+        reg.counter("features_stream_rewinds", &[]).get() > 0,
+        "no query or push reached the rewind path"
+    );
+}
+
+fn early_entry_cases() {
+    check("early_entry_matches_batch_oracle", CASES, |rng| {
+        let day = 86_400u64;
+        let cfg = ProblemConfig::default();
+        let th = FaultThresholds::default();
+        let windows = [
+            15 * 60,
+            3_600,
+            6 * 3_600,
+            day,
+            cfg.observation.as_secs(),
+            30 * day,
+        ];
+        let dimm = DimmId::new(1, 0);
+        let spec_of = |x8: bool| DimmSpec {
+            width: if x8 { DataWidth::X8 } else { DataWidth::X4 },
+            ..Default::default()
+        };
+        let mut spec = spec_of(coin(rng));
+        let mut stream = FeatureStream::new(cfg, th);
+        stream.set_spec(spec);
+        let mut clock = rng.random_range(0..day);
+        let mut last_query = None;
+        for _ in 0..rng.random_range(20usize..120) {
+            let newest = stream.latest().map_or(clock, SimTime::as_secs);
+            match rng.random_range(0u32..24) {
+                // Pushes, each followed by the entering step as the store
+                // does: in order, at an equal stamp, out of order (before
+                // or after the last query and the newest event).
+                0..=7 => {
+                    clock += rng.random_range(0..day / 2);
+                    stream.push(random_store_event(rng, dimm, clock));
+                    stream.enter_newest();
+                }
+                8 | 9 => {
+                    stream.push(random_store_event(rng, dimm, newest));
+                    stream.enter_newest();
+                }
+                10 | 11 => {
+                    let t = newest.saturating_sub(rng.random_range(0..day));
+                    stream.push(random_store_event(rng, dimm, t));
+                    stream.enter_newest();
+                }
+                // A push left out of the windows, and a lone entering step.
+                12 => stream.push(random_store_event(rng, dimm, clock)),
+                13 => stream.enter_newest(),
+                // A cut inside one window, measured back from the last
+                // query or from the newest event.
+                14 | 15 => {
+                    let from = if coin(rng) {
+                        last_query.unwrap_or(newest)
+                    } else {
+                        newest
+                    };
+                    let len = windows[rng.random_range(0..windows.len())];
+                    let cutoff = from.saturating_sub(rng.random_range(0..len));
+                    stream.evict_before(SimTime::from_secs(cutoff));
+                }
+                16 => {
+                    spec = spec_of(spec.width == DataWidth::X4);
+                    stream.set_spec(spec);
+                }
+                // Queries: later than every event, at the newest event's
+                // own stamp, or before it.
+                q => {
+                    let t = match q {
+                        17..=20 => newest + rng.random_range(1..day),
+                        21 => newest,
+                        _ => newest.saturating_sub(rng.random_range(1..2 * day)),
+                    };
+                    let t = SimTime::from_secs(t);
+                    let held: Vec<MemEvent> = stream.events().copied().collect();
+                    let refs: Vec<&MemEvent> = held.iter().collect();
+                    let expected = extract_features(&DimmHistory::new(&refs), &spec, t, &cfg, &th);
+                    let row = stream.features_at(t);
+                    assert_eq!(row.len(), expected.len());
+                    for (i, (a, b)) in row.iter().zip(&expected).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "feature {i} at {t}");
+                    }
+                    last_query = Some(t.as_secs());
+                }
+            }
+        }
+    });
+}
+
 /// `ProblemConfig::sample_times` before its forward cursor: a binary
 /// search over the history at every grid step.
 fn sample_times_per_step(
