@@ -8,7 +8,7 @@
 use mfp_bench::report::{m2, print_table};
 use mfp_core::prelude::*;
 use mfp_dram::geometry::Platform;
-use mfp_ml::metrics::{best_vote_threshold, dimm_level_vote, Confusion, Evaluation};
+use mfp_ml::metrics::{best_vote_threshold, vote_evaluation, Evaluation};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_sim::config::FleetConfig;
 use mfp_sim::fleet::simulate_fleet;
@@ -31,9 +31,7 @@ fn main() {
         let model = Model::train_seeded(Algorithm::LightGbm, fit, cfg.seed);
         let val_scores = model.predict_set(val);
         let th = best_vote_threshold(val, &val_scores, cfg.votes);
-        let test_scores = model.predict_set(test);
-        let (y_true, y_pred) = dimm_level_vote(test, &test_scores, th, cfg.votes);
-        Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), th)
+        vote_evaluation(test, &model.predict_set(test), th, cfg.votes)
     };
 
     let full = evaluate(&splits.fit, &splits.validation, &splits.test);

@@ -13,12 +13,13 @@
 //!
 //! `cargo run --release -p mfp-bench --bin train_digest`
 //!
-//! CI runs it pinned to one CPU and unpinned and diffs the two outputs.
+//! CI runs it pinned to one CPU and unpinned, and diffs both outputs
+//! against each other and against `tests/fixtures/train_digest.txt`.
 
 use mfp_core::experiment::{build_splits, ExperimentConfig};
 use mfp_dram::geometry::Platform;
 use mfp_features::dataset::SampleSet;
-use mfp_ml::metrics::{best_vote_threshold, dimm_level_vote, Confusion, Evaluation};
+use mfp_ml::metrics::{best_vote_threshold, vote_evaluation};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_mlops::wal::crc32;
 use mfp_sim::config::FleetConfig;
@@ -94,11 +95,7 @@ fn main() {
             predict += t.elapsed().as_secs_f64();
             let t = Instant::now();
             let threshold = best_vote_threshold(&splits.validation, &val, exp.votes);
-            let (y_true, y_pred) = dimm_level_vote(&splits.test, &test, threshold, exp.votes);
-            let eval = Evaluation::from_confusion(
-                Confusion::from_predictions(&y_true, &y_pred),
-                threshold,
-            );
+            let eval = vote_evaluation(&splits.test, &test, threshold, exp.votes);
             vote += t.elapsed().as_secs_f64();
             let importance = model.feature_importance().unwrap_or(&[]);
             println!(

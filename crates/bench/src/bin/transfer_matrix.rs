@@ -8,7 +8,7 @@
 use mfp_bench::report::{m2, print_table};
 use mfp_core::prelude::*;
 use mfp_dram::geometry::Platform;
-use mfp_ml::metrics::{best_vote_threshold, dimm_level_vote, Confusion, Evaluation};
+use mfp_ml::metrics::{best_vote_threshold, vote_evaluation};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_sim::config::FleetConfig;
 use mfp_sim::fleet::simulate_fleet;
@@ -41,8 +41,7 @@ fn main() {
             let val_scores = model.predict_set(&test_splits.validation);
             let th = best_vote_threshold(&test_splits.validation, &val_scores, cfg.votes);
             let test_scores = model.predict_set(&test_splits.test);
-            let (y_true, y_pred) = dimm_level_vote(&test_splits.test, &test_scores, th, cfg.votes);
-            let e = Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), th);
+            let e = vote_evaluation(&test_splits.test, &test_scores, th, cfg.votes);
             let diag = if train_p == test_p { "*" } else { "" };
             row.push(format!("{}{diag}", m2(e.f1)));
         }

@@ -3,10 +3,10 @@
 
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::{SimDuration, SimTime};
-use mfp_features::dataset::{build_samples, build_samples_with_workers, SampleSet};
+use mfp_features::dataset::{build_samples, SampleSet};
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::labeling::ProblemConfig;
-use mfp_ml::metrics::{best_vote_threshold, dimm_level_vote, Confusion, Evaluation};
+use mfp_ml::metrics::{best_vote_threshold, vote_evaluation, Evaluation};
 use mfp_ml::model::{Algorithm, Model};
 use mfp_sim::fleet::FleetResult;
 
@@ -29,9 +29,6 @@ pub struct ExperimentConfig {
     pub votes: usize,
     /// Training seed.
     pub seed: u64,
-    /// Worker threads for sample assembly; 0 = one per available core.
-    /// Output is bit-identical for every setting.
-    pub assembly_workers: usize,
 }
 
 impl Default for ExperimentConfig {
@@ -45,7 +42,6 @@ impl Default for ExperimentConfig {
             ft_extra_keep: 3,
             votes: 2,
             seed: 17,
-            assembly_workers: 0,
         }
     }
 }
@@ -81,17 +77,7 @@ pub fn build_splits(
     platform: Platform,
     cfg: &ExperimentConfig,
 ) -> PlatformSplits {
-    let all = if cfg.assembly_workers == 0 {
-        build_samples(fleet, platform, &cfg.problem, &cfg.thresholds)
-    } else {
-        build_samples_with_workers(
-            fleet,
-            platform,
-            &cfg.problem,
-            &cfg.thresholds,
-            cfg.assembly_workers,
-        )
-    };
+    let all = build_samples(fleet, platform, &cfg.problem, &cfg.thresholds);
     let (fitval, test) = all.split_by_time(cfg.validate_until);
     let (fit_full, validation) = fitval.split_by_time(cfg.fit_until);
     PlatformSplits {
@@ -117,9 +103,7 @@ pub fn evaluate_algorithm(
     let val_scores = model.predict_set(&splits.validation);
     let threshold = best_vote_threshold(&splits.validation, &val_scores, cfg.votes);
     let test_scores = model.predict_set(&splits.test);
-    let (y_true, y_pred) = dimm_level_vote(&splits.test, &test_scores, threshold, cfg.votes);
-    let evaluation =
-        Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), threshold);
+    let evaluation = vote_evaluation(&splits.test, &test_scores, threshold, cfg.votes);
     AlgoResult {
         algorithm,
         platform,
@@ -127,22 +111,6 @@ pub fn evaluate_algorithm(
         reported_in_paper: algorithm != Algorithm::RiskyCePattern
             || platform == Platform::IntelPurley,
     }
-}
-
-/// Runs the full Table II protocol over all platforms and algorithms.
-pub fn run_table2(
-    fleet: &FleetResult,
-    algorithms: &[Algorithm],
-    cfg: &ExperimentConfig,
-) -> Vec<AlgoResult> {
-    let mut out = Vec::new();
-    for &platform in &Platform::ALL {
-        let splits = build_splits(fleet, platform, cfg);
-        for &algorithm in algorithms {
-            out.push(evaluate_algorithm(algorithm, &splits, platform, cfg));
-        }
-    }
-    out
 }
 
 /// Feature families for the ablation study.
@@ -287,36 +255,6 @@ mod tests {
             .iter()
             .all(|&t| t >= cfg.fit_until && t < cfg.validate_until));
         assert!(splits.test.times.iter().all(|&t| t >= cfg.validate_until));
-    }
-
-    #[test]
-    fn assembly_worker_count_does_not_change_splits() {
-        let fleet = simulate_fleet(&FleetConfig::smoke(5));
-        let base = ExperimentConfig {
-            fit_until: SimTime::ZERO + SimDuration::days(50),
-            validate_until: SimTime::ZERO + SimDuration::days(80),
-            ..Default::default()
-        };
-        let one = build_splits(
-            &fleet,
-            Platform::IntelPurley,
-            &ExperimentConfig {
-                assembly_workers: 1,
-                ..base
-            },
-        );
-        let many = build_splits(
-            &fleet,
-            Platform::IntelPurley,
-            &ExperimentConfig {
-                assembly_workers: 3,
-                ..base
-            },
-        );
-        assert_eq!(one.fit.features, many.fit.features);
-        assert_eq!(one.validation.features, many.validation.features);
-        assert_eq!(one.test.features, many.test.features);
-        assert_eq!(one.test.labels, many.test.labels);
     }
 
     #[test]

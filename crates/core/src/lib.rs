@@ -38,7 +38,7 @@ pub mod study;
 /// Convenient glob-import of the most used types.
 pub mod prelude {
     pub use crate::experiment::{
-        ablate_family, build_splits, evaluate_algorithm, run_table2, AlgoResult, ExperimentConfig,
+        ablate_family, build_splits, evaluate_algorithm, AlgoResult, ExperimentConfig,
         FeatureFamily, PlatformSplits,
     };
     pub use crate::pipeline::Study;

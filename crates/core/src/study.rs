@@ -2,7 +2,6 @@
 //! truth is never consulted): Table I, Fig. 4 and Fig. 5.
 
 use mfp_dram::address::DimmId;
-use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::{DataWidth, Platform};
 use mfp_dram::time::SimDuration;
 use mfp_features::errorbits::ErrorBitStats;
@@ -238,13 +237,6 @@ pub fn error_bit_analysis(fleet: &FleetResult, platform: Platform) -> Vec<ErrorB
                 .collect(),
         })
         .collect()
-}
-
-/// Returns the CE events of `events` (helper shared by analyses).
-pub fn ces_of<'a>(
-    events: &'a [&'a MemEvent],
-) -> impl Iterator<Item = &'a mfp_dram::event::CeEvent> {
-    events.iter().filter_map(|e| e.as_ce())
 }
 
 #[cfg(test)]

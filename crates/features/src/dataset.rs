@@ -14,8 +14,9 @@ use mfp_dram::address::DimmId;
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
 use mfp_dram::spec::DimmSpec;
-use mfp_dram::time::{SimDuration, SimTime};
+use mfp_dram::time::SimTime;
 use mfp_sim::fleet::FleetResult;
+use std::ops::Range;
 
 /// A labelled tabular dataset of prediction samples.
 ///
@@ -182,20 +183,28 @@ impl SampleSet {
     }
 }
 
-/// Streams one DIMM's history into samples appended onto `set`: pushes
-/// its events into `stream` (reset for this DIMM), then queries its
-/// sample times.
-fn stream_dimm_samples(
+/// Streams one DIMM's history into the samples it yields at times in
+/// `window`, appended onto `set`: pushes its events into `stream` (reset
+/// for this DIMM), then queries its sample times.
+///
+/// `events` are the DIMM's events in time order, reaching past
+/// `window.end` far enough to label its samples. The sample grid runs up
+/// to `window.end` ([`ProblemConfig::sample_times`]); times before
+/// `window.start` are skipped. Both assembly paths take this step per
+/// DIMM: [`build_samples_with_workers`] over a fleet's whole horizon, and
+/// the feature store over the lake's events in a training window.
+pub fn stream_dimm_samples(
     set: &mut SampleSet,
     id: DimmId,
     spec: &DimmSpec,
     events: &[&MemEvent],
-    horizon: SimDuration,
+    window: Range<SimTime>,
     cfg: &ProblemConfig,
     stream: &mut FeatureStream,
 ) {
     let history = DimmHistory::new(events);
-    let times = cfg.sample_times(&history, horizon);
+    let mut times = cfg.sample_times(&history, window.end - SimTime::ZERO);
+    times.retain(|&t| t >= window.start);
     if times.is_empty() {
         return;
     }
@@ -291,7 +300,7 @@ pub fn build_samples_with_workers(
 
     let workers = workers.max(1);
     let chunk = dimms.len().div_ceil(workers).max(1);
-    let horizon = fleet.config.horizon;
+    let window = SimTime::ZERO..SimTime::ZERO + fleet.config.horizon;
     let assembly_span = mfp_obs::latency("features_assembly_seconds", &[]).time();
     // Handles resolved once and cloned into the workers: recording is a
     // relaxed atomic op, so the threads never contend on the registry.
@@ -299,7 +308,7 @@ pub fn build_samples_with_workers(
     let partials = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for slice in dimms.chunks(chunk) {
-            let worker_seconds = worker_seconds.clone();
+            let (worker_seconds, window) = (worker_seconds.clone(), window.clone());
             handles.push(s.spawn(move || {
                 let _span = worker_seconds.time();
                 let mut part = SampleSet::new();
@@ -312,7 +321,7 @@ pub fn build_samples_with_workers(
                         truth.id,
                         &truth.spec,
                         events,
-                        horizon,
+                        window.clone(),
                         cfg,
                         &mut stream,
                     );

@@ -9,7 +9,6 @@
 //! as in the paper's Fig. 4 methodology.
 
 use crate::addr_counts::{AddrCounts, Moved};
-use crate::history::DimmHistory;
 use mfp_dram::address::CellAddr;
 use mfp_dram::event::CeEvent;
 use mfp_dram::geometry::DataWidth;
@@ -258,20 +257,6 @@ impl RollingFaultClassifier {
             multi_device: self.devices >= 2,
         }
     }
-}
-
-/// Classifies a DIMM's whole history up to (excluding) `before`.
-pub fn classify_history(
-    history: &DimmHistory<'_>,
-    before: mfp_dram::time::SimTime,
-    width: DataWidth,
-    th: &FaultThresholds,
-) -> ObservedFaults {
-    classify_ces(
-        history.ces_in(mfp_dram::time::SimTime::ZERO, before),
-        width,
-        th,
-    )
 }
 
 #[cfg(test)]

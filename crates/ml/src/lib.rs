@@ -10,7 +10,7 @@
 //!   early stopping.
 //! * [`ft`] — an FT-Transformer on the `mfp-tensor` kernels.
 //! * [`metrics`] — precision / recall / F1 / VIRR, threshold selection and
-//!   DIMM-level aggregation.
+//!   the DIMM-level alarm vote.
 //! * [`model`] — one enum to train and score any of the above.
 
 #![forbid(unsafe_code)]
@@ -34,8 +34,8 @@ pub mod prelude {
     pub use crate::ft::{FtParams, FtTransformer};
     pub use crate::gbdt::{Gbdt, GbdtParams};
     pub use crate::metrics::{
-        best_dimm_f1_threshold, best_f1_threshold, best_vote_threshold, dimm_level,
-        dimm_level_vote, evaluate_dimm_level, pr_curve, roc_auc, Confusion, Evaluation, PrPoint,
+        best_f1_threshold, best_vote_threshold, dimm_level_vote, roc_auc, vote_evaluation,
+        Confusion, Evaluation,
     };
     pub use crate::model::{Algorithm, Model};
     pub use crate::risky_ce::{RiskyCeParams, RiskyCePattern};

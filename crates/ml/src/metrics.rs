@@ -1,6 +1,6 @@
 //! Evaluation metrics: precision / recall / F1 and the paper's VM
-//! Interruption Reduction Rate (VIRR), plus threshold selection and
-//! DIMM-level aggregation of sample-level scores.
+//! Interruption Reduction Rate (VIRR), plus threshold selection and the
+//! DIMM-level alarm vote over sample-level scores ([`vote_evaluation`]).
 
 use mfp_dram::address::DimmId;
 use mfp_dram::time::{SimDuration, SimTime};
@@ -154,23 +154,6 @@ pub fn best_f1_threshold(labels: &[bool], scores: &[f32]) -> f32 {
     best.0
 }
 
-/// Aggregates sample-level scores to DIMM level: a DIMM is *predicted*
-/// failing when any of its samples scores at or above the threshold, and
-/// *actually* failing when any of its samples is labelled positive.
-///
-/// Returns `(y_true, y_pred)` in DIMM order.
-#[allow(clippy::needless_range_loop)] // set columns and scores walked in lockstep
-pub fn dimm_level(set: &SampleSet, scores: &[f32], threshold: f32) -> (Vec<bool>, Vec<bool>) {
-    assert_eq!(set.len(), scores.len());
-    let mut per_dimm: BTreeMap<DimmId, (bool, bool)> = BTreeMap::new();
-    for i in 0..set.len() {
-        let e = per_dimm.entry(set.dimms[i]).or_insert((false, false));
-        e.0 |= set.labels[i];
-        e.1 |= scores[i] >= threshold;
-    }
-    per_dimm.values().copied().unzip()
-}
-
 /// The set's effective sampling cadence: the smallest positive gap between
 /// successive same-DIMM sample times. Robust to negative downsampling
 /// (which removes whole samples but leaves adjacent pairs elsewhere in any
@@ -262,6 +245,19 @@ pub fn dimm_level_vote_with_gap(
         }
     }
     per_dimm.values().map(|&(t, _, p, _)| (t, p)).unzip()
+}
+
+/// The DIMM-level evaluation of `scores` on `set` under the alarm-voting
+/// rule of [`dimm_level_vote`] at `threshold` (Table II's protocol: pass
+/// the [`best_vote_threshold`] of a tuning split's scores).
+pub fn vote_evaluation(
+    set: &SampleSet,
+    scores: &[f32],
+    threshold: f32,
+    votes: usize,
+) -> Evaluation {
+    let (y_true, y_pred) = dimm_level_vote(set, scores, threshold, votes);
+    Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), threshold)
 }
 
 /// Per DIMM of `set`, in DIMM order: whether any of its samples is
@@ -356,48 +352,6 @@ pub fn best_vote_threshold(set: &SampleSet, scores: &[f32], votes: usize) -> f32
         .min(1.0)
 }
 
-/// One point of a precision-recall curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrPoint {
-    /// Decision threshold.
-    pub threshold: f32,
-    /// Precision at this threshold.
-    pub precision: f64,
-    /// Recall at this threshold.
-    pub recall: f64,
-}
-
-/// Precision-recall curve over up to `max_points` threshold quantiles,
-/// ordered by increasing recall.
-pub fn pr_curve(labels: &[bool], scores: &[f32], max_points: usize) -> Vec<PrPoint> {
-    assert_eq!(labels.len(), scores.len());
-    let mut sorted: Vec<f32> = scores.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    sorted.dedup();
-    let max_points = max_points.max(2);
-    let thresholds: Vec<f32> = if sorted.len() <= max_points {
-        sorted
-    } else {
-        (0..max_points)
-            .map(|k| sorted[k * (sorted.len() - 1) / (max_points - 1)])
-            .collect()
-    };
-    let mut points: Vec<PrPoint> = thresholds
-        .into_iter()
-        .map(|threshold| {
-            let preds: Vec<bool> = scores.iter().map(|&s| s >= threshold).collect();
-            let c = Confusion::from_predictions(labels, &preds);
-            PrPoint {
-                threshold,
-                precision: c.precision(),
-                recall: c.recall(),
-            }
-        })
-        .collect();
-    points.sort_by(|a, b| a.recall.partial_cmp(&b.recall).unwrap());
-    points
-}
-
 /// Area under the ROC curve via the rank-sum (Mann-Whitney) statistic,
 /// with midrank tie handling. Returns 0.5 when one class is absent.
 pub fn roc_auc(labels: &[bool], scores: &[f32]) -> f64 {
@@ -427,35 +381,6 @@ pub fn roc_auc(labels: &[bool], scores: &[f32]) -> f64 {
         return 0.5;
     }
     (rank_sum - (pos * (pos + 1) / 2) as f64) / (pos as f64 * neg as f64)
-}
-
-/// Picks the threshold maximizing *DIMM-level* F1 on a validation set.
-/// Returns the conventional 0.5 when no finite score exists.
-pub fn best_dimm_f1_threshold(set: &SampleSet, scores: &[f32]) -> f32 {
-    assert_eq!(set.len(), scores.len());
-    let candidates = threshold_candidates(scores, 100);
-    let mut best = (0.5f32, -1.0f64);
-    for &th in &candidates {
-        let (y_true, y_pred) = dimm_level(set, scores, th);
-        let f1 = Confusion::from_predictions(&y_true, &y_pred).f1();
-        if f1 > best.1 {
-            best = (th, f1);
-        }
-    }
-    best.0
-}
-
-/// Full evaluation pipeline at DIMM level: threshold tuned on
-/// `(val_labels, val_scores)`, applied to the test set.
-pub fn evaluate_dimm_level(
-    val_labels: &[bool],
-    val_scores: &[f32],
-    test: &SampleSet,
-    test_scores: &[f32],
-) -> Evaluation {
-    let th = best_f1_threshold(val_labels, val_scores);
-    let (y_true, y_pred) = dimm_level(test, test_scores, th);
-    Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), th)
 }
 
 #[cfg(test)]
@@ -515,22 +440,6 @@ mod tests {
         let th = best_f1_threshold(&labels, &scores);
         let preds: Vec<bool> = scores.iter().map(|&s| s >= th).collect();
         assert_eq!(Confusion::from_predictions(&labels, &preds).f1(), 1.0);
-    }
-
-    #[test]
-    fn pr_curve_is_monotone_in_recall_and_anchored() {
-        let labels = [false, false, true, false, true, true];
-        let scores = [0.1f32, 0.2, 0.55, 0.4, 0.8, 0.9];
-        let curve = pr_curve(&labels, &scores, 50);
-        assert!(curve.windows(2).all(|w| w[0].recall <= w[1].recall));
-        // The lowest threshold predicts everything positive: recall 1,
-        // precision = base rate (3 positives of 6).
-        assert!(curve
-            .iter()
-            .any(|p| p.recall == 1.0 && (p.precision - 0.5).abs() < 1e-12));
-        // The curve also contains a perfect-precision point (threshold
-        // above every negative score).
-        assert!(curve.iter().any(|p| p.precision == 1.0));
     }
 
     #[test]
@@ -597,7 +506,6 @@ mod tests {
         let empty = SampleSet::new();
         assert_eq!(best_vote_threshold(&empty, &[], 2), 0.5);
         assert_eq!(best_f1_threshold(&[], &[]), 0.5);
-        assert_eq!(best_dimm_f1_threshold(&empty, &[]), 0.5);
         let mut set = SampleSet::new();
         set.schema = vec!["x".into()];
         set.push(vec![0.0], true, DimmId::new(0, 0), SimTime::from_secs(1));
@@ -608,11 +516,10 @@ mod tests {
         let mixed = [f32::INFINITY, 0.8];
         assert!(best_vote_threshold(&set, &mixed, 1).is_finite());
         assert!(best_f1_threshold(&[true, false], &mixed).is_finite());
-        assert!(best_dimm_f1_threshold(&set, &mixed).is_finite());
     }
 
     #[test]
-    fn dimm_level_aggregates_any_positive() {
+    fn one_vote_aggregates_any_positive() {
         let mut set = SampleSet::new();
         set.schema = vec!["x".into()];
         // DIMM 0: samples neg+pos; DIMM 1: all neg.
@@ -620,8 +527,19 @@ mod tests {
         set.push(vec![0.0], true, DimmId::new(0, 0), SimTime::from_secs(2));
         set.push(vec![0.0], false, DimmId::new(1, 0), SimTime::from_secs(3));
         let scores = [0.9f32, 0.1, 0.2];
-        let (y_true, y_pred) = dimm_level(&set, &scores, 0.5);
+        let (y_true, y_pred) = dimm_level_vote(&set, &scores, 0.5, 1);
         assert_eq!(y_true, vec![true, false]);
         assert_eq!(y_pred, vec![true, false]);
+        let e = vote_evaluation(&set, &scores, 0.5, 1);
+        assert_eq!(
+            (
+                e.confusion.tp,
+                e.confusion.fp,
+                e.confusion.fn_,
+                e.confusion.tn
+            ),
+            (1, 0, 0, 1)
+        );
+        assert_eq!((e.threshold, e.f1), (0.5, 1.0));
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::forest::ForestParams;
 use crate::gbdt::GbdtParams;
-use crate::metrics::{best_vote_threshold, dimm_level_vote, Confusion, Evaluation};
+use crate::metrics::{best_vote_threshold, vote_evaluation, Evaluation};
 use crate::model::{Algorithm, Model};
 use crate::tree::TreeParams;
 use mfp_features::dataset::SampleSet;
@@ -102,11 +102,7 @@ pub fn grid_search(
             let model = candidate.train(train);
             let scores = model.predict_set(validation);
             let threshold = best_vote_threshold(validation, &scores, votes);
-            let (y_true, y_pred) = dimm_level_vote(validation, &scores, threshold, votes);
-            let evaluation = Evaluation::from_confusion(
-                Confusion::from_predictions(&y_true, &y_pred),
-                threshold,
-            );
+            let evaluation = vote_evaluation(validation, &scores, threshold, votes);
             TunedCandidate {
                 candidate,
                 evaluation,

@@ -15,7 +15,7 @@ use crate::registry::ModelRegistry;
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::SimTime;
 use mfp_features::dataset::SampleSet;
-use mfp_ml::metrics::{best_vote_threshold, dimm_level_vote, Confusion, Evaluation};
+use mfp_ml::metrics::{best_vote_threshold, vote_evaluation};
 use mfp_ml::model::{Algorithm, Model};
 
 /// Pipeline gate configuration.
@@ -103,8 +103,7 @@ pub fn run_pipeline(
     // Threshold tuning + benchmark evaluation.
     let scores = model.predict_set(benchmark);
     let threshold = best_vote_threshold(benchmark, &scores, cfg.votes);
-    let (y_true, y_pred) = dimm_level_vote(benchmark, &scores, threshold, cfg.votes);
-    let eval = Evaluation::from_confusion(Confusion::from_predictions(&y_true, &y_pred), threshold);
+    let eval = vote_evaluation(benchmark, &scores, threshold, cfg.votes);
 
     // Gate 2: benchmark non-regression.
     let production_f1 = registry
@@ -125,16 +124,8 @@ pub fn run_pipeline(
     }
 
     // Gate 3: canary precision.
-    let canary_eval = if canary.is_empty() {
-        None
-    } else {
-        let c_scores = model.predict_set(canary);
-        let (cy, cp) = dimm_level_vote(canary, &c_scores, threshold, cfg.votes);
-        Some(Evaluation::from_confusion(
-            Confusion::from_predictions(&cy, &cp),
-            threshold,
-        ))
-    };
+    let canary_eval = (!canary.is_empty())
+        .then(|| vote_evaluation(canary, &model.predict_set(canary), threshold, cfg.votes));
     let canary_ok = canary_eval
         .map(|e| e.precision >= cfg.min_canary_precision || e.confusion.tp + e.confusion.fp == 0)
         .unwrap_or(true);

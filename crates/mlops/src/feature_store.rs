@@ -2,10 +2,11 @@
 //! serving of features for training (batch) and online prediction
 //! (streaming).
 //!
-//! Train/serve consistency is by construction: both paths call the same
-//! `mfp-features` extraction code — and [`FeatureStore::consistency_check`]
-//! verifies it empirically, the check data scientists run before promoting
-//! a model.
+//! Train/serve consistency is by construction: both paths extract with a
+//! [`FeatureStream`] — [`FeatureStore::materialize`] through dataset
+//! assembly's per-DIMM step, serving through one live stream per DIMM —
+//! and [`FeatureStore::consistency_check`] verifies it against the batch
+//! extractor, the check data scientists run before promoting a model.
 //!
 //! Online serving keeps one owned [`FeatureStream`] per DIMM alive between
 //! prediction ticks, and [`FeatureStore::stream_ingest`] enters each
@@ -24,7 +25,7 @@ use mfp_dram::address::DimmId;
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::{SimDuration, SimTime};
-use mfp_features::dataset::SampleSet;
+use mfp_features::dataset::{stream_dimm_samples, SampleSet};
 use mfp_features::extract::{extract_features, feature_names};
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::history::DimmHistory;
@@ -103,11 +104,14 @@ impl FeatureStore {
         self.views.read().expect(POISONED).clone()
     }
 
-    /// **Batch transformation**: materializes a labelled training set for a
-    /// platform from lake data in `[from, to)`.
+    /// **Batch transformation**: materializes a platform's labelled
+    /// samples stamped in `[from, to)` from lake data.
     ///
     /// Labels need UE visibility up to `to + lead + prediction`, so this is
-    /// only used for historical (training) ranges.
+    /// only used for historical (training) ranges. Each catalogued DIMM's
+    /// events go through dataset assembly's per-DIMM step
+    /// ([`stream_dimm_samples`]), so a lake holding a fleet's log yields
+    /// the samples `build_samples` gives that fleet in the window.
     pub fn materialize(
         &self,
         lake: &DataLake,
@@ -123,21 +127,18 @@ impl FeatureStore {
             by_dimm.entry(e.dimm()).or_default().push(e);
         }
         let mut set = SampleSet::new();
+        let mut stream = FeatureStream::new(self.problem, self.thresholds);
         for (dimm, evs) in by_dimm {
-            let Some((_, spec)) = lake.dimm_info(dimm) else {
-                continue;
-            };
-            let history = DimmHistory::new(&evs);
-            let horizon = label_horizon - SimTime::ZERO;
-            for t in self.problem.sample_times(&history, horizon) {
-                if t < from || t >= to {
-                    continue;
-                }
-                let Some(label) = self.problem.label_at(t, history.first_ue()) else {
-                    continue;
-                };
-                let row = extract_features(&history, &spec, t, &self.problem, &self.thresholds);
-                set.push(row, label, dimm, t);
+            if let Some((_, spec)) = lake.dimm_info(dimm) {
+                stream_dimm_samples(
+                    &mut set,
+                    dimm,
+                    &spec,
+                    &evs,
+                    from..to,
+                    &self.problem,
+                    &mut stream,
+                );
             }
         }
         // Same series the batch assembler reports, so dashboards see total

@@ -5,6 +5,7 @@ use mfp_dram::address::DimmId;
 use mfp_dram::event::MemEvent;
 use mfp_dram::geometry::Platform;
 use mfp_dram::time::{SimDuration, SimTime};
+use mfp_features::dataset::SampleSet;
 use mfp_features::extract::extract_features;
 use mfp_features::fault_analysis::FaultThresholds;
 use mfp_features::history::DimmHistory;
@@ -56,6 +57,107 @@ fn materialized_features_match_direct_extraction() {
     assert_eq!(set.len(), direct.len(), "sample counts must agree");
     assert_eq!(set.features, direct.features, "feature values must agree");
     assert_eq!(set.labels, direct.labels);
+}
+
+/// The loop `FeatureStore::materialize` ran before it took dataset
+/// assembly's streaming step: per catalogued DIMM of the lake query, the
+/// batch extractor at each sample time in `[from, to)`.
+fn materialize_batch_oracle(
+    lake: &DataLake,
+    problem: &ProblemConfig,
+    th: &FaultThresholds,
+    platform: Platform,
+    from: SimTime,
+    to: SimTime,
+) -> SampleSet {
+    let label_horizon = to + problem.lead + problem.prediction;
+    let events = lake.query(platform, SimTime::ZERO, label_horizon);
+    let mut by_dimm: BTreeMap<DimmId, Vec<&MemEvent>> = BTreeMap::new();
+    for e in &events {
+        by_dimm.entry(e.dimm()).or_default().push(e);
+    }
+    let mut set = SampleSet::new();
+    for (dimm, evs) in by_dimm {
+        let Some((_, spec)) = lake.dimm_info(dimm) else {
+            continue;
+        };
+        let history = DimmHistory::new(&evs);
+        for t in problem.sample_times(&history, label_horizon - SimTime::ZERO) {
+            if t < from || t >= to {
+                continue;
+            }
+            let Some(label) = problem.label_at(t, history.first_ue()) else {
+                continue;
+            };
+            let row = extract_features(&history, &spec, t, problem, th);
+            set.push(row, label, dimm, t);
+        }
+    }
+    set
+}
+
+/// `materialize` equals the batch oracle bit for bit: rows by `to_bits`,
+/// labels, DIMMs and times. The windows cut DIMM histories at day
+/// boundaries and exactly at sample times (so a sample stamped at `from`
+/// is kept and one stamped at `to` is not); one is empty, one reversed,
+/// one starts just after the fleet's last event and one starts past its
+/// last sample.
+#[test]
+fn materialize_matches_the_batch_oracle() {
+    let (fleet, lake) = setup();
+    lake.ingest(fleet.log.events());
+    let problem = ProblemConfig::default();
+    let th = FaultThresholds::default();
+    let store = FeatureStore::new(problem, th);
+    let day = |d: u64| SimTime::ZERO + SimDuration::days(d);
+    let last = fleet.log.events().iter().map(|e| e.time()).max().unwrap();
+    let after_last = last + SimDuration::secs(1);
+    let bits = |s: &SampleSet| s.features.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for platform in Platform::ALL {
+        let full = store.materialize(&lake, platform, SimTime::ZERO, day(400));
+        assert!(full.positives() > 0, "{platform}: no positive sample");
+        // Each DIMM's first and last sample time, to see which windows
+        // cut its history.
+        let mut span: BTreeMap<DimmId, (SimTime, SimTime)> = BTreeMap::new();
+        for (&d, &t) in full.dimms.iter().zip(&full.times) {
+            let e = span.entry(d).or_insert((t, t));
+            e.1 = t;
+        }
+        let mut times = full.times.clone();
+        times.sort_unstable();
+        let (a, b) = (times[times.len() / 3], times[2 * times.len() / 3]);
+        let windows = [
+            (SimTime::ZERO, day(400)),
+            (day(20), day(55)),
+            (day(50), day(80)),
+            (SimTime::ZERO, a),
+            (a, b),
+            (b, day(400)),
+            (a, a),
+            (b, a),
+            (after_last, after_last + SimDuration::days(40)),
+            (last + problem.observation + SimDuration::days(1), day(400)),
+        ];
+        for (k, &(from, to)) in windows.iter().enumerate() {
+            let got = store.materialize(&lake, platform, from, to);
+            let want = materialize_batch_oracle(&lake, &problem, &th, platform, from, to);
+            let ctx = format!("{platform} window {k} [{from:?}, {to:?})");
+            assert_eq!(got.schema, want.schema, "{ctx}");
+            assert_eq!(got.labels, want.labels, "{ctx}: labels");
+            assert_eq!(got.dimms, want.dimms, "{ctx}: DIMMs");
+            assert_eq!(got.times, want.times, "{ctx}: times");
+            assert_eq!(bits(&got), bits(&want), "{ctx}: rows");
+            let cut = got
+                .dimms
+                .iter()
+                .any(|d| span[d].0 < from || span[d].1 >= to);
+            match k {
+                1..=5 => assert!(cut, "{ctx}: no DIMM history is cut"),
+                6 | 7 | 9 => assert!(got.is_empty(), "{ctx}: not empty"),
+                _ => {}
+            }
+        }
+    }
 }
 
 #[test]

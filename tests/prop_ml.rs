@@ -7,7 +7,7 @@ use mfp_features::dataset::SampleSet;
 use mfp_ml::binning::Binner;
 use mfp_ml::metrics::{
     best_f1_threshold, best_vote_threshold, derive_sample_gap, dimm_level_vote,
-    dimm_level_vote_with_gap, Confusion,
+    dimm_level_vote_with_gap, vote_evaluation, Confusion, Evaluation,
 };
 use mfp_ml::model::{Algorithm, Model};
 use mfp_rng::StdRng;
@@ -188,6 +188,40 @@ fn vote_sweep_matches_per_candidate_oracle() {
                 want.to_bits(),
                 "votes {votes}: sweep {got}, oracle {want}"
             );
+        },
+    );
+}
+
+/// Table II's evaluation step: `vote_evaluation` at the vote threshold
+/// tuned on a validation set equals the hand sequence it replaced (tune,
+/// vote on the test set, count, summarize) in the confusion matrix and
+/// every metric's bits.
+#[test]
+fn vote_evaluation_matches_the_hand_sequence() {
+    check(
+        "vote_evaluation_matches_the_hand_sequence",
+        CASES * 2,
+        |rng| {
+            let (val, val_scores) = vote_set(rng);
+            let (test, test_scores) = vote_set(rng);
+            let votes = rng.random_range(1..=3usize);
+            let threshold = best_vote_threshold(&val, &val_scores, votes);
+            let got = vote_evaluation(&test, &test_scores, threshold, votes);
+            let (y_true, y_pred) = dimm_level_vote(&test, &test_scores, threshold, votes);
+            let want = Evaluation::from_confusion(
+                Confusion::from_predictions(&y_true, &y_pred),
+                threshold,
+            );
+            assert_eq!(got.confusion, want.confusion, "votes {votes}");
+            assert_eq!(got.threshold.to_bits(), want.threshold.to_bits());
+            for (g, w) in [
+                (got.precision, want.precision),
+                (got.recall, want.recall),
+                (got.f1, want.f1),
+                (got.virr, want.virr),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "votes {votes}: {g} vs {w}");
+            }
         },
     );
 }
